@@ -638,13 +638,20 @@ func (a *App) logf(p *sim.Proc, proc *Process, format string, args ...any) {
 	}
 }
 
-// record feeds the optional trace recorder, the meter's per-channel
-// backlog watermark, and — on the delivery (read) side — the flow
+// record keeps the channel's in-flight backlog and its watermark (a
+// completed write raises it, a completed read drains it), then feeds the
+// optional trace recorder and — on the delivery (read) side — the flow
 // observatory. dur is the operation's blocked time, which the flow layer
 // uses as the delivery latency sample.
 func (a *App) record(p *sim.Proc, kind trace.Kind, proc *Process, ch *Channel, bytes int, xfer int64, dur sim.Time) {
-	if m := a.obs.meter; m != nil {
-		m.noteBacklog(ch.id, kind)
+	switch kind {
+	case trace.KindWrite:
+		ch.backlog++
+		if ch.backlog > ch.backlogHigh {
+			ch.backlogHigh = ch.backlog
+		}
+	case trace.KindRead:
+		ch.backlog--
 	}
 	if a.obs.trace != nil {
 		a.obs.trace.Record(trace.Event{At: p.Now(), Kind: kind, Proc: proc.String(), Channel: ch.id, Bytes: bytes, Xfer: xfer})

@@ -72,6 +72,12 @@ type Channel struct {
 	// flow caches the channel's flow classification (key + hop lists),
 	// computed lazily at first delivery (flow.go). Nil until then.
 	flow *chanFlow
+
+	// backlog is the in-flight operation count: writes completed but not
+	// yet matched by a completed read. backlogHigh is its high-water mark,
+	// the channel's congestion watermark. App.record keeps both, whatever
+	// sinks are attached.
+	backlog, backlogHigh int
 }
 
 // Fault reports the poisoning fault, or nil while the channel is healthy.

@@ -115,4 +115,3 @@ func (a *App) flowDeliver(ch *Channel, bytes int, dur sim.Time) {
 		f.HopBusy(nic, fi.key, a.Clu.Net.SerializationTime(bytes))
 	}
 }
-

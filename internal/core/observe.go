@@ -47,45 +47,19 @@ var (
 
 // Meter aggregates run-wide communication metrics: per-channel-type
 // operation latency, payload size and achieved bandwidth histograms,
-// Co-Pilot service-queue wait and depth, per-channel in-flight backlog
-// watermarks, and per-process blocked-time attribution. Attach one via
-// App.Metrics before Run; read the results from App.Stats after. Like
-// the trace recorder, a Meter observes at zero virtual-time cost.
+// Co-Pilot service-queue wait and depth, and per-process blocked-time
+// attribution. Attach one via App.Metrics before Run; read the results
+// from App.Stats after. Like the trace recorder, a Meter observes at
+// zero virtual-time cost.
 type Meter struct {
 	reg   *metrics.Registry
 	procs map[int]*procAcc // by process id
-
-	// In-flight operation backlog per channel id: writes completed but not
-	// yet matched by a completed read. The high-water mark is the channel's
-	// congestion watermark.
-	backlog     map[int]int
-	backlogHigh map[int]int
 }
 
 // NewMeter creates an empty meter.
 func NewMeter() *Meter {
-	return &Meter{
-		reg: metrics.NewRegistry(), procs: map[int]*procAcc{},
-		backlog: map[int]int{}, backlogHigh: map[int]int{},
-	}
+	return &Meter{reg: metrics.NewRegistry(), procs: map[int]*procAcc{}}
 }
-
-// noteBacklog tracks a channel's in-flight operation backlog: a completed
-// write raises it, a completed read drains it.
-func (m *Meter) noteBacklog(chID int, kind trace.Kind) {
-	switch kind {
-	case trace.KindWrite:
-		m.backlog[chID]++
-		if m.backlog[chID] > m.backlogHigh[chID] {
-			m.backlogHigh[chID] = m.backlog[chID]
-		}
-	case trace.KindRead:
-		m.backlog[chID]--
-	}
-}
-
-// BacklogHighWater reports a channel's in-flight backlog watermark.
-func (m *Meter) BacklogHighWater(chID int) int { return m.backlogHigh[chID] }
 
 // Registry exposes the raw metric registry (for dumps and exports).
 func (m *Meter) Registry() *metrics.Registry { return m.reg }

@@ -15,46 +15,31 @@ import (
 	"cellpilot/internal/trace"
 )
 
+// sinks names the observability sinks runFiveTypes attaches; a nil field
+// stays detached.
+type sinks struct {
+	trace    *trace.Recorder
+	meter    *Meter
+	prof     *profile.Profiler
+	host     *hostprof.Profiler
+	timeline *timeline.Recorder
+	flows    *flowmap.Map
+}
+
 // runFiveTypes runs a 2-Cell-node + 1-Xeon cluster workload that exercises
 // every Table I channel type (1: PPE↔remote PPE, 2: PPE↔local SPE,
 // 3: PPE↔remote SPE, 4: SPE↔local SPE, 5: SPE↔remote SPE), with the given
-// observability sinks attached, and returns the final virtual time.
-func runFiveTypes(t *testing.T, rounds int, rec *trace.Recorder, meter *Meter) (*App, sim.Time) {
-	t.Helper()
-	return runFiveTypesFull(t, rounds, rec, meter, nil, nil, Options{})
-}
-
-// runFiveTypesOpts is runFiveTypes with explicit Options (used to prove
-// the hardened code paths are virtually free when no fault fires).
-func runFiveTypesOpts(t *testing.T, rounds int, rec *trace.Recorder, meter *Meter, opts Options) (*App, sim.Time) {
-	t.Helper()
-	return runFiveTypesFull(t, rounds, rec, meter, nil, nil, opts)
-}
-
-// runFiveTypesFull is the most general variant: every observability sink
-// plus explicit Options.
-func runFiveTypesFull(t *testing.T, rounds int, rec *trace.Recorder, meter *Meter, prof *profile.Profiler, host *hostprof.Profiler, opts Options) (*App, sim.Time) {
-	t.Helper()
-	return runFiveTypesSinks(t, rounds, rec, meter, prof, host, nil, opts)
-}
-
-// runFiveTypesSinks additionally attaches a timeline recorder.
-func runFiveTypesSinks(t *testing.T, rounds int, rec *trace.Recorder, meter *Meter, prof *profile.Profiler, host *hostprof.Profiler, tl *timeline.Recorder, opts Options) (*App, sim.Time) {
-	t.Helper()
-	return runFiveTypesAllSinks(t, rounds, rec, meter, prof, host, tl, nil, opts)
-}
-
-// runFiveTypesAllSinks additionally attaches a flow observatory.
-func runFiveTypesAllSinks(t *testing.T, rounds int, rec *trace.Recorder, meter *Meter, prof *profile.Profiler, host *hostprof.Profiler, tl *timeline.Recorder, fl *flowmap.Map, opts Options) (*App, sim.Time) {
+// sinks and options, and returns the final virtual time.
+func runFiveTypes(t *testing.T, rounds int, s sinks, opts Options) (*App, sim.Time) {
 	t.Helper()
 	c := newTestCluster(t)
 	a := NewApp(c, opts)
-	a.Trace = rec
-	a.Metrics = meter
-	a.Profile = prof
-	a.HostProf = host
-	a.Timeline = tl
-	a.Flows = fl
+	a.Trace = s.trace
+	a.Metrics = s.meter
+	a.Profile = s.prof
+	a.HostProf = s.host
+	a.Timeline = s.timeline
+	a.Flows = s.flows
 
 	var t1d, t1u, t2d, t2u, t3d, t3u, t4ab, t4ba, t5ab, t5ba *Channel
 	mkEcho := func(down, up **Channel) *SPEProgram {
@@ -126,83 +111,74 @@ func runFiveTypesAllSinks(t *testing.T, rounds int, rec *trace.Recorder, meter *
 	return a, c.K.Now()
 }
 
-// E-OBS1: attaching the recorder, the meter, or both leaves the virtual
-// timeline bit-for-bit identical — the tentpole's zero-cost guarantee.
+// E-OBS1: attaching any observability sink, or all of them, or arming an
+// empty fault plan leaves the virtual timeline bit-for-bit identical —
+// the zero-cost guarantee. Each arm must end at the bare run's virtual
+// time; the checks after the table show each sink actually observed.
 func TestObservabilityZeroCost(t *testing.T) {
-	bareApp, bare := runFiveTypes(t, 2, nil, nil)
-	recA := trace.NewRecorder(0)
-	_, withRec := runFiveTypes(t, 2, recA, nil)
-	_, withMeter := runFiveTypes(t, 2, nil, NewMeter())
-	recB := trace.NewRecorder(0)
-	_, withBoth := runFiveTypes(t, 2, recB, NewMeter())
-	profA := profile.New()
-	_, withProf := runFiveTypesFull(t, 2, nil, nil, profA, nil, Options{})
-	profB := profile.New()
-	allApp, withAll := runFiveTypesFull(t, 2, trace.NewRecorder(0), NewMeter(), profB, nil, Options{})
+	rec, prof, tl, fl := trace.NewRecorder(0), profile.New(), timeline.New(0), flowmap.New(0)
 	// The host profiler times the simulator itself with the wall clock —
 	// strictly outside the virtual timeline. Stride 1 samples every slice,
 	// the worst case for any accidental coupling.
-	hostA := hostprof.New(1)
-	hostApp, withHost := runFiveTypesFull(t, 2, nil, nil, nil, hostA, Options{})
-	hostAll := hostprof.New(1)
-	_, withHostAll := runFiveTypesFull(t, 2, trace.NewRecorder(0), NewMeter(), profile.New(), hostAll, Options{})
-	// Timeline arms: the windowed recorder samples via the kernel clock
-	// hook but never schedules, so attached or detached the virtual
-	// timeline must match the bare run bit for bit.
-	tlA := timeline.New(0)
-	tlApp, withTimeline := runFiveTypesSinks(t, 2, nil, nil, nil, nil, tlA, Options{})
-	// Flow arms: the flow observatory classifies deliveries and attributes
-	// hop occupancy entirely from observed values — attached or detached
-	// (nil flowmap) the virtual timeline must match the bare run bit for bit.
-	flA := flowmap.New(0)
-	flApp, withFlows := runFiveTypesAllSinks(t, 2, nil, nil, nil, nil, nil, flA, Options{})
-	_, withEverything := runFiveTypesAllSinks(t, 2, trace.NewRecorder(0), NewMeter(), profile.New(), hostprof.New(1), timeline.New(0), flowmap.New(0), Options{})
-
-	if bare != withRec || bare != withMeter || bare != withBoth {
-		t.Fatalf("virtual time diverged: bare=%v rec=%v meter=%v both=%v",
-			bare, withRec, withMeter, withBoth)
+	host := hostprof.New(1)
+	all := sinks{trace.NewRecorder(0), NewMeter(), profile.New(), hostprof.New(1), timeline.New(0), flowmap.New(0)}
+	// An armed but empty fault plan routes every operation through the
+	// hardened control paths (deadline-capable parks, sequence-free
+	// descriptors, link tap) without injecting anything.
+	inj := fault.NewInjector(fault.Plan{})
+	arms := []struct {
+		name string
+		s    sinks
+		opts Options
+	}{
+		{"bare", sinks{}, Options{}},
+		{"trace", sinks{trace: rec}, Options{}},
+		{"meter", sinks{meter: NewMeter()}, Options{}},
+		{"profile", sinks{prof: prof}, Options{}},
+		{"host", sinks{host: host}, Options{}},
+		{"timeline", sinks{timeline: tl}, Options{}},
+		{"flows", sinks{flows: fl}, Options{}},
+		{"all", all, Options{}},
+		{"empty fault plan", sinks{}, Options{Faults: inj}},
 	}
-	if bare != withProf || bare != withAll {
-		t.Fatalf("virtual time diverged with profiler: bare=%v prof=%v all=%v",
-			bare, withProf, withAll)
+	apps := map[string]*App{}
+	var bare sim.Time
+	for _, arm := range arms {
+		a, vt := runFiveTypes(t, 2, arm.s, arm.opts)
+		apps[arm.name] = a
+		if arm.name == "bare" {
+			bare = vt
+		} else if vt != bare {
+			t.Fatalf("%s: virtual time %v, bare run %v", arm.name, vt, bare)
+		}
 	}
-	if bare != withHost || bare != withHostAll {
-		t.Fatalf("virtual time diverged with host profiler: bare=%v host=%v host+all=%v",
-			bare, withHost, withHostAll)
-	}
-	if bare != withTimeline || bare != withEverything {
-		t.Fatalf("virtual time diverged with timeline: bare=%v timeline=%v all-sinks=%v",
-			bare, withTimeline, withEverything)
-	}
-	if bare != withFlows {
-		t.Fatalf("virtual time diverged with flowmap: bare=%v flows=%v", bare, withFlows)
-	}
+	bareStats := apps["bare"].Stats()
 	// The flow observatory actually observed the run: every one of the
 	// seven canonical routes appears (the workload drives all five channel
 	// types, types 2 and 3 in both directions), and Stats surfaces the
 	// report only when a flowmap is attached.
-	flStats := flApp.Stats()
+	flStats := apps["flows"].Stats()
 	if flStats.Flows == nil || flStats.Flows.FlowCount == 0 || flStats.Flows.TotalMsgs == 0 {
 		t.Fatalf("flowmap recorded nothing: %+v", flStats.Flows)
 	}
 	if got, want := len(flStats.Flows.Routes), len(flowmap.Routes()); got != want {
 		t.Fatalf("flowmap saw %d routes, want all %d: %+v", got, want, flStats.Flows.Routes)
 	}
-	if bareApp.Stats().Flows != nil {
+	if bareStats.Flows != nil {
 		t.Fatal("Stats().Flows populated without a flowmap attached")
 	}
 	// The timeline actually observed the run and surfaces through Stats.
-	tlStats := tlApp.Stats()
+	tlStats := apps["timeline"].Stats()
 	if tlStats.Timeline == nil || tlStats.Timeline.Windows == 0 || len(tlStats.Timeline.Series) == 0 {
 		t.Fatalf("timeline recorded nothing: %+v", tlStats.Timeline)
 	}
-	if bareApp.Stats().Timeline != nil {
+	if bareStats.Timeline != nil {
 		t.Fatal("Stats().Timeline populated without a recorder attached")
 	}
 	// The host profiler actually observed the run (events, slices, and
 	// subsystem attribution for the Co-Pilot/MPI/interconnect/fmtmsg code
 	// it hooked) and surfaces through Stats().Host.
-	hsnap := hostA.Snapshot()
+	hsnap := host.Snapshot()
 	if hsnap.Events == 0 || hsnap.Slices == 0 || hsnap.SampledNs == 0 {
 		t.Fatalf("host profiler saw nothing: %+v", hsnap)
 	}
@@ -217,22 +193,22 @@ func TestObservabilityZeroCost(t *testing.T) {
 			t.Errorf("no host time attributed to %s: %+v", want, hsnap.Subsystems)
 		}
 	}
-	if st := hostApp.Stats(); st.Host == nil || st.Host.Events != hsnap.Events {
+	if st := apps["host"].Stats(); st.Host == nil || st.Host.Events != hsnap.Events {
 		t.Fatalf("Stats().Host missing or inconsistent: %+v", st.Host)
 	}
-	if bareApp.Stats().Host != nil {
+	if bareStats.Host != nil {
 		t.Fatal("Stats().Host non-nil without a host profiler attached")
 	}
 	// The profiler attributed non-compute time for every process and both
 	// identically-configured profiled runs agree bucket-for-bucket.
-	if len(profA.Procs()) == 0 {
+	if len(prof.Procs()) == 0 {
 		t.Fatal("profiler saw no processes")
 	}
 	var fa, fb bytes.Buffer
-	if err := profA.FoldedStacks(&fa); err != nil {
+	if err := prof.FoldedStacks(&fa); err != nil {
 		t.Fatal(err)
 	}
-	if err := profB.FoldedStacks(&fb); err != nil {
+	if err := all.prof.FoldedStacks(&fb); err != nil {
 		t.Fatal(err)
 	}
 	if fa.String() != fb.String() {
@@ -240,33 +216,23 @@ func TestObservabilityZeroCost(t *testing.T) {
 	}
 	// The always-on flight recorder captured phase events in every run —
 	// including the bare one — without perturbing it.
-	for _, a := range []*App{bareApp, allApp} {
-		if a.Flight().Total() == 0 {
-			t.Fatal("flight recorder recorded nothing")
+	for _, name := range []string{"bare", "all"} {
+		if apps[name].Flight().Total() == 0 {
+			t.Fatalf("%s: flight recorder recorded nothing", name)
 		}
-	}
-	// An armed but empty fault plan routes every operation through the
-	// hardened control paths (deadline-capable parks, sequence-free
-	// descriptors, link tap). With nothing injected, the virtual timeline
-	// must still be bit-for-bit that of the unhardened run.
-	inj := fault.NewInjector(fault.Plan{})
-	_, withFaults := runFiveTypesOpts(t, 2, nil, nil, Options{Faults: inj})
-	if bare != withFaults {
-		t.Fatalf("zero-fault hardened run diverged: bare=%v hardened=%v", bare, withFaults)
 	}
 	if got := inj.Counts; got != (fault.Counts{}) {
 		t.Fatalf("empty plan recorded activity: %+v", got)
 	}
 	// The critical-path analyzer is a pure post-run consumer of the span
-	// DAG: with no recorder attached Stats carries no CritPath and the
-	// timeline is the bare one (asserted above); with one, Stats().CritPath
-	// decomposes every traced transfer exactly — the per-stage attributions
-	// sum to the end-to-end virtual latency — and rendering it twice is
-	// byte-identical.
-	if bareApp.Stats().CritPath != nil {
+	// DAG: with no recorder attached Stats carries no CritPath; with one,
+	// Stats().CritPath decomposes every traced transfer exactly — the
+	// per-stage attributions sum to the end-to-end virtual latency — and
+	// rendering it twice is byte-identical.
+	if bareStats.CritPath != nil {
 		t.Fatal("Stats.CritPath non-nil without a recorder")
 	}
-	cp := allApp.Stats().CritPath
+	cp := apps["all"].Stats().CritPath
 	if cp == nil || len(cp.Transfers) == 0 {
 		t.Fatal("Stats.CritPath missing with a recorder attached")
 	}
@@ -279,11 +245,11 @@ func TestObservabilityZeroCost(t *testing.T) {
 			t.Fatalf("transfer #%d: stage attributions off end-to-end latency by %v", tr.ID, d)
 		}
 	}
-	if again := allApp.Stats().CritPath; again.Table() != cp.Table() {
+	if again := apps["all"].Stats().CritPath; again.Table() != cp.Table() {
 		t.Fatalf("critical-path report not deterministic:\n%s\nvs\n%s", cp.Table(), again.Table())
 	}
-	// Per-channel event times must also be identical across sink choices.
-	evA, evB := recA.Events(), recB.Events()
+	// Per-channel event times must also be identical across sink sets.
+	evA, evB := rec.Events(), all.trace.Events()
 	if len(evA) != len(evB) {
 		t.Fatalf("event counts diverged: %d vs %d", len(evA), len(evB))
 	}
@@ -298,7 +264,7 @@ func TestObservabilityZeroCost(t *testing.T) {
 // span decomposed into mailbox, Co-Pilot, and copy-or-relay phases.
 func TestSpansCoverAllSPETypes(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	_, _ = runFiveTypes(t, 2, rec, nil)
+	_, _ = runFiveTypes(t, 2, sinks{trace: rec}, Options{})
 	spans := rec.Spans()
 	byType := map[int]int{}
 	for _, sp := range spans {
@@ -334,7 +300,7 @@ func TestSpansCoverAllSPETypes(t *testing.T) {
 // track per process and per Co-Pilot.
 func TestChromeExportTracks(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	_, _ = runFiveTypes(t, 2, rec, nil)
+	_, _ = runFiveTypes(t, 2, sinks{trace: rec}, Options{})
 	var buf bytes.Buffer
 	if err := rec.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -395,7 +361,7 @@ func TestChromeExportTracks(t *testing.T) {
 // blocked-time attribution when a Meter is attached.
 func TestStatsMetrics(t *testing.T) {
 	meter := NewMeter()
-	a, final := runFiveTypes(t, 2, nil, meter)
+	a, final := runFiveTypes(t, 2, sinks{meter: meter}, Options{})
 	st := a.Stats()
 	if st.Registry == nil {
 		t.Fatal("Stats.Registry nil with a meter attached")
@@ -459,14 +425,14 @@ func TestStatsMetrics(t *testing.T) {
 // report stays in its seed shape.
 func TestStatsStringMetricsSections(t *testing.T) {
 	meter := NewMeter()
-	a, _ := runFiveTypes(t, 2, nil, meter)
+	a, _ := runFiveTypes(t, 2, sinks{meter: meter}, Options{})
 	s := a.Stats().String()
 	for _, want := range []string{"type1:", "type5:", "latency p50=", "bandwidth p50=", "compute", "mailbox"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Stats.String missing %q:\n%s", want, s)
 		}
 	}
-	b, _ := runFiveTypes(t, 2, nil, nil)
+	b, _ := runFiveTypes(t, 2, sinks{}, Options{})
 	if s := b.Stats().String(); strings.Contains(s, "latency p50=") || strings.Contains(s, "compute") {
 		t.Fatalf("Stats.String shows metric sections without a meter:\n%s", s)
 	}
@@ -614,7 +580,7 @@ func TestAttachAfterRunRejected(t *testing.T) {
 // metric registry.
 func TestCongestionTelemetry(t *testing.T) {
 	meter := NewMeter()
-	a, vt := runFiveTypes(t, 3, nil, meter)
+	a, vt := runFiveTypes(t, 3, sinks{meter: meter}, Options{})
 	st := a.Stats()
 	if vt <= 0 {
 		t.Fatal("no virtual time elapsed")

@@ -248,8 +248,8 @@ func (a *App) Stats() Stats {
 			}
 			backlog := 0
 			for _, ch := range a.chans {
-				if ch.typ == t && m.BacklogHighWater(ch.id) > backlog {
-					backlog = m.BacklogHighWater(ch.id)
+				if ch.typ == t && ch.backlogHigh > backlog {
+					backlog = ch.backlogHigh
 				}
 			}
 			st.ChannelTypes = append(st.ChannelTypes, ChannelTypeMetrics{
@@ -312,11 +312,9 @@ func (a *App) pushTelemetryGauges(reg *metrics.Registry, st Stats) {
 			reg.Gauge(prefix + "/mfcdma_utilization").Set(spe.DMAUtilization)
 		}
 	}
-	if m := a.obs.meter; m != nil {
-		for _, ch := range a.chans {
-			if hw := m.BacklogHighWater(ch.id); hw > 0 {
-				reg.Gauge(fmt.Sprintf("chan/%s/backlog_highwater", ch.typ)).SetMax(float64(hw))
-			}
+	for _, ch := range a.chans {
+		if ch.backlogHigh > 0 {
+			reg.Gauge(fmt.Sprintf("chan/%s/backlog_highwater", ch.typ)).SetMax(float64(ch.backlogHigh))
 		}
 	}
 	if st.Host != nil {

@@ -47,33 +47,36 @@ func (a *App) timelineSample(s *timeline.Sample) {
 			s.Add("mailbox/"+p.String()+"/in_highwater", timeline.Gauge, float64(p.sctx.SPE.InMbox.HighWater()))
 		}
 	}
-	if m := a.obs.meter; m != nil {
-		total := 0
-		var byType [6]int
-		var present [6]bool
-		for _, ch := range a.chans {
-			t := int(ch.typ)
-			if t < 1 || t > 5 {
-				continue
-			}
-			present[t] = true
-			n := m.backlog[ch.id]
-			byType[t] += n
-			total += n
+	total := 0
+	var byType [6]int
+	var present [6]bool
+	for _, ch := range a.chans {
+		t := int(ch.typ)
+		if t < 1 || t > 5 {
+			continue
 		}
-		s.Add("backlog/total", timeline.Gauge, float64(total))
-		for t := 1; t <= 5; t++ {
-			if !present[t] {
-				continue
-			}
-			s.Add(fmt.Sprintf("backlog/type%d", t), timeline.Gauge, float64(byType[t]))
-			// Bytes moved per type: read-only registry lookup — creating
-			// the counter here would mutate the registry from a sampler.
-			name := fmt.Sprintf("chan/type%d/payload_bytes_total", t)
-			if c := m.reg.LookupCounter(name); c != nil {
-				s.Add(name, timeline.Counter, float64(c.Value()))
-			}
+		present[t] = true
+		byType[t] += ch.backlog
+		total += ch.backlog
+	}
+	s.Add("backlog/total", timeline.Gauge, float64(total))
+	m := a.obs.meter
+	for t := 1; t <= 5; t++ {
+		if !present[t] {
+			continue
 		}
+		s.Add(fmt.Sprintf("backlog/type%d", t), timeline.Gauge, float64(byType[t]))
+		if m == nil {
+			continue
+		}
+		// Bytes moved per type: read-only registry lookup — creating the
+		// counter here would mutate the registry from a sampler.
+		name := fmt.Sprintf("chan/type%d/payload_bytes_total", t)
+		if c := m.reg.LookupCounter(name); c != nil {
+			s.Add(name, timeline.Counter, float64(c.Value()))
+		}
+	}
+	if m != nil {
 		for _, name := range []string{"copilot/stream/inflight_send", "copilot/stream/inflight_recv"} {
 			if g := m.reg.LookupGauge(name); g != nil {
 				s.Add(name, timeline.Gauge, g.Value())

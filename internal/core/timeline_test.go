@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // and surfaces through Stats().Timeline.
 func TestTimelineRecordsRun(t *testing.T) {
 	tl := timeline.New(20 * sim.Microsecond)
-	app, vt := runFiveTypesSinks(t, 2, nil, NewMeter(), nil, nil, tl, Options{})
+	app, vt := runFiveTypes(t, 2, sinks{meter: NewMeter(), timeline: tl}, Options{})
 	rep := app.Stats().Timeline
 	if rep == nil {
 		t.Fatal("Stats().Timeline nil with a recorder attached")
@@ -59,12 +60,44 @@ func TestTimelineRecordsRun(t *testing.T) {
 func TestTimelineDeterministicAcrossRuns(t *testing.T) {
 	run := func() string {
 		tl := timeline.New(20 * sim.Microsecond)
-		runFiveTypesSinks(t, 2, nil, NewMeter(), nil, nil, tl, Options{})
+		runFiveTypes(t, 2, sinks{meter: NewMeter(), timeline: tl}, Options{})
 		return tl.Fingerprint()
 	}
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("timeline fingerprints diverged across identical runs:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// The backlog/* series come from core's channel state, not from the Meter:
+// a timeline alone records the same backlog windows as a timeline with a
+// Meter, so attaching one sink does not change another sink's output.
+func TestTimelineBacklogWithoutMeter(t *testing.T) {
+	backlog := func(meter *Meter) map[string][]float64 {
+		tl := timeline.New(20 * sim.Microsecond)
+		runFiveTypes(t, 2, sinks{meter: meter, timeline: tl}, Options{})
+		out := map[string][]float64{}
+		for _, name := range tl.SeriesNames() {
+			if strings.HasPrefix(name, "backlog/") {
+				out[name], _ = tl.Range(name, 0, 0)
+			}
+		}
+		return out
+	}
+	alone, metered := backlog(nil), backlog(NewMeter())
+	// backlog/total plus one series per channel type.
+	if len(alone) != 6 {
+		t.Fatalf("timeline without a Meter has %d backlog series, want 6: %v", len(alone), alone)
+	}
+	peak := 0.0
+	for _, v := range alone["backlog/total"] {
+		peak = max(peak, v)
+	}
+	if peak == 0 {
+		t.Fatal("backlog/total never rose above zero")
+	}
+	if !reflect.DeepEqual(alone, metered) {
+		t.Fatalf("backlog series differ with a Meter attached:\nalone:   %v\nmetered: %v", alone, metered)
 	}
 }
 

@@ -95,8 +95,8 @@ func countChunkRelay(rec *trace.Recorder) int {
 // zero ChunkSize... except ZeroCopyType4, which is its own independent
 // switch and must be off too for strict equality.
 func TestTransferDisabledZeroCost(t *testing.T) {
-	_, bare := runFiveTypesOpts(t, 2, nil, nil, Options{})
-	_, knobs := runFiveTypesOpts(t, 2, nil, nil, Options{
+	_, bare := runFiveTypes(t, 2, sinks{}, Options{})
+	_, knobs := runFiveTypes(t, 2, sinks{}, Options{
 		Transfer: TransferOptions{ChunkSize: 0, PipelineDepth: 9, EagerMax: 123},
 	})
 	if bare != knobs {

@@ -79,8 +79,10 @@ func (s Subsystem) String() string {
 	}
 }
 
-// DefaultStride samples one execution slice in 64 — measured well under
-// the 2% overhead budget on the hostbench suite.
+// DefaultStride samples one execution slice in 64, so the event loop pays
+// for two time.Now calls only occasionally. Subsystem shares at this
+// stride are estimates; for exact per-layer attribution use stride 1, as
+// the benchmark's traced run (bench -trace 1) does.
 const DefaultStride = 64
 
 // subsysAcc accumulates one bucket.
@@ -102,13 +104,6 @@ type procTags struct {
 // sites can hook unconditionally.
 type Profiler struct {
 	stride uint64
-
-	// BurnAllocBytes, when > 0, allocates that many bytes on every
-	// dispatched event — a deliberate host-cost injection used by the
-	// regression-guard tests to prove the guard catches an allocs/event
-	// slowdown. Zero in every production path.
-	BurnAllocBytes int
-	burn           []byte
 
 	// Kernel counters, always on while attached.
 	events   uint64
@@ -159,11 +154,6 @@ func (p *Profiler) Event() {
 		return
 	}
 	p.events++
-	// Burn in 64-byte pieces so the injection moves allocs/event, not
-	// just bytes/event — the guard must see it on both axes.
-	for n := p.BurnAllocBytes; n > 0; n -= 64 {
-		p.burn = make([]byte, 64)
-	}
 }
 
 // HeapPush counts one event-heap push and tracks the depth watermark.

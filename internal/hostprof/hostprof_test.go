@@ -143,19 +143,6 @@ func TestExitOnEmptyStack(t *testing.T) {
 	p.SliceEnd(1)
 }
 
-func TestBurnAllocBytes(t *testing.T) {
-	p := New(1)
-	p.BurnAllocBytes = 1024
-	allocs := testing.AllocsPerRun(10, func() { p.Event() })
-	// 1024 bytes burned in 64-byte pieces: 16 allocations per event.
-	if allocs < 16 {
-		t.Fatalf("burn allocated %v times per event, want >= 16", allocs)
-	}
-	if len(p.burn) == 0 {
-		t.Fatalf("burn allocation missing")
-	}
-}
-
 func TestPublishTo(t *testing.T) {
 	p := New(1)
 	p.Event()

@@ -266,7 +266,7 @@ func (s *Scenario) validateAssertion(i int, a Assertion) error {
 	what := fmt.Sprintf("assertions[%d] (%s)", i, a.Kind)
 	bind := map[string]string{
 		AssertLatency: KindPingPong, AssertBandwidth: KindPingPong,
-		AssertSpeedup: KindSizeSweep,
+		AssertSpeedup:   KindSizeSweep,
 		AssertCompleted: KindChaos, AssertFaults: KindChaos,
 		AssertDegraded: KindChaos, AssertVirtualTime: KindChaos,
 		AssertBlame: KindChaos, AssertContention: KindChaos,

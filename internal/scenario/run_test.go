@@ -77,10 +77,10 @@ func TestRunIsDeterministic(t *testing.T) {
 func TestAssertionsPassAndFail(t *testing.T) {
 	s := smallScenario()
 	s.Assertions = []Assertion{
-		{Kind: AssertLatency, Type: 1, MaxOneWayUs: 1e6},       // generous: passes
-		{Kind: AssertCompleted, Type: 2, Full: true},           // clean run: passes
-		{Kind: AssertLatency, Type: 3, MaxOneWayUs: 0.001},     // impossible: fails
-		{Kind: AssertBandwidth, Type: 1, MinMBps: 1e9},         // impossible: fails
+		{Kind: AssertLatency, Type: 1, MaxOneWayUs: 1e6},             // generous: passes
+		{Kind: AssertCompleted, Type: 2, Full: true},                 // clean run: passes
+		{Kind: AssertLatency, Type: 3, MaxOneWayUs: 0.001},           // impossible: fails
+		{Kind: AssertBandwidth, Type: 1, MinMBps: 1e9},               // impossible: fails
 		{Kind: AssertFaults, Min: map[string]int64{"link_drops": 5}}, // clean run: fails
 	}
 	if err := s.Validate(); err != nil {

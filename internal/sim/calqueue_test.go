@@ -63,7 +63,7 @@ func runDifferential(t *testing.T, rng *rand.Rand, ops int) {
 				if rng.Intn(20) == 0 {
 					at = Forever - Time(rng.Intn(3))
 				} else {
-					at += Time(rng.Int63n(int64(3600*Second)))
+					at += Time(rng.Int63n(int64(3600 * Second)))
 				}
 			}
 			src := localSrc

@@ -12,11 +12,11 @@ import (
 // scheduler or the single running proc) touches it at a time, so no locks
 // are needed and runs are deterministic.
 type Kernel struct {
-	now  Time
-	seq  uint64
-	pq   eventQueue
-	free []*event // recycled event objects, never shared across kernels
-	ctl  chan struct{} // running proc -> scheduler: "I parked or exited"
+	now   Time
+	seq   uint64
+	pq    eventQueue
+	free  []*event      // recycled event objects, never shared across kernels
+	ctl   chan struct{} // running proc -> scheduler: "I parked or exited"
 	rng   *rand.Rand
 	trac  Tracer
 	host  HostProbe // wall-clock instrumentation; nil disables

@@ -39,9 +39,6 @@ type KiloscaleConfig struct {
 	// Reps is the per-replica round-trip count (default 50 pingpong,
 	// 5 chaos — the kiloscale axis is replica count, not depth).
 	Reps int
-	// Host, when non-nil, absorbs every replica's host-cost snapshot into
-	// one fleet-wide profile (hostprof.Snapshot.Shards = replica count).
-	Host *hostprof.Profiler
 }
 
 // KiloscaleResult is one kiloscale run's outcome.
@@ -109,7 +106,7 @@ func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
 	// of host completion order.
 	lines := make([]string, replicas)
 	vts := make([]sim.Time, replicas)
-	snaps := make([]hostprof.Snapshot, replicas)
+	events := make([]uint64, replicas)
 
 	s := sim.NewSharded(cfg.Workers)
 	for i := 0; i < replicas; i++ {
@@ -152,7 +149,7 @@ func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
 				// The timed window is Reps round trips of 2*OneWay each.
 				vts[i] = res.OneWay * sim.Time(2*cfg.Reps)
 			}
-			snaps[i] = h.Snapshot()
+			events[i] = h.Snapshot().Events
 			return nil
 		})
 	}
@@ -173,10 +170,7 @@ func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
 		if vts[i] > out.VirtualTime {
 			out.VirtualTime = vts[i]
 		}
-		out.Events += snaps[i].Events
-		if cfg.Host != nil {
-			cfg.Host.Absorb(snaps[i])
-		}
+		out.Events += events[i]
 	}
 	return out, nil
 }

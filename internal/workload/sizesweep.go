@@ -5,7 +5,6 @@ import (
 
 	"cellpilot/internal/cluster"
 	"cellpilot/internal/core"
-	"cellpilot/internal/hostprof"
 	"cellpilot/internal/sim"
 )
 
@@ -25,9 +24,6 @@ type SizeSweepConfig struct {
 	// Sizes overrides the payload sizes (default 64 B .. 1 MiB, with
 	// SPE-endpoint types capped at 128 KiB by the local-store budget).
 	Sizes []int
-	// Host, when non-nil, accumulates host-side (wall-clock) cost across
-	// every PingPong run of the sweep.
-	Host *hostprof.Profiler
 	// Spec overrides the simulated cluster for every point (nil = the
 	// paper's two-Cell + one-Xeon corner).
 	Spec *cluster.Spec
@@ -81,7 +77,7 @@ func SizeSweep(cfg SizeSweepConfig) ([]SizeSweepPoint, error) {
 			for _, chunked := range []bool{false, true} {
 				pp := PingPongConfig{
 					Type: typ, Bytes: bytes, Method: MethodCellPilot, Reps: cfg.Reps,
-					Host: cfg.Host, Spec: cfg.Spec,
+					Spec: cfg.Spec,
 				}
 				if chunked {
 					pp.Transfer = cfg.Transfer
