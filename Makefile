@@ -19,10 +19,14 @@ race:
 bench:
 	$(GO) test -bench . -benchmem
 
-# Tier-1 gate: what must stay green on every change, including gofmt.
+# Tier-1 gate: what must stay green on every change, including gofmt and
+# the benchmark module's vet and tests (bench/ is its own module, so the
+# root `go test ./...` never builds it, and its golden.json pins the
+# simulated results of the layers it drives).
 ci: build vet test
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Kernel microbenchmarks, both event-queue implementations side by side:
 # push/pop, steady-state churn and the cancel/purge path on the calendar
@@ -54,9 +58,8 @@ bench-guard:
 # and every step that `go test ./...` does not already run: fuzz smokes
 # of the format and scenario parsers, the scenarios/ library validated
 # against its golden fingerprints, a profile-export smoke writing both
-# formats, a kernel microbenchmark smoke, the benchmark module's vet and
-# tests (bench/ is its own module, so the root `go test ./...` never
-# builds it), and staticcheck when the host has it installed.
+# formats, a kernel microbenchmark smoke, and staticcheck when the host
+# has it installed.
 ci-full: ci race bench-guard
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/fmtmsg
 	$(GO) test -run '^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario/
@@ -65,7 +68,6 @@ ci-full: ci race bench-guard
 		-folded /tmp/cellpilot-ci.folded -pprof /tmp/cellpilot-ci.pb.gz >/dev/null
 	@rm -f /tmp/cellpilot-ci.folded /tmp/cellpilot-ci.pb.gz
 	$(GO) test -run '^$$' -bench 'HeapPushPop|TimerCancelPurge|EventDispatch' -benchtime 100000x ./internal/sim/
-	cd bench && $(GO) vet ./... && $(GO) test ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -69,6 +69,10 @@ func Align(n, a int) int {
 	return (n + a - 1) &^ (a - 1)
 }
 
+// validAlign reports whether a is an alignment Align can honour: a
+// positive power of two.
+func validAlign(a int) bool { return a > 0 && a&(a-1) == 0 }
+
 // IsAligned reports whether addr is a multiple of a (a power of two).
 func IsAligned(addr int64, a int) bool {
 	return addr&int64(a-1) == 0

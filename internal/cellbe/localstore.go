@@ -7,12 +7,15 @@ import "fmt"
 // stack reserve) claimed once at load time, with the remainder available to
 // a stack-disciplined buffer allocator for message staging. Exceeding the
 // store is the paper's central resource constraint and is reported as an
-// explicit error, never a silent wrap.
+// explicit error, never a silent wrap. Like Memory, the store's bytes are
+// allocated whole on the first Window call and never move afterwards, so
+// an SPE that never moves data costs no host memory.
 type LocalStore struct {
-	data      []byte
-	resident  int // bytes claimed by runtime/code/stack, at the bottom
-	top       int // bump pointer for buffer allocations
-	highWater int // largest top ever reached (for utilization reports)
+	size      int
+	data      []byte // nil until the first Window
+	resident  int    // bytes claimed by runtime/code/stack, at the bottom
+	top       int    // bump pointer for buffer allocations
+	highWater int    // largest top ever reached (for utilization reports)
 	allocs    []int
 }
 
@@ -31,16 +34,14 @@ func (e *ErrLSOverflow) Error() string {
 
 // NewLocalStore creates a local store of size bytes.
 func NewLocalStore(size int) *LocalStore {
-	ls := &LocalStore{data: make([]byte, size)}
-	ls.top = 0
-	return ls
+	return &LocalStore{size: size}
 }
 
 // Size reports the store's capacity.
-func (ls *LocalStore) Size() int { return len(ls.data) }
+func (ls *LocalStore) Size() int { return ls.size }
 
 // Free reports bytes available to the buffer allocator.
-func (ls *LocalStore) Free() int { return len(ls.data) - ls.top }
+func (ls *LocalStore) Free() int { return ls.size - ls.top }
 
 // Resident reports bytes claimed by LoadImage.
 func (ls *LocalStore) Resident() int { return ls.resident }
@@ -49,8 +50,11 @@ func (ls *LocalStore) Resident() int { return ls.resident }
 // library, program text/data, stack reserve). It resets any existing image
 // and all buffer allocations, as loading a new SPE program does.
 func (ls *LocalStore) LoadImage(what string, n int) error {
-	if n > len(ls.data) {
-		return &ErrLSOverflow{Want: n, Free: len(ls.data), Size: len(ls.data), What: what}
+	if n < 0 {
+		return fmt.Errorf("cellbe: %s: negative image size %d", what, n)
+	}
+	if n > ls.size {
+		return &ErrLSOverflow{Want: n, Free: ls.size, Size: ls.size, What: what}
 	}
 	ls.resident = n
 	ls.top = Align(n, 16)
@@ -58,15 +62,22 @@ func (ls *LocalStore) LoadImage(what string, n int) error {
 	return nil
 }
 
-// Alloc reserves n bytes aligned to align from the buffer region and
-// returns the LS address. Allocations are released in LIFO order.
+// Alloc reserves n bytes aligned to align (a power of two; 0 means 16)
+// from the buffer region and returns the LS address. Allocations are
+// released in LIFO order.
 func (ls *LocalStore) Alloc(what string, n, align int) (uint32, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("cellbe: %s: negative allocation %d", what, n)
+	}
 	if align <= 0 {
 		align = 16 // quad-word: the Cell's preferred DMA alignment
 	}
+	if !validAlign(align) {
+		return 0, fmt.Errorf("cellbe: %s: alignment %d is not a power of two", what, align)
+	}
 	base := Align(ls.top, align)
-	if base+n > len(ls.data) {
-		return 0, &ErrLSOverflow{Want: n, Free: ls.Free(), Size: len(ls.data), What: what}
+	if n > ls.size-base {
+		return 0, &ErrLSOverflow{Want: n, Free: ls.Free(), Size: ls.size, What: what}
 	}
 	ls.allocs = append(ls.allocs, ls.top)
 	ls.top = base + n
@@ -101,8 +112,11 @@ func (ls *LocalStore) Release() error {
 
 // Window returns a mutable view of LS bytes [addr, addr+n).
 func (ls *LocalStore) Window(addr uint32, n int) ([]byte, error) {
-	if int(addr)+n > len(ls.data) || n < 0 {
-		return nil, fmt.Errorf("cellbe: LS access [%#x,+%d) out of range (size %d)", addr, n, len(ls.data))
+	if int(addr)+n > ls.size || n < 0 {
+		return nil, fmt.Errorf("cellbe: LS access [%#x,+%d) out of range (size %d)", addr, n, ls.size)
+	}
+	if ls.data == nil {
+		ls.data = make([]byte, ls.size)
 	}
 	return ls.data[addr : int(addr)+n : int(addr)+n], nil
 }

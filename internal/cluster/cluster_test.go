@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"cellpilot/internal/cellbe"
@@ -30,6 +31,23 @@ func TestPaperSpecTopology(t *testing.T) {
 			t.Fatalf("node %d has ID %d", i, n.ID)
 		}
 	}
+}
+
+// TestPaperSpecBuildIsSmall: building the paper's testbed allocates no
+// main memory or local-store bytes; those are allocated on first touch.
+// The eager build allocated about 839 MB here.
+func TestPaperSpecBuildIsSmall(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := New(PaperSpec())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb >= 5 {
+		t.Fatalf("cluster.New(PaperSpec()) allocated %.1f MB, want under 5 MB", mb)
+	}
+	runtime.KeepAlive(c)
 }
 
 func TestSpecDefaults(t *testing.T) {

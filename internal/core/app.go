@@ -452,6 +452,9 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 		return fmt.Errorf("pilot: Run called twice")
 	}
 	a.phase = phaseExec
+	for _, p := range a.procs {
+		p.str = p.format()
+	}
 	// Freeze the observability sinks: everything recorded during the run
 	// goes through this snapshot, so writing the public fields after this
 	// point cannot race with recording (see SetTrace et al.).

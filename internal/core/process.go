@@ -69,6 +69,11 @@ type Process struct {
 	simProc *sim.Proc
 	dead    bool
 	mboxSeq uint32
+
+	// str is String's text, fixed when Run leaves the configuration phase
+	// (placement can change until then: CreateProcessOn sets nodeID after
+	// CreateProcess).
+	str string
 }
 
 // ID reports the process id (creation order; PI_MAIN is 0).
@@ -108,6 +113,13 @@ func (p *Process) SetArg(arg any) {
 
 // String implements fmt.Stringer.
 func (p *Process) String() string {
+	if p.str != "" {
+		return p.str
+	}
+	return p.format()
+}
+
+func (p *Process) format() string {
 	if p.kind == KindSPE {
 		return fmt.Sprintf("%s(spe@node%d)", p.name, p.nodeID)
 	}

@@ -149,6 +149,48 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
+// TestProcessStringFixedAtRun: String reflects placement changes made in
+// the configuration phase (CreateProcessOn moves a process after
+// CreateProcess placed it), keeps the same text once Run starts, and from
+// then on formats nothing.
+func TestProcessStringFixedAtRun(t *testing.T) {
+	c := newTestCluster(t)
+	a := NewApp(c, Options{})
+	x := a.CreateProcessOn(2, "x", func(*Ctx, int, any) {}, 0, nil)
+	spe := a.CreateSPE(&SPEProgram{Name: "s", Body: func(*SPECtx) {}}, a.Main(), 3)
+	want := map[*Process]string{
+		a.Main(): "PI_MAIN(rank0@node0)",
+		x:        "x(rank1@node2)",
+		spe:      "s#3(spe@node0)",
+	}
+	for p, w := range want {
+		if p.String() != w {
+			t.Fatalf("before Run: String = %q, want %q", p.String(), w)
+		}
+	}
+	var allocs float64
+	err := a.Run(func(ctx *Ctx) {
+		for p, w := range want {
+			if p.String() != w {
+				t.Errorf("during Run: String = %q, want %q", p.String(), w)
+			}
+		}
+		allocs = testing.AllocsPerRun(10, func() {
+			for p := range want {
+				stringSink = p.String()
+			}
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("String allocates %.0f times per %d calls during Run", allocs, len(want))
+	}
+}
+
+var stringSink string
+
 func TestPlacementCallback(t *testing.T) {
 	c := newTestCluster(t)
 	calls := 0

@@ -26,13 +26,9 @@ func (r *Rank) SendChunk(p *sim.Proc, dst, tag int, data []byte) sim.Time {
 		p.Fatalf("mpi: chunk send rank %d -> rank %d is intra-node (chunked path is internode only)", r.id, dst)
 	}
 	p.Advance(w.Par.MPISendOverhead + w.Par.ChunkStackTime(len(data)))
-	env := &envelope{
-		src: r.id, tag: tag, size: len(data),
-		eager:   true,
-		data:    append([]byte(nil), data...),
-		srcNode: r.node.ID, dstNode: d.node.ID,
-		xfer: r.takeXfer(),
-	}
+	env := w.newEnvelope(r, d, tag, len(data))
+	env.eager = true
+	env.data = snapshot(data)
 	if w.relNeeded(r, d) {
 		w.relSend(p, r, d, env)
 		// The reliability layer owns delivery timing now (retransmission,
@@ -43,6 +39,6 @@ func (r *Rank) SendChunk(p *sim.Proc, dst, tag int, data []byte) sim.Time {
 	if nerr != nil {
 		p.Fatalf("mpi: rank %d chunk send to rank %d: %v", r.id, dst, nerr)
 	}
-	w.K.After(arrival-w.K.Now(), func() { d.deliver(env) })
+	w.K.After(arrival-w.K.Now(), env.fire)
 	return arrival
 }

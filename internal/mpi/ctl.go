@@ -81,76 +81,10 @@ func (r *Rank) RecvCtl(p *sim.Proc, src, tag int, ctl Ctl) ([]byte, Status, erro
 // Send. An abandoned rendezvous withdraws its RTS announcement; the
 // message is never delivered.
 func (r *Rank) SendCtl(p *sim.Proc, dst, tag int, data []byte, ctl Ctl) error {
-	r.bind(p)
-	if dst < 0 || dst >= len(r.w.ranks) {
-		p.Fatalf("mpi: send to invalid rank %d", dst)
-	}
-	w := r.w
-	d := w.ranks[dst]
-	p.Advance(w.Par.MPISendOverhead)
-	size := len(data)
-	env := &envelope{
-		src: r.id, tag: tag, size: size,
-		srcNode: r.node.ID, dstNode: d.node.ID,
-		xfer: r.takeXfer(),
-	}
-	if size <= w.Par.EagerThreshold {
-		env.eager = true
-		env.data = append([]byte(nil), data...)
-		var arrival sim.Time
-		if r.node.ID == d.node.ID {
-			p.Advance(w.localCopyTime(size))
-			arrival = w.K.Now() + w.Par.LocalMPILatency
-		} else {
-			if w.relNeeded(r, d) {
-				w.relSend(p, r, d, env)
-				return nil
-			}
-			var nerr error
-			arrival, nerr = w.Clu.Net.Send(p, r.node.ID, d.node.ID, size)
-			if nerr != nil {
-				p.Fatalf("mpi: rank %d send to rank %d: %v", r.id, dst, nerr)
-			}
-		}
-		w.K.After(arrival-w.K.Now(), func() { d.deliver(env) })
-		return nil
-	}
-	// Rendezvous: announce with an RTS, then park until the data phase
-	// completes or the ctl abandons the wait.
-	done := false
-	env.senderDone = func() {
-		done = true
-		w.K.ReadyIfParked(p)
-	}
-	env.srcBuf = data
-	rts := w.ctrlLatency(r.node.ID, d.node.ID)
-	w.K.After(rts, func() { d.deliver(env) })
-	var tm *sim.Timer
-	if ctl.Deadline > 0 {
-		tm = w.K.AfterTimer(ctl.Deadline-w.K.Now(), func() { w.K.ReadyIfParked(p) })
-	}
-	for !done {
-		if err := ctl.check(w.K.Now()); err != nil {
-			env.cancelled = true
-			d.unexpected.remove(env)
-			tm.Cancel()
-			return err
-		}
-		p.Park(fmt.Sprintf("mpi rendezvous send rank%d->rank%d tag %d (%d bytes)", r.id, dst, tag, size))
-	}
-	tm.Cancel()
-	return nil
+	return r.send(p, dst, tag, data, false, nil, ctl)
 }
 
 // SendVecCtl is SendVec bounded by ctl.
 func (r *Rank) SendVecCtl(p *sim.Proc, dst, tag int, ctl Ctl, segs ...[]byte) error {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	buf := make([]byte, 0, total)
-	for _, s := range segs {
-		buf = append(buf, s...)
-	}
-	return r.SendCtl(p, dst, tag, buf, ctl)
+	return r.send(p, dst, tag, concat(segs), true, nil, ctl)
 }

@@ -48,6 +48,8 @@ type World struct {
 	Faults *fault.Injector
 	rel    map[relKey]*relState
 
+	envFree []*envelope // recycled envelope records (see newEnvelope)
+
 	// Flow, when non-nil, observes every delivered message as (source
 	// node, destination node, bytes) — the node×node traffic matrix feed.
 	// Local deliveries land on the diagonal. Purely observational: it
@@ -68,10 +70,11 @@ func NewWorld(c *cluster.Cluster, placements []Placement) (*World, error) {
 			return nil, fmt.Errorf("mpi: rank %d placed on unknown node %d", i, pl.Node)
 		}
 		w.ranks = append(w.ranks, &Rank{
-			w:    w,
-			id:   i,
-			node: c.Nodes[pl.Node],
-			lbl:  pl.Label,
+			w:       w,
+			id:      i,
+			node:    c.Nodes[pl.Node],
+			lbl:     pl.Label,
+			waitWhy: fmt.Sprintf("mpi wait rank%d", i),
 		})
 	}
 	return w, nil
@@ -101,6 +104,7 @@ type Rank struct {
 	probes     []*probeReq
 	arrival    func() // OnArrival hook
 	nextXfer   int64  // TagNextXfer value consumed by the next send
+	waitWhy    string // Wait's park reason, built once
 }
 
 // ID reports the rank number.

@@ -237,6 +237,10 @@ func TestUnmatchedRecvDeadlocks(t *testing.T) {
 	c.K.Spawn("r0", func(p *sim.Proc) {
 		w.Rank(0).Recv(p, 2, 1) // nobody sends
 	})
+	c.K.Spawn("r3", func(p *sim.Proc) {
+		r := w.Rank(3)
+		r.Wait(p, r.Irecv(p, 4, 1)) // nor here
+	})
 	err := c.K.Run()
 	var dl *sim.ErrDeadlock
 	if !errors.As(err, &dl) {
@@ -244,6 +248,9 @@ func TestUnmatchedRecvDeadlocks(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "mpi recv rank0") {
 		t.Fatalf("deadlock report lacks recv context: %v", err)
+	}
+	if !strings.Contains(err.Error(), "mpi wait rank3") {
+		t.Fatalf("deadlock report lacks wait context: %v", err)
 	}
 }
 

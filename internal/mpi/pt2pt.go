@@ -12,7 +12,9 @@ type envelope struct {
 	src, tag int
 	size     int
 	eager    bool
-	data     []byte // eager payload (copied at send time)
+	// data is the eager payload: a private copy made once at send time,
+	// never nil, which a receive with no buffer takes as its result.
+	data []byte
 	// senderDone runs (in scheduler context) when a rendezvous data phase
 	// lets the sender proceed: waking a parked Send, or completing an
 	// Isend request.
@@ -27,6 +29,37 @@ type envelope struct {
 	// taken marks an envelope consumed from the unexpected queue; the
 	// arrival-ordered index skips it lazily.
 	taken bool
+	dst   *Rank
+	// fire delivers the envelope to dst. It is built once per record, so
+	// scheduling a recycled envelope's delivery allocates nothing.
+	fire func()
+}
+
+// newEnvelope returns an envelope from rank r to rank d. It reuses a
+// record from the world's free list when there is one. Only fire returns
+// records to that list: an eager envelope it delivered straight into a
+// posted receive has no other holder, while one queued as unexpected
+// stays in the queue's arrival index and one sent through the
+// reliability layer (which delivers without fire) stays in its frame
+// until acked.
+func (w *World) newEnvelope(r, d *Rank, tag, size int) *envelope {
+	var env *envelope
+	if n := len(w.envFree); n > 0 {
+		env = w.envFree[n-1]
+		w.envFree = w.envFree[:n-1]
+	} else {
+		env = &envelope{}
+		env.fire = func() {
+			if env.dst.deliver(env) {
+				*env = envelope{fire: env.fire}
+				w.envFree = append(w.envFree, env)
+			}
+		}
+	}
+	env.src, env.tag, env.size, env.dst = r.id, tag, size, d
+	env.srcNode, env.dstNode = r.node.ID, d.node.ID
+	env.xfer = r.takeXfer()
+	return env
 }
 
 // envKey addresses one per-(source, tag) FIFO in the unexpected queue.
@@ -153,17 +186,15 @@ func (q *unexpectedQueue) unlink(env *envelope) {
 type recvReq struct {
 	src, tag int
 	proc     *sim.Proc
-	buf      []byte   // destination; nil means allocate
+	buf      []byte   // destination; nil means take or allocate one
 	segs     [][]byte // vectored destination (RecvIntoVec); overrides buf
 	segTotal int
-	done     bool
 	status   Status
 	out      []byte
+	done     bool
 	// abandoned marks a receive whose ctl fired (RecvCtl deadline/stop); a
 	// data phase already in flight completes into the void.
 	abandoned bool
-	// onDone, when set, also receives the completion (nonblocking Irecv).
-	onDone func(out []byte, st Status)
 }
 
 func match(src, tag, esrc, etag int) bool {
@@ -195,61 +226,113 @@ func (w *World) ctrlLatency(a, b int) sim.Time {
 func (r *Rank) Send(p *sim.Proc, dst, tag int, data []byte) {
 	r.w.Host.Enter(hostprof.SubsysMPI)
 	defer r.w.Host.Exit()
+	r.send(p, dst, tag, data, false, nil, Ctl{})
+}
+
+// send is the one send path behind Send, Isend, SendCtl and their *Vec
+// forms. own reports that data is already a private buffer the envelope
+// may keep (the *Vec senders' concatenation); otherwise an eager payload,
+// or a nonblocking rendezvous one, is snapshotted here. A non-nil q makes
+// the send nonblocking: q completes when an eager message is buffered or
+// the rendezvous data phase lets the sender proceed. A blocking send parks
+// through its rendezvous until the data phase or ctl ends the wait.
+func (r *Rank) send(p *sim.Proc, dst, tag int, data []byte, own bool, q *Request, ctl Ctl) error {
 	r.bind(p)
+	op := "send"
+	if q != nil {
+		op = "isend"
+	}
 	if dst < 0 || dst >= len(r.w.ranks) {
-		p.Fatalf("mpi: send to invalid rank %d", dst)
+		p.Fatalf("mpi: %s to invalid rank %d", op, dst)
 	}
 	w := r.w
 	d := w.ranks[dst]
 	p.Advance(w.Par.MPISendOverhead)
 	size := len(data)
-	env := &envelope{
-		src: r.id, tag: tag, size: size,
-		srcNode: r.node.ID, dstNode: d.node.ID,
-		xfer: r.takeXfer(),
+	env := w.newEnvelope(r, d, tag, size)
+	env.eager = size <= w.Par.EagerThreshold
+	if !own && (env.eager || q != nil) {
+		data = snapshot(data)
 	}
-	if size <= w.Par.EagerThreshold {
-		env.eager = true
-		env.data = append([]byte(nil), data...)
-		var arrival sim.Time
-		if r.node.ID == d.node.ID {
-			p.Advance(w.localCopyTime(size)) // copy into the shm mailbox
-			arrival = w.K.Now() + w.Par.LocalMPILatency
-		} else {
-			if w.relNeeded(r, d) {
-				w.relSend(p, r, d, env)
-				return
-			}
-			var nerr error
-			arrival, nerr = w.Clu.Net.Send(p, r.node.ID, d.node.ID, size)
-			if nerr != nil {
-				p.Fatalf("mpi: rank %d send to rank %d: %v", r.id, dst, nerr)
-			}
+	if env.eager {
+		env.data = data
+		r.sendEager(p, op, d, env)
+		if q != nil {
+			q.done = true // buffered: the send is locally complete
 		}
-		w.K.After(arrival-w.K.Now(), func() { d.deliver(env) })
-		return
+		return nil
 	}
-	// Rendezvous: announce with an RTS, then park until the data phase
-	// (started by the matching receive) completes.
-	done := false
+	// Rendezvous: announce with an RTS; the data phase, started by the
+	// matching receive, completes q or wakes the parked sender.
+	env.srcBuf = data
+	var done *bool
+	if q != nil {
+		done = &q.done
+	} else {
+		done = new(bool)
+	}
 	env.senderDone = func() {
-		done = true
+		*done = true
 		w.K.ReadyIfParked(p)
 	}
-	env.srcBuf = data
-	rts := w.ctrlLatency(r.node.ID, d.node.ID)
-	w.K.After(rts, func() { d.deliver(env) })
-	for !done {
+	w.K.After(w.ctrlLatency(r.node.ID, d.node.ID), env.fire)
+	if q != nil {
+		return nil
+	}
+	var tm *sim.Timer
+	if ctl.Deadline > 0 {
+		tm = w.K.AfterTimer(ctl.Deadline-w.K.Now(), func() { w.K.ReadyIfParked(p) })
+	}
+	for !*done {
+		if err := ctl.check(w.K.Now()); err != nil {
+			env.cancelled = true
+			d.unexpected.remove(env)
+			tm.Cancel()
+			return err
+		}
 		p.Park(fmt.Sprintf("mpi rendezvous send rank%d->rank%d tag %d (%d bytes)", r.id, dst, tag, size))
 	}
+	tm.Cancel()
+	return nil
+}
+
+// sendEager moves an eager envelope toward rank d: through shared memory
+// on the same node, over the NIC, or through the reliability layer on a
+// faulty link.
+func (r *Rank) sendEager(p *sim.Proc, op string, d *Rank, env *envelope) {
+	w := r.w
+	var arrival sim.Time
+	if r.node.ID == d.node.ID {
+		p.Advance(w.localCopyTime(env.size)) // copy into the shm mailbox
+		arrival = w.K.Now() + w.Par.LocalMPILatency
+	} else {
+		if w.relNeeded(r, d) {
+			w.relSend(p, r, d, env)
+			return
+		}
+		var nerr error
+		arrival, nerr = w.Clu.Net.Send(p, r.node.ID, d.node.ID, env.size)
+		if nerr != nil {
+			p.Fatalf("mpi: rank %d %s to rank %d: %v", r.id, op, d.id, nerr)
+		}
+	}
+	w.K.After(arrival-w.K.Now(), env.fire)
+}
+
+// snapshot returns a private copy of data for an envelope to keep. It is
+// never nil, so a zero-length message still arrives as an empty slice.
+func snapshot(data []byte) []byte {
+	return append([]byte{}, data...)
 }
 
 // deliver runs in scheduler context when an envelope reaches the receiver.
-func (r *Rank) deliver(env *envelope) {
+// It reports whether it completed an eager envelope into a posted receive,
+// which leaves nothing holding the envelope.
+func (r *Rank) deliver(env *envelope) bool {
 	r.w.Host.Enter(hostprof.SubsysMPI)
 	defer r.w.Host.Exit()
 	if env.cancelled {
-		return
+		return false
 	}
 	if w := r.w; w.Flow != nil {
 		w.Flow(w.ranks[env.src].node.ID, r.node.ID, env.size)
@@ -262,17 +345,18 @@ func (r *Rank) deliver(env *envelope) {
 		if match(req.src, req.tag, env.src, env.tag) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
 			r.complete(env, req)
-			return
+			return env.eager
 		}
 	}
 	r.unexpected.add(env)
+	return false
 }
 
-// complete pairs an envelope with a receive request: immediate copy for an
-// arrived eager message, or the rendezvous data phase. It may run in
-// scheduler context (async delivery) or in the receiver's own context (a
-// Recv that found the envelope unexpected), so it wakes the receiver only
-// if the receiver is parked.
+// complete pairs an envelope with a receive request: at once for an
+// arrived eager message, or through the rendezvous data phase. It may run
+// in scheduler context (async delivery) or in the receiver's own context
+// (a Recv that found the envelope unexpected), so it wakes the receiver
+// only if the receiver is parked.
 //
 // Rendezvous data does not book NIC occupancy (the envelope already
 // modelled queueing for the header; payload contention is second-order for
@@ -290,34 +374,15 @@ func (r *Rank) complete(env *envelope, req *recvReq) {
 			r.id, len(req.buf), env.size, env.tag, env.src))
 		return
 	}
-	finish := func(payload []byte) {
-		if req.abandoned {
-			return
-		}
-		n := 0
-		if req.segs != nil {
-			for _, seg := range req.segs {
-				n += copy(seg, payload[n:])
-			}
-		} else {
-			req.out = req.buf
-			if req.out == nil {
-				req.out = make([]byte, env.size)
-			}
-			n = copy(req.out, payload)
-		}
-		req.status = Status{Source: env.src, Tag: env.tag, Count: n, Xfer: env.xfer}
-		req.done = true
-		if req.onDone != nil {
-			req.onDone(req.out, req.status)
-		}
-		w.K.ReadyIfParked(req.proc)
-	}
 	if env.eager {
-		finish(env.data)
+		req.fill(env, env.data)
+		w.finish(req)
 		return
 	}
-	// Rendezvous data phase: CTS travels back, then the payload.
+	// Rendezvous data phase: CTS travels back, then the payload. The bytes
+	// leave the sender's buffer when the sender is released, so a sender
+	// that reuses its buffer at once cannot change what arrives; the
+	// receive completes when they land.
 	cts := w.ctrlLatency(env.srcNode, env.dstNode)
 	var ser, lat sim.Time
 	if env.srcNode == env.dstNode {
@@ -327,8 +392,46 @@ func (r *Rank) complete(env *envelope, req *recvReq) {
 		ser = w.Clu.Net.SerializationTime(env.size)
 		lat = w.Par.NetLatency
 	}
-	w.K.After(cts+ser, env.senderDone)
-	w.K.After(cts+ser+lat, func() { finish(env.srcBuf) })
+	w.K.After(cts+ser, func() {
+		req.fill(env, env.srcBuf)
+		env.senderDone()
+	})
+	w.K.After(cts+ser+lat, func() { w.finish(req) })
+}
+
+// fill moves payload into the receive's destination and records its
+// status. A receive with no buffer of its own takes an eager payload as
+// its result: it is the envelope's private snapshot, delivered once.
+func (req *recvReq) fill(env *envelope, payload []byte) {
+	if req.abandoned {
+		return
+	}
+	n := 0
+	switch {
+	case req.segs != nil:
+		for _, seg := range req.segs {
+			n += copy(seg, payload[n:])
+		}
+	case req.buf != nil:
+		req.out = req.buf
+		n = copy(req.out, payload)
+	case env.eager:
+		req.out = payload
+		n = len(payload)
+	default:
+		req.out = make([]byte, env.size)
+		n = copy(req.out, payload)
+	}
+	req.status = Status{Source: env.src, Tag: env.tag, Count: n, Xfer: env.xfer}
+}
+
+// finish completes a filled receive and wakes its receiver if parked.
+func (w *World) finish(req *recvReq) {
+	if req.abandoned {
+		return
+	}
+	req.done = true
+	w.K.ReadyIfParked(req.proc)
 }
 
 // Recv receives a message matching (src, tag) — wildcards allowed — into a

@@ -1,19 +1,14 @@
 package mpi
 
-import (
-	"fmt"
-
-	"cellpilot/internal/sim"
-)
+import "cellpilot/internal/sim"
 
 // Request is a nonblocking operation handle (MPI_Request). Complete it
 // with Wait, Waitall or Test on the owning rank.
 type Request struct {
-	rank   *Rank
-	isSend bool
-	done   bool
-	out    []byte
-	status Status
+	// recvReq is an Irecv's posted receive, completed in place when a
+	// message matches; a send request uses only its done flag.
+	recvReq
+	rank *Rank
 }
 
 // Done reports whether the operation has completed (without progressing
@@ -25,54 +20,9 @@ func (q *Request) Done() bool { return q.done }
 // request completes when an eager message is buffered or a rendezvous
 // data phase finishes.
 func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte) *Request {
-	r.bind(p)
-	if dst < 0 || dst >= len(r.w.ranks) {
-		p.Fatalf("mpi: isend to invalid rank %d", dst)
-	}
-	w := r.w
-	d := w.ranks[dst]
-	p.Advance(w.Par.MPISendOverhead)
-	size := len(data)
-	req := &Request{rank: r, isSend: true}
-	env := &envelope{
-		src: r.id, tag: tag, size: size,
-		srcNode: r.node.ID, dstNode: d.node.ID,
-		xfer: r.takeXfer(),
-	}
-	if size <= w.Par.EagerThreshold {
-		env.eager = true
-		env.data = append([]byte(nil), data...)
-		var arrival sim.Time
-		if r.node.ID == d.node.ID {
-			p.Advance(w.localCopyTime(size))
-			arrival = w.K.Now() + w.Par.LocalMPILatency
-		} else {
-			if w.relNeeded(r, d) {
-				w.relSend(p, r, d, env)
-				req.done = true // buffered with the reliability layer
-				return req
-			}
-			var nerr error
-			arrival, nerr = w.Clu.Net.Send(p, r.node.ID, d.node.ID, size)
-			if nerr != nil {
-				p.Fatalf("mpi: rank %d isend to rank %d: %v", r.id, dst, nerr)
-			}
-		}
-		w.K.After(arrival-w.K.Now(), func() { d.deliver(env) })
-		req.done = true // buffered: the send is locally complete
-		return req
-	}
-	// Rendezvous without blocking: snapshot the payload and complete the
-	// request when the data phase lets the sender proceed.
-	owner := p
-	env.srcBuf = append([]byte(nil), data...)
-	env.senderDone = func() {
-		req.done = true
-		w.K.ReadyIfParked(owner)
-	}
-	rts := w.ctrlLatency(r.node.ID, d.node.ID)
-	w.K.After(rts, func() { d.deliver(env) })
-	return req
+	q := &Request{rank: r}
+	r.send(p, dst, tag, data, false, q, Ctl{})
+	return q
 }
 
 // Irecv posts a nonblocking receive (MPI_Irecv). The message lands in a
@@ -90,18 +40,13 @@ func (r *Rank) IrecvInto(p *sim.Proc, src, tag int, buf []byte) *Request {
 func (r *Rank) irecv(p *sim.Proc, src, tag int, buf []byte) *Request {
 	r.bind(p)
 	p.Advance(r.w.Par.MPIRecvOverhead)
-	req := &Request{rank: r}
-	rr := &recvReq{src: src, tag: tag, proc: p, buf: buf, onDone: func(out []byte, st Status) {
-		req.done = true
-		req.out = out
-		req.status = st
-	}}
+	q := &Request{rank: r, recvReq: recvReq{src: src, tag: tag, proc: p, buf: buf}}
 	if env, ok := r.takeUnexpected(src, tag); ok {
-		r.complete(env, rr)
+		r.complete(env, &q.recvReq)
 	} else {
-		r.posted = append(r.posted, rr)
+		r.posted = append(r.posted, &q.recvReq)
 	}
-	return req
+	return q
 }
 
 // Wait blocks until the request completes (MPI_Wait) and returns the
@@ -112,7 +57,7 @@ func (r *Rank) Wait(p *sim.Proc, q *Request) ([]byte, Status) {
 		p.Fatalf("mpi: waiting on another rank's request")
 	}
 	for !q.done {
-		p.Park(fmt.Sprintf("mpi wait rank%d", r.id))
+		p.Park(r.waitWhy)
 	}
 	return q.out, q.status
 }

@@ -3,24 +3,21 @@ package mpi
 import (
 	"fmt"
 
+	"cellpilot/internal/hostprof"
 	"cellpilot/internal/sim"
 )
 
 // SendVec sends the concatenation of segments as one message. The Co-Pilot
 // uses it to prepend a validation header to a payload that lives in an SPE
 // local-store window without staging the payload through main memory
-// (the copy below is a Go implementation detail; the *time* charged is the
-// single-message cost, which is what the zero-copy design buys).
+// (the concatenation is a Go implementation detail and the message's only
+// copy; the *time* charged is the single-message cost, which is what the
+// zero-copy design buys).
 func (r *Rank) SendVec(p *sim.Proc, dst, tag int, segs ...[]byte) {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	buf := make([]byte, 0, total)
-	for _, s := range segs {
-		buf = append(buf, s...)
-	}
-	r.Send(p, dst, tag, buf)
+	buf := concat(segs)
+	r.w.Host.Enter(hostprof.SubsysMPI)
+	defer r.w.Host.Exit()
+	r.send(p, dst, tag, buf, true, nil, Ctl{})
 }
 
 // IsendVec is the nonblocking SendVec: the segments are snapshotted and
@@ -28,6 +25,14 @@ func (r *Rank) SendVec(p *sim.Proc, dst, tag int, segs ...[]byte) {
 // this way — a blocking relay to a PPE that is itself mid-send toward the
 // Co-Pilot would be a circular wait.
 func (r *Rank) IsendVec(p *sim.Proc, dst, tag int, segs ...[]byte) *Request {
+	q := &Request{rank: r}
+	r.send(p, dst, tag, concat(segs), true, q, Ctl{})
+	return q
+}
+
+// concat joins segs into one new buffer, never nil, which the message
+// then owns.
+func concat(segs [][]byte) []byte {
 	total := 0
 	for _, s := range segs {
 		total += len(s)
@@ -36,7 +41,7 @@ func (r *Rank) IsendVec(p *sim.Proc, dst, tag int, segs ...[]byte) *Request {
 	for _, s := range segs {
 		buf = append(buf, s...)
 	}
-	return r.Isend(p, dst, tag, buf)
+	return buf
 }
 
 // RecvIntoVec receives one message scattered across the given segments in
