@@ -155,8 +155,9 @@ type (
 	Span = trace.Span
 	// PhaseEvent is one stage of a transfer (mailbox, Co-Pilot, relay…).
 	PhaseEvent = trace.PhaseEvent
-	// Meter aggregates latency/bandwidth histograms and blocked-time
-	// attribution at zero virtual cost; attach one via App.Metrics.
+	// Meter aggregates latency/bandwidth histograms at zero virtual cost
+	// and turns on Stats' per-type and per-process sections; attach one
+	// via App.Metrics.
 	Meter = core.Meter
 	// ChannelTypeMetrics is one channel type's aggregate in Stats.
 	ChannelTypeMetrics = core.ChannelTypeMetrics

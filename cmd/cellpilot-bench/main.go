@@ -12,7 +12,6 @@
 //	cellpilot-bench -exp pingpong   # metered five-type grid (live telemetry)
 //	cellpilot-bench -exp profile    # virtual-time profiler breakdown
 //	cellpilot-bench -exp sizesweep  # 64B..1MB grid, chunk engine off vs on
-//	cellpilot-bench -exp guard      # regression gate vs results/BENCH_pingpong.json
 //	cellpilot-bench -exp kiloscale  # 1000-node sharded fleet, seq vs parallel arms
 //	cellpilot-bench -exp all        # everything
 //
@@ -25,7 +24,10 @@
 //
 // With -out DIR the pingpong experiment additionally writes a
 // machine-readable BENCH_pingpong.json (ops, bytes, latency p50/p99 and
-// bandwidth per channel type).
+// bandwidth per channel type) and its critical-path blame
+// BLAME_pingpong.json, and the sizesweep experiment BENCH_sizesweep.json.
+// TestResultsRegenerate checks that the committed results/ copies
+// regenerate byte-identically.
 package main
 
 import (
@@ -55,14 +57,17 @@ import (
 )
 
 // experiments is every value -exp accepts, alphabetized ("all" last).
-// guard and kiloscale run only when named explicitly (guard needs a
-// committed baseline; kiloscale is a long wall-clock measurement), so
-// "all" excludes them.
+// kiloscale runs only when named explicitly (it is a long wall-clock
+// measurement), so "all" excludes it.
 var experiments = []string{
-	"ablations", "chaos", "cml", "fig5", "fig6", "footprint", "guard",
+	"ablations", "chaos", "cml", "fig5", "fig6", "footprint",
 	"imb", "kiloscale", "loc", "phases", "pingpong", "profile",
 	"sizesweep", "table2", "all",
 }
+
+// defaultReps is -reps's default, the paper's 1000 PingPong repetitions;
+// results/ is generated with it.
+const defaultReps = 1000
 
 // validateExp rejects unknown experiment names up front — a typo must
 // fail loudly, not silently run nothing.
@@ -85,7 +90,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, "|"))
 	seed := flag.Int64("seed", 1, "chaos: base RNG seed for the fault schedule")
 	chaosRuns := flag.Int("chaos-runs", 5, "chaos: number of seeded runs per scenario")
-	reps := flag.Int("reps", 1000, "PingPong repetitions (paper: 1000)")
+	reps := flag.Int("reps", defaultReps, "PingPong repetitions (paper: 1000)")
 	repo := flag.String("repo", ".", "repository root (for the loc experiment)")
 	chrome := flag.String("chrome", "", "phases: write Chrome trace JSON for -trace-type's run to this file")
 	metricsOut := flag.String("metrics", "", "phases: write the metric registry JSON for -trace-type's run to this file")
@@ -94,8 +99,6 @@ func main() {
 	outDir := flag.String("out", "", "directory for machine-readable BENCH_<exp>.json results")
 	folded := flag.String("folded", "", "profile: write folded-stack text for -trace-type's run to this file")
 	pprofOut := flag.String("pprof", "", "profile: write a pprof profile for -trace-type's run to this file")
-	baseline := flag.String("baseline", "results/BENCH_pingpong.json", "guard: committed baseline to compare against")
-	tolerance := flag.Float64("tolerance", 0.10, "guard: relative regression tolerance (0.10 = +10%)")
 	quick := flag.Bool("quick", false, "kiloscale: shrink workloads for CI")
 	shards := flag.Int("shards", 0, "kiloscale: host worker shards for the parallel arm (0 = one shard per host core)")
 	listScen := flag.Bool("list-scenarios", false, "print the scenario library with one-line descriptions and exit")
@@ -182,9 +185,6 @@ func main() {
 	}
 	if want("sizesweep") {
 		runSizeSweep(*outDir)
-	}
-	if *exp == "guard" { // explicit only: needs a committed baseline file
-		runGuard(*reps, *baseline, *tolerance)
 	}
 	if *exp == "kiloscale" { // explicit only: a long wall-clock measurement
 		runKiloscale(*shards, *seed, *quick)
@@ -373,96 +373,6 @@ func runSizeSweep(outDir string) {
 		}
 		fmt.Printf("results written to %s\n", path)
 	}
-}
-
-// exceedsTolerance reports whether got regressed past the gate's relative
-// tolerance over the baseline ref (higher is worse; improvements and
-// in-band movement pass).
-func exceedsTolerance(ref, got, tolerance float64) bool {
-	return got > ref*(1+tolerance)
-}
-
-// runGuard is the performance-regression gate: it re-measures the five-type
-// pingpong grid and fails (exit 1) if any channel type's one-way p50 is
-// more than tolerance slower than the committed baseline JSON.
-func runGuard(reps int, baselinePath string, tolerance float64) {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		log.Fatalf("guard: cannot read baseline: %v (run 'make bench-json' and commit the result first)", err)
-	}
-	var base struct {
-		PayloadBytes int `json:"payload_bytes"`
-		ChannelTypes []struct {
-			Type     string  `json:"type"`
-			OneWayUs float64 `json:"one_way_us"`
-		} `json:"channel_types"`
-	}
-	if err := json.Unmarshal(raw, &base); err != nil {
-		log.Fatalf("guard: %s: %v", baselinePath, err)
-	}
-	want := map[string]float64{}
-	for _, ct := range base.ChannelTypes {
-		want[ct.Type] = ct.OneWayUs
-	}
-	if base.PayloadBytes == 0 || len(want) == 0 {
-		log.Fatalf("guard: %s has no channel baselines", baselinePath)
-	}
-	// The committed blame decomposition rides next to the latency baseline;
-	// when the gate trips it turns "type N got slower" into "stage X of
-	// type N got slower, mostly service|queueing".
-	blameBase, blameErr := critpath.LoadFile(filepath.Join(filepath.Dir(baselinePath), "BLAME_pingpong.json"))
-	fmt.Printf("bench guard: one-way p50 vs %s (payload %dB, tolerance +%.0f%%)\n", baselinePath, base.PayloadBytes, 100*tolerance)
-	failed := false
-	for typ := 1; typ <= 5; typ++ {
-		name := fmt.Sprintf("type%d", typ)
-		ref, ok := want[name]
-		if !ok {
-			continue
-		}
-		// The recorder observes at zero virtual-time cost, so the guarded
-		// latencies are identical to an untraced run's.
-		var st core.Stats
-		res, err := workload.PingPong(workload.PingPongConfig{
-			Type: typ, Bytes: base.PayloadBytes, Method: workload.MethodCellPilot, Reps: reps,
-			Trace: trace.NewRecorder(0), Stats: &st,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		got := res.OneWay.Micros()
-		verdict := "ok"
-		if exceedsTolerance(ref, got, tolerance) {
-			verdict = "REGRESSION"
-			failed = true
-		}
-		fmt.Printf("%s  baseline %8.1fus  now %8.1fus  (%+.1f%%)  %s\n",
-			name, ref, got, 100*(got-ref)/ref, verdict)
-		if verdict != "REGRESSION" {
-			continue
-		}
-		switch {
-		case blameErr != nil:
-			fmt.Printf("  (no blame baseline: %v; run 'make bench-json' and commit results/BLAME_pingpong.json)\n", blameErr)
-		case st.CritPath == nil:
-			fmt.Println("  (no trace spans recorded; cannot attribute the regression)")
-		default:
-			bt, ok := blameBase.TypeByName(name)
-			if !ok {
-				fmt.Printf("  (blame baseline has no entry for %s)\n", name)
-				continue
-			}
-			nt, ok := st.CritPath.ToFile("pingpong", base.PayloadBytes, reps).TypeByName(name)
-			if !ok {
-				fmt.Printf("  (no transfers analyzed for %s)\n", name)
-				continue
-			}
-			fmt.Print(critpath.FormatDiff(name, critpath.DiffType(bt, nt)))
-		}
-	}
-	if failed {
-		log.Fatalf("guard: one-way latency regressed more than %.0f%% on at least one channel type", 100*tolerance)
-	}
-	fmt.Println("guard: all channel types within tolerance")
 }
 
 // runKiloscale runs the thousand-node sharded fleet: for each workload it

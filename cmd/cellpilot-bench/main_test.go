@@ -28,26 +28,6 @@ func TestValidateExp(t *testing.T) {
 	}
 }
 
-func TestExceedsTolerance(t *testing.T) {
-	cases := []struct {
-		ref, got, tol float64
-		want          bool
-	}{
-		{100, 100, 0.10, false},   // unchanged
-		{100, 109.9, 0.10, false}, // inside the band
-		{100, 110.1, 0.10, true},  // just past it
-		{100, 50, 0.10, false},    // improvement never trips
-		{100, 115, 0.20, false},   // wider -tolerance admits more
-		{100, 121, 0.20, true},
-		{100, 101, 0.0, true}, // zero tolerance: any slowdown trips
-	}
-	for _, c := range cases {
-		if got := exceedsTolerance(c.ref, c.got, c.tol); got != c.want {
-			t.Errorf("exceedsTolerance(%v, %v, %v) = %v, want %v", c.ref, c.got, c.tol, got, c.want)
-		}
-	}
-}
-
 // TestExperimentsAlphabetized: the -exp list stays sorted (with the "all"
 // catch-all last) so the usage text and the validateExp error read as a
 // directory, not an accretion log.

@@ -62,10 +62,6 @@ type Options struct {
 	// value disables it and keeps the virtual timeline bit-identical to the
 	// pre-engine paths.
 	Transfer TransferOptions
-	// FlightDepth sizes the always-on flight-recorder ring of recent
-	// phase events stitched into fault diagnostics (0 selects
-	// trace.DefaultFlightDepth; negative is a configuration error).
-	FlightDepth int
 }
 
 type phase int
@@ -124,6 +120,9 @@ type App struct {
 	lastXfer int64
 	spePosts map[int]spePost
 	speDone  map[int]int64
+	// streams is the chunk-stream in-flight level per direction (see
+	// noteStream), kept whatever sinks are attached.
+	streams [2]streamLevel
 
 	// obs is the sink set snapshotted from the public fields when Run
 	// starts; recording goes through it, so late attachment is inert.
@@ -144,9 +143,10 @@ type App struct {
 	// reports misuse): Run snapshots the sinks, so a later write to this
 	// field records nothing.
 	Trace *trace.Recorder
-	// Metrics, when set, aggregates per-channel-type histograms, Co-Pilot
-	// queue statistics and per-process blocked-time attribution, surfaced
-	// through Stats. Also free of virtual-time cost. Attach before Run.
+	// Metrics, when set, aggregates per-channel-type histograms and
+	// Co-Pilot queue statistics, receives core's per-type counters when
+	// Run ends, and turns on Stats' per-type and per-process sections.
+	// Also free of virtual-time cost. Attach before Run.
 	Metrics *Meter
 	// Profile, when set, folds every process's virtual timeline into
 	// exclusive attribution buckets (internal/profile) exportable as
@@ -186,10 +186,7 @@ func NewApp(c *cluster.Cluster, opts Options) *App {
 		copilotRank: map[copilotKey]int{},
 		spePosts:    map[int]spePost{},
 		speDone:     map[int]int64{},
-		flight:      trace.NewFlight(opts.FlightDepth),
-	}
-	if opts.FlightDepth < 0 {
-		panic(usageError(callerLoc(1), "NewApp", "FlightDepth must be >= 0 (0 selects the default depth)"))
+		flight:      trace.NewFlight(trace.DefaultFlightDepth),
 	}
 	if opts.SPEDeadlock && !opts.DeadlockDetection {
 		panic(usageError(callerLoc(1), "NewApp", "SPEDeadlock requires DeadlockDetection"))
@@ -523,8 +520,8 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 		a.copilots[key] = cp
 		label := world.Rank(rank).Label()
 		cp.proc = a.K.Spawn(label, func(sp *sim.Proc) {
-			a.obs.prof.ProcStart(label, sp.Now())
-			defer func() { a.obs.prof.ProcEnd(label, sp.Now()) }()
+			cp.life.begin(sp.Now())
+			defer func() { cp.life.finish(sp.Now()) }()
 			// The whole service loop runs under one host-attribution frame:
 			// the per-proc tag persists across parks, so only the Co-Pilot's
 			// own execution slices are charged to it.
@@ -549,8 +546,8 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 		}
 		p.simProc = a.K.Spawn(p.name, func(sp *sim.Proc) {
 			defer a.userDone()
-			a.meterProcStart(p, sp.Now())
-			defer func() { a.meterProcEnd(p, sp.Now()) }()
+			p.life.begin(sp.Now())
+			defer func() { p.life.finish(sp.Now()) }()
 			// Registered last so it runs first: absorbs procFault unwinds
 			// (recording the fault) while the bookkeeping above still runs.
 			defer a.recoverFault(p)
@@ -567,9 +564,7 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 
 	err = a.K.Run()
 	a.phase = phaseDone
-	// Close still-open profiler lifetimes (killed procs, service loops
-	// that never observed shutdown) at the final virtual clock.
-	a.obs.prof.Finish(a.K.Now())
+	a.publishAccounting()
 	// Close the timeline's trailing partial window at the final clock.
 	a.obs.tline.Finish(a.K.Now())
 	if err == nil {
@@ -641,12 +636,15 @@ func (a *App) logf(p *sim.Proc, proc *Process, format string, args ...any) {
 	}
 }
 
-// record keeps the channel's in-flight backlog and its watermark (a
-// completed write raises it, a completed read drains it), then feeds the
-// optional trace recorder and — on the delivery (read) side — the flow
-// observatory. dur is the operation's blocked time, which the flow layer
-// uses as the delivery latency sample.
+// record accounts one completed channel operation: it counts the
+// operation and its payload on the channel and keeps the channel's
+// in-flight backlog and its watermark (a completed write raises it, a
+// completed read drains it), then feeds the optional Meter and trace
+// recorder and — on the delivery (read) side — the flow observatory. dur
+// is the operation's latency, which the Meter and the flow layer sample.
 func (a *App) record(p *sim.Proc, kind trace.Kind, proc *Process, ch *Channel, bytes int, xfer int64, dur sim.Time) {
+	ch.ops++
+	ch.bytes += int64(bytes)
 	switch kind {
 	case trace.KindWrite:
 		ch.backlog++
@@ -656,10 +654,80 @@ func (a *App) record(p *sim.Proc, kind trace.Kind, proc *Process, ch *Channel, b
 	case trace.KindRead:
 		ch.backlog--
 	}
+	if m := a.obs.meter; m != nil {
+		m.observeOp(ch.typ, bytes, dur)
+	}
 	if a.obs.trace != nil {
 		a.obs.trace.Record(trace.Event{At: p.Now(), Kind: kind, Proc: proc.String(), Channel: ch.id, Bytes: bytes, Xfer: xfer})
 	}
 	if kind == trace.KindRead {
 		a.flowDeliver(ch, bytes, dur)
+	}
+}
+
+// Chunk-stream in-flight directions, indexing App.streams.
+const (
+	inflightSend = iota // chunks injected but not yet landed on the wire
+	inflightRecv        // chunks announced by the header but not yet drained
+)
+
+// streamGauges names each direction's in-flight gauge and timeline series.
+var streamGauges = [2]string{"copilot/stream/inflight_send", "copilot/stream/inflight_recv"}
+
+// streamLevel is the chunk-stream in-flight level in one direction: the
+// latest observation and the run's high-water mark.
+type streamLevel struct {
+	seen      bool
+	cur, high int
+}
+
+// noteStream records a chunked stream's in-flight level n in direction dir.
+func (a *App) noteStream(dir, n int) {
+	s := &a.streams[dir]
+	s.seen, s.cur, s.high = true, n, max(s.high, n)
+}
+
+// publishAccounting hands core's accounting to the sinks that report it,
+// once, when Run ends: the profiler gets every Co-Pilot's and process's
+// lifetime, with unfinished ones (killed processes, service loops) closed
+// at the final clock; the Meter gets the per-type operation and byte
+// counters and the stream in-flight gauges. Counters are added, so a
+// Meter shared across Apps accumulates.
+func (a *App) publishAccounting() {
+	now := a.K.Now()
+	if prof := a.obs.prof; prof != nil {
+		for _, key := range a.copilotOrder {
+			if cp := a.copilots[key]; cp.life.ran {
+				start, end := cp.life.span(now)
+				prof.SetLifetime(cp.rank.Label(), start, end)
+			}
+		}
+		for _, p := range a.procs {
+			if p.life.ran {
+				start, end := p.life.span(now)
+				prof.SetLifetime(p.String(), start, end)
+			}
+		}
+	}
+	m := a.obs.meter
+	if m == nil {
+		return
+	}
+	var ops, bytes [Type5 + 1]int64
+	for _, ch := range a.chans {
+		ops[ch.typ] += ch.ops
+		bytes[ch.typ] += ch.bytes
+	}
+	for t := Type1; t <= Type5; t++ {
+		if ops[t] > 0 {
+			m.reg.Counter(chanTypeNames[t].ops).Add(ops[t])
+			m.reg.Counter(chanTypeNames[t].bytes).Add(bytes[t])
+		}
+	}
+	for dir, s := range a.streams {
+		if s.seen {
+			m.reg.Gauge(streamGauges[dir]).Set(float64(s.cur))
+			m.reg.Gauge(streamGauges[dir] + "_highwater").SetMax(float64(s.high))
+		}
 	}
 }

@@ -75,9 +75,11 @@ type Channel struct {
 
 	// backlog is the in-flight operation count: writes completed but not
 	// yet matched by a completed read. backlogHigh is its high-water mark,
-	// the channel's congestion watermark. App.record keeps both, whatever
-	// sinks are attached.
+	// the channel's congestion watermark. ops counts completed read and
+	// write operations and bytes the payload they carried. App.record
+	// keeps all four, whatever sinks are attached.
 	backlog, backlogHigh int
+	ops, bytes           int64
 }
 
 // Fault reports the poisoning fault, or nil while the channel is healthy.

@@ -85,8 +85,7 @@ func (c *Ctx) Scatter(b *Bundle, format string, data any) {
 		c.rank.SendVec(c.P, c.peerRank(ch.To), ch.tag(), hdr, wire[i*per:(i+1)*per])
 		c.app.reportSent(ch)
 		c.app.spanPhase(xfer, trace.PhaseMPISend, c.Self.String(), ch, per, sendStart, c.P.Now())
-		c.app.meterBlocked(c.Self, blockWrite, c.P.Now()-sendStart)
-		c.app.meterOp(ch, per, c.P.Now()-sendStart)
+		c.Self.blocked[blockWrite] += c.P.Now() - sendStart
 		c.app.record(c.P, trace.KindWrite, c.Self, ch, per, xfer, c.P.Now()-sendStart)
 	}
 }
@@ -131,8 +130,7 @@ func (c *Ctx) Reduce(b *Bundle, format string, op ReduceOp, out any) {
 				ch, size, format, per)
 		}
 		c.app.spanPhase(st.Xfer, trace.PhaseMPIWait, c.Self.String(), ch, size, waitStart, c.P.Now())
-		c.app.meterBlocked(c.Self, blockRead, c.P.Now()-waitStart)
-		c.app.meterOp(ch, size, c.P.Now()-waitStart)
+		c.Self.blocked[blockRead] += c.P.Now() - waitStart
 		c.app.record(c.P, trace.KindRead, c.Self, ch, size, st.Xfer, c.P.Now()-waitStart)
 		if i == 0 {
 			acc = append([]byte(nil), data[hdrSize:]...)

@@ -43,6 +43,7 @@ type copilot struct {
 	// (stepping requests), as opposed to parked on the event queue. Divided
 	// by elapsed virtual time it is the Co-Pilot's utilization.
 	busy sim.Time
+	life lifetime
 }
 
 type speBinding struct {
@@ -585,7 +586,7 @@ func (cp *copilot) streamWrite(p *sim.Proc, req *speReq, dst int) bool {
 			inflight++
 		}
 	}
-	app.meterStreamInflight(streamSendDir, inflight)
+	app.noteStream(inflightSend, inflight)
 	st.next++
 	if st.next < st.nchunks {
 		cp.streamAdvanced = true
@@ -622,7 +623,7 @@ func (cp *copilot) streamRead(p *sim.Proc, req *speReq, src int) bool {
 		cp.validateIncoming(p, req, sig, size)
 		req.xfer = hst.Xfer
 		req.rstream = &streamRecv{src: src, chunk: chunk, nchunks: nchunks, startAt: p.Now()}
-		app.meterStreamInflight(streamRecvDir, nchunks)
+		app.noteStream(inflightRecv, nchunks)
 		cp.streamAdvanced = true
 		return false
 	}
@@ -645,7 +646,7 @@ func (cp *copilot) streamRead(p *sim.Proc, req *speReq, src int) bool {
 		app.spanChunk(req.xfer, trace.PhaseChunkFrame, cp.rank.Label(), req.ch, len(payload), drainStart, p.Now(), rs.got)
 		app.spanChunk(req.xfer, trace.PhaseChunkDMA, req.proc.String(), req.ch, len(payload), rs.dmaDone-d, rs.dmaDone, rs.got)
 		rs.got++
-		app.meterStreamInflight(streamRecvDir, rs.nchunks-rs.got)
+		app.noteStream(inflightRecv, rs.nchunks-rs.got)
 		if rs.got < rs.nchunks {
 			cp.streamAdvanced = true
 			return false

@@ -127,8 +127,7 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 		c.app.copilotFor(ch.To).nudge()
 		c.app.reportSent(ch)
 		c.app.spanPhase(xfer, trace.PhaseCopy, self, ch, len(wire), copyStart, c.P.Now())
-		c.app.meterBlocked(c.Self, blockWrite, c.P.Now()-copyStart)
-		c.app.meterOp(ch, len(wire), c.P.Now()-opStart)
+		c.Self.blocked[blockWrite] += c.P.Now() - copyStart
 		c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-opStart)
 		return nil
 	}
@@ -167,8 +166,7 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 		c.app.reportSent(ch)
 	}
 	c.app.spanPhase(xfer, trace.PhaseMPISend, self, ch, len(wire), sendStart, c.P.Now())
-	c.app.meterBlocked(c.Self, blockWrite, c.P.Now()-sendStart)
-	c.app.meterOp(ch, len(wire), c.P.Now()-opStart)
+	c.Self.blocked[blockWrite] += c.P.Now() - sendStart
 	c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-opStart)
 	return nil
 }
@@ -245,7 +243,7 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 		c.app.reportUnblock(c.Self)
 		data, xfer = msg.data, msg.xfer
 		c.app.spanPhase(xfer, trace.PhaseMPIWait, self, ch, len(data)-hdrSize, waitStart, c.P.Now())
-		c.app.meterBlocked(c.Self, blockRead, c.P.Now()-waitStart)
+		c.Self.blocked[blockRead] += c.P.Now() - waitStart
 		copyStart := c.P.Now()
 		c.P.Advance(c.app.par.ShmCopyTime(len(data) - hdrSize))
 		c.app.spanPhase(xfer, trace.PhaseCopy, self, ch, len(data)-hdrSize, copyStart, c.P.Now())
@@ -275,7 +273,7 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 		c.app.reportUnblock(c.Self)
 		xfer = st.Xfer
 		c.app.spanPhase(xfer, trace.PhaseMPIWait, self, ch, len(data)-hdrSize, waitStart, c.P.Now())
-		c.app.meterBlocked(c.Self, blockRead, c.P.Now()-waitStart)
+		c.Self.blocked[blockRead] += c.P.Now() - waitStart
 	}
 
 	if len(data) < hdrSize {
@@ -297,7 +295,6 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 		c.fail(loc, api, "%v", err)
 	}
 	c.app.spanPhase(xfer, trace.PhasePack, self, ch, size, unpackStart, c.P.Now())
-	c.app.meterOp(ch, size, c.P.Now()-opStart)
 	c.app.record(c.P, trace.KindRead, c.Self, ch, size, xfer, c.P.Now()-opStart)
 	return nil
 }
@@ -375,15 +372,14 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 				inflight++
 			}
 		}
-		c.app.meterStreamInflight(streamSendDir, inflight)
+		c.app.noteStream(inflightSend, inflight)
 	}
 	// The stream is buffered in flight regardless of the reader: tell the
 	// detector so a blocked read on ch is not treated as a wait.
 	c.app.reportSent(ch)
 	self := c.Self.String()
 	c.app.spanPhase(xfer, trace.PhaseChunkRelay, self, ch, len(wire), sendStart, c.P.Now())
-	c.app.meterBlocked(c.Self, blockWrite, c.P.Now()-sendStart)
-	c.app.meterOp(ch, len(wire), c.P.Now()-opStart)
+	c.Self.blocked[blockWrite] += c.P.Now() - sendStart
 	c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-opStart)
 	return nil
 }
@@ -454,12 +450,12 @@ func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expec
 		c.P.Advance(par.ChunkStackTime(len(payload)))
 		buf = append(buf, payload...)
 		c.app.spanChunk(xfer, trace.PhaseChunkFrame, self, ch, len(payload), chunkStart, c.P.Now(), k)
-		c.app.meterStreamInflight(streamRecvDir, nchunks-k-1)
+		c.app.noteStream(inflightRecv, nchunks-k-1)
 	}
 	*bp = buf
 	c.app.reportUnblock(c.Self)
 	c.app.spanPhase(xfer, trace.PhaseChunkRelay, self, ch, size, drainStart, c.P.Now())
-	c.app.meterBlocked(c.Self, blockRead, c.P.Now()-waitStart)
+	c.Self.blocked[blockRead] += c.P.Now() - waitStart
 	if len(buf) != size {
 		c.fail(loc, api, "stream on %s delivered %d bytes, header announced %d", ch, len(buf), size)
 	}
@@ -472,7 +468,6 @@ func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expec
 		c.fail(loc, api, "%v", uerr)
 	}
 	c.app.spanPhase(xfer, trace.PhasePack, self, ch, size, unpackStart, c.P.Now())
-	c.app.meterOp(ch, size, c.P.Now()-opStart)
 	c.app.record(c.P, trace.KindRead, c.Self, ch, size, xfer, c.P.Now()-opStart)
 	return nil
 }
@@ -516,8 +511,8 @@ func (c *Ctx) RunSPE(sp *Process, arg int, env any) {
 		CodeSize: sp.prog.CodeSize,
 		Main: func(sc *sdk.Context, a int, e any) {
 			defer app.userDone()
-			app.meterProcStart(sp, sc.Proc.Now())
-			defer func() { app.meterProcEnd(sp, sc.Proc.Now()) }()
+			sp.life.begin(sc.Proc.Now())
+			defer func() { sp.life.finish(sc.Proc.Now()) }()
 			defer app.recoverFault(sp)
 			sp.simProc = sc.Proc
 			sctx2 := &SPECtx{app: app, P: sc.Proc, Self: sp, sctx: sc, arg: a, env: e}
@@ -586,8 +581,7 @@ func (c *Ctx) Broadcast(b *Bundle, format string, args ...any) {
 		}
 		c.app.reportSent(ch)
 		c.app.spanPhase(xfer, trace.PhaseMPISend, c.Self.String(), ch, len(wire), sendStart, c.P.Now())
-		c.app.meterBlocked(c.Self, blockWrite, c.P.Now()-sendStart)
-		c.app.meterOp(ch, len(wire), c.P.Now()-sendStart)
+		c.Self.blocked[blockWrite] += c.P.Now() - sendStart
 		c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-sendStart)
 	}
 }
@@ -641,8 +635,7 @@ func (c *Ctx) Gather(b *Bundle, format string, out any) {
 			c.fail(loc, "PI_Gather", "malformed message on %s", ch)
 		}
 		c.app.spanPhase(st.Xfer, trace.PhaseMPIWait, c.Self.String(), ch, len(data)-hdrSize, waitStart, c.P.Now())
-		c.app.meterBlocked(c.Self, blockRead, c.P.Now()-waitStart)
-		c.app.meterOp(ch, len(data)-hdrSize, c.P.Now()-waitStart)
+		c.Self.blocked[blockRead] += c.P.Now() - waitStart
 		c.app.record(c.P, trace.KindRead, c.Self, ch, len(data)-hdrSize, st.Xfer, c.P.Now()-waitStart)
 		sig, size := parseHeader(data)
 		if sig != spec.Signature() || size != perWriter {
@@ -685,7 +678,7 @@ func (c *Ctx) Select(b *Bundle) int {
 	}
 	waitStart := c.P.Now()
 	idx, _ := c.rank.ProbeMulti(c.P, specs)
-	c.app.meterBlocked(c.Self, blockRead, c.P.Now()-waitStart)
+	c.Self.blocked[blockRead] += c.P.Now() - waitStart
 	return owner[idx]
 }
 

@@ -111,7 +111,7 @@ func (s *FaultSummary) Error() string {
 
 // procFault unwinds exactly one process out of a failed blocking channel
 // operation; the spawn wrappers recover it, record the fault, and let the
-// process's normal end-of-life bookkeeping (userDone, meters) run.
+// process's normal end-of-life bookkeeping (userDone, lifetime) run.
 type procFault struct {
 	cf *ChannelFault
 }
@@ -313,7 +313,7 @@ func (a *App) applyFault(e fault.Event) {
 
 // killProcess terminates one Pilot process and poisons every channel
 // bound to it. The sim-level Kill unwinds the proc at its next park or
-// advance; its deferred bookkeeping (userDone, meters) still runs.
+// advance; its deferred bookkeeping (userDone, lifetime) still runs.
 func (a *App) killProcess(proc *Process, reason string) {
 	if proc.dead {
 		return

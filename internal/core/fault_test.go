@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cellpilot/internal/fault"
+	"cellpilot/internal/profile"
 	"cellpilot/internal/sim"
 )
 
@@ -234,6 +235,44 @@ func TestKillSPEDegradation(t *testing.T) {
 			t.Errorf("copilot %v retains %d+%d pending requests",
 				key, cp.pendWrites.size(), cp.pendReads.size())
 		}
+	}
+}
+
+// TestKilledRunLifetimes: on a run with a killed SPE, each process's
+// ProcTimes total equals its profiled lifetime, and every profiled
+// lifetime, the Co-Pilots' and the killed SPE's included, is closed no
+// later than the final clock.
+func TestKilledRunLifetimes(t *testing.T) {
+	plan := fault.Plan{Seed: 1, Events: []fault.Event{
+		{At: sim.Millisecond, Kind: fault.KillSPE, Proc: "victim#0"},
+	}}
+	a, _, run := buildKillSPEApp(t, plan)
+	prof := profile.New()
+	a.Metrics, a.Profile = NewMeter(), prof
+	run()
+	final := a.K.Now()
+	st := a.Stats()
+	if len(st.ProcTimes) != 3 { // PI_MAIN, victim, echo
+		t.Fatalf("ProcTimes = %+v, want 3 processes", st.ProcTimes)
+	}
+	for _, pt := range st.ProcTimes {
+		start, end, ok := prof.Lifetime(pt.Process)
+		if !ok || end-start != pt.Total {
+			t.Errorf("%s: ProcTimes total %v, profiled lifetime %v..%v (found %v)", pt.Process, pt.Total, start, end, ok)
+		}
+	}
+	copilots := 0
+	for _, name := range prof.Procs() {
+		start, end, _ := prof.Lifetime(name)
+		if end <= start || end > final {
+			t.Errorf("%s: lifetime %v..%v not closed within the run (final clock %v)", name, start, end, final)
+		}
+		if strings.HasPrefix(name, copilotLabelPrefix) {
+			copilots++
+		}
+	}
+	if copilots != len(a.copilotOrder) {
+		t.Errorf("profiled %d Co-Pilots, want %d: %v", copilots, len(a.copilotOrder), prof.Procs())
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 
+	"cellpilot/internal/fault"
 	"cellpilot/internal/flowmap"
 	"cellpilot/internal/hostprof"
 	"cellpilot/internal/metrics"
@@ -14,26 +15,10 @@ import (
 
 // This file is the core side of the observability subsystem: per-transfer
 // ids correlating the stages of a channel operation into trace spans, and
-// the Meter aggregating latency/bandwidth histograms and per-process
-// blocked-time attribution. Everything here is host-side bookkeeping — no
-// call in this file advances virtual time, so an instrumented run keeps
-// the calibrated timings of an uninstrumented one bit-for-bit.
-
-// blockKind classifies where a process's non-compute virtual time went.
-type blockKind int
-
-const (
-	blockRead    blockKind = iota // blocked in a channel read (MPI recv or handoff)
-	blockWrite                    // inside a channel write (send overhead + rendezvous wait)
-	blockMailbox                  // SPE stub posting a request or awaiting completion
-)
-
-// procAcc accumulates one process's virtual-time split.
-type procAcc struct {
-	start, end sim.Time
-	ended      bool
-	blocked    [3]sim.Time
-}
+// the Meter's latency/bandwidth histograms. Everything here is host-side
+// bookkeeping — no call in this file advances virtual time, so an
+// instrumented run keeps the calibrated timings of an uninstrumented one
+// bit-for-bit.
 
 // Histogram bucket layouts. Latencies and waits are recorded in
 // microseconds (the paper's unit), payload sizes in bytes, bandwidth in
@@ -45,33 +30,56 @@ var (
 	depthBuckets     = metrics.LinearBuckets(0, 1, 33)
 )
 
-// Meter aggregates run-wide communication metrics: per-channel-type
-// operation latency, payload size and achieved bandwidth histograms,
-// Co-Pilot service-queue wait and depth, and per-process blocked-time
-// attribution. Attach one via App.Metrics before Run; read the results
-// from App.Stats after. Like the trace recorder, a Meter observes at
-// zero virtual-time cost.
+// typeNames are one channel type's metric names and its timeline backlog
+// series name.
+type typeNames struct {
+	ops, bytes, latency, size, bandwidth, backlogHigh, backlog string
+}
+
+// chanTypeNames holds every channel type's names, built once; index t is
+// ChannelType t.
+var chanTypeNames = func() (out [Type5 + 1]typeNames) {
+	for t := Type1; t <= Type5; t++ {
+		p := "chan/" + t.String()
+		out[t] = typeNames{
+			ops: p + "/ops", bytes: p + "/payload_bytes_total",
+			latency: p + "/latency_us", size: p + "/payload_bytes", bandwidth: p + "/bandwidth_mbps",
+			backlogHigh: p + "/backlog_highwater", backlog: "backlog/" + t.String(),
+		}
+	}
+	return out
+}()
+
+// faultNames holds the metric and timeline series name of each
+// fault.Counters entry, built once.
+var faultNames = func() []string {
+	out := make([]string, len(fault.Counters))
+	for i, c := range fault.Counters {
+		out[i] = "fault/" + c.Name
+	}
+	return out
+}()
+
+// Meter holds the run-wide histograms that need one sample per event:
+// per-channel-type operation latency, payload size and achieved
+// bandwidth, and Co-Pilot service-queue wait and depth. Core keeps the
+// counts (per-process blocked time, per-channel operations and bytes,
+// chunk-stream in-flight levels) and, when Run ends, adds the per-type
+// operation and byte counters and the stream gauges to the Meter's
+// registry. Attach one via App.Metrics before Run; read the results from
+// App.Stats after. Like the trace recorder, a Meter observes at zero
+// virtual-time cost.
 type Meter struct {
-	reg   *metrics.Registry
-	procs map[int]*procAcc // by process id
+	reg *metrics.Registry
 }
 
 // NewMeter creates an empty meter.
 func NewMeter() *Meter {
-	return &Meter{reg: metrics.NewRegistry(), procs: map[int]*procAcc{}}
+	return &Meter{reg: metrics.NewRegistry()}
 }
 
 // Registry exposes the raw metric registry (for dumps and exports).
 func (m *Meter) Registry() *metrics.Registry { return m.reg }
-
-func (m *Meter) acc(p *Process) *procAcc {
-	a, ok := m.procs[p.id]
-	if !ok {
-		a = &procAcc{}
-		m.procs[p.id] = a
-	}
-	return a
-}
 
 // obsSinks is the set of observability sinks a Run records into. It is
 // snapshotted from the public fields when Run starts, so attaching a
@@ -132,10 +140,9 @@ func (a *App) spanPhase(xfer int64, phase trace.PhaseKind, proc string, ch *Chan
 // stack injection/drain, or its LS↔EA move on the MFC DMA engine). The
 // event carries the owning stream's id and the 1-based chunk index, so
 // Chrome flow events can link chunk k's injection to chunk k's drain and
-// the critical-path analyzer gets mfc-dma occupancy intervals. Annotations
-// share the stream's transfer id, so sampling keeps or drops a stream's
-// chunk events together with its primary phases; they are never fed to the
-// profiler, whose buckets are exclusive over primary stages only.
+// the critical-path analyzer gets mfc-dma occupancy intervals.
+// Annotations are never fed to the profiler, whose buckets are exclusive
+// over primary stages only.
 func (a *App) spanChunk(xfer int64, phase trace.PhaseKind, proc string, ch *Channel, bytes int, start, end sim.Time, chunk int) {
 	if xfer == 0 {
 		return
@@ -149,28 +156,6 @@ func (a *App) spanChunk(xfer int64, phase trace.PhaseKind, proc string, ch *Chan
 	a.obs.flight.Record(pe)
 	if a.obs.trace != nil {
 		a.obs.trace.RecordPhase(pe)
-	}
-}
-
-// Stream-backlog gauge directions.
-const (
-	streamSendDir = "send" // chunks injected but not yet landed on the wire
-	streamRecvDir = "recv" // chunks announced by the header but not yet drained
-)
-
-// noteStreamInflight publishes a chunked stream's in-flight backlog: the
-// live gauge tracks the most recent observation (what /metrics samples),
-// the highwater gauge the run's worst case.
-func (m *Meter) noteStreamInflight(dir string, n int) {
-	g := "copilot/stream/inflight_" + dir
-	m.reg.Gauge(g).Set(float64(n))
-	m.reg.Gauge(g + "_highwater").SetMax(float64(n))
-}
-
-// meterStreamInflight feeds noteStreamInflight when a meter is attached.
-func (a *App) meterStreamInflight(dir string, n int) {
-	if m := a.obs.meter; m != nil {
-		m.noteStreamInflight(dir, n)
 	}
 }
 
@@ -226,20 +211,15 @@ func (a *App) noteBackoff(proc string, d sim.Time) {
 	a.backoff[proc] += d
 }
 
-// meterOp records one completed channel operation (read or write side).
-func (a *App) meterOp(ch *Channel, bytes int, dur sim.Time) {
-	m := a.obs.meter
-	if m == nil {
-		return
-	}
-	prefix := "chan/" + ch.typ.String()
-	m.reg.Counter(prefix + "/ops").Inc()
-	m.reg.Counter(prefix + "/payload_bytes_total").Add(int64(bytes))
-	m.reg.Histogram(prefix+"/latency_us", latencyBucketsUs).Observe(dur.Micros())
-	m.reg.Histogram(prefix+"/payload_bytes", sizeBuckets).Observe(float64(bytes))
+// observeOp samples one completed channel operation (read or write side)
+// into its type's latency, size and bandwidth histograms.
+func (m *Meter) observeOp(t ChannelType, bytes int, dur sim.Time) {
+	n := &chanTypeNames[t]
+	m.reg.Histogram(n.latency, latencyBucketsUs).Observe(dur.Micros())
+	m.reg.Histogram(n.size, sizeBuckets).Observe(float64(bytes))
 	if dur > 0 && bytes > 0 {
 		mbps := float64(bytes) / (float64(dur) / float64(sim.Second)) / 1e6
-		m.reg.Histogram(prefix+"/bandwidth_mbps", bwBucketsMBps).Observe(mbps)
+		m.reg.Histogram(n.bandwidth, bwBucketsMBps).Observe(mbps)
 	}
 }
 
@@ -256,33 +236,6 @@ func (a *App) meterCopilotReq(label string, wait sim.Time, depth int) {
 	m.reg.Counter(prefix + "/requests").Inc()
 	m.reg.Histogram(prefix+"/queue_wait_us", latencyBucketsUs).Observe(wait.Micros())
 	m.reg.Histogram(prefix+"/queue_depth", depthBuckets).Observe(float64(depth))
-}
-
-// meterBlocked attributes d of proc p's virtual time to a blocked state.
-func (a *App) meterBlocked(p *Process, k blockKind, d sim.Time) {
-	if a.obs.meter == nil || d <= 0 {
-		return
-	}
-	a.obs.meter.acc(p).blocked[k] += d
-}
-
-// meterProcStart marks the process alive from virtual time at (meter and
-// profiler sinks).
-func (a *App) meterProcStart(p *Process, at sim.Time) {
-	if m := a.obs.meter; m != nil {
-		m.acc(p).start = at
-	}
-	a.obs.prof.ProcStart(p.String(), at)
-}
-
-// meterProcEnd marks the process finished at virtual time at.
-func (a *App) meterProcEnd(p *Process, at sim.Time) {
-	if m := a.obs.meter; m != nil {
-		acc := m.acc(p)
-		acc.end = at
-		acc.ended = true
-	}
-	a.obs.prof.ProcEnd(p.String(), at)
 }
 
 // spePost is the side-band record of an SPE's in-flight mailbox request.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -418,6 +419,29 @@ func TestStatsMetrics(t *testing.T) {
 	}
 	if queues != 2 {
 		t.Fatalf("copilot queue_wait_us histograms = %d, want 2 (%v)", queues, st.Registry.HistogramNames())
+	}
+}
+
+// Two identical Apps sharing one Meter each report their own process
+// times, while the Meter's per-type counters accumulate across both.
+func TestSharedMeterProcTimes(t *testing.T) {
+	meter := NewMeter()
+	a1, _ := runFiveTypes(t, 2, sinks{meter: meter}, Options{})
+	first := a1.Stats()
+	a2, _ := runFiveTypes(t, 2, sinks{meter: meter}, Options{})
+	second := a2.Stats()
+	if len(first.ProcTimes) == 0 || !reflect.DeepEqual(first.ProcTimes, second.ProcTimes) {
+		t.Fatalf("ProcTimes differ between identical Apps sharing a Meter:\nfirst:  %+v\nsecond: %+v", first.ProcTimes, second.ProcTimes)
+	}
+	for _, pt := range second.ProcTimes {
+		if pt.Compute < 0 {
+			t.Errorf("%s reads negative compute: %+v", pt.Process, pt)
+		}
+	}
+	for i, ct := range second.ChannelTypes {
+		if was := first.ChannelTypes[i]; ct.Ops != 2*was.Ops || ct.Bytes != 2*was.Bytes {
+			t.Errorf("%s after two runs: %d ops, %d bytes; want twice %d ops, %d bytes", ct.Type, ct.Ops, ct.Bytes, was.Ops, was.Bytes)
+		}
 	}
 }
 

@@ -74,6 +74,39 @@ type Process struct {
 	// (placement can change until then: CreateProcessOn sets nodeID after
 	// CreateProcess).
 	str string
+
+	// The process's lifetime and its blocked virtual time by kind, kept
+	// by core whatever sinks are attached; Stats().ProcTimes and the
+	// profiler read them.
+	life    lifetime
+	blocked [3]sim.Time
+}
+
+// blockKind classifies where a process's non-compute virtual time went.
+type blockKind int
+
+const (
+	blockRead    blockKind = iota // blocked in a channel read (MPI recv or handoff)
+	blockWrite                    // inside a channel write (send overhead + rendezvous wait)
+	blockMailbox                  // SPE stub posting a request or awaiting completion
+)
+
+// lifetime is a process's or Co-Pilot's span on the virtual clock.
+type lifetime struct {
+	start, end sim.Time
+	ran, ended bool
+}
+
+func (l *lifetime) begin(at sim.Time)  { l.start, l.ran = at, true }
+func (l *lifetime) finish(at sim.Time) { l.end, l.ended = at, true }
+
+// span reports the lifetime as [start, end], closing one that has not
+// ended (a killed process, a service loop) at now.
+func (l *lifetime) span(now sim.Time) (start, end sim.Time) {
+	if !l.ended {
+		return l.start, now
+	}
+	return l.start, l.end
 }
 
 // ID reports the process id (creation order; PI_MAIN is 0).

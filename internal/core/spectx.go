@@ -312,8 +312,7 @@ func (c *SPECtx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft 
 	self := c.Self.String()
 	c.app.spanPhase(xfer, trace.PhaseMailboxReq, self, ch, len(wire), postStart, postEnd)
 	c.app.spanPhase(xfer, trace.PhaseMailboxWait, self, ch, len(wire), postEnd, c.P.Now())
-	c.app.meterBlocked(c.Self, blockMailbox, c.P.Now()-postStart)
-	c.app.meterOp(ch, len(wire), c.P.Now()-packStart)
+	c.Self.blocked[blockMailbox] += c.P.Now() - postStart
 	c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-packStart)
 	if err := ls.Release(); err != nil {
 		c.fail(loc, api, "%v", err)
@@ -438,8 +437,7 @@ func (c *SPECtx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft b
 	c.app.spanPhase(xfer, trace.PhaseMailboxReq, self, ch, expected, postStart, postEnd)
 	c.app.spanPhase(xfer, trace.PhaseMailboxWait, self, ch, expected, postEnd, waitEnd)
 	c.app.spanPhase(xfer, trace.PhasePack, self, ch, expected, waitEnd, c.P.Now())
-	c.app.meterBlocked(c.Self, blockMailbox, waitEnd-postStart)
-	c.app.meterOp(ch, expected, c.P.Now()-postStart)
+	c.Self.blocked[blockMailbox] += waitEnd - postStart
 	c.app.record(c.P, trace.KindRead, c.Self, ch, expected, xfer, c.P.Now()-postStart)
 	if err := ls.Release(); err != nil {
 		c.fail(loc, api, "%v", err)

@@ -85,8 +85,9 @@ type ChannelTypeMetrics struct {
 }
 
 // ProcTime attributes one process's virtual lifetime: compute versus the
-// three ways a CellPilot process blocks on communication. Populated only
-// when a Meter was attached.
+// three ways a CellPilot process blocks on communication. Core keeps the
+// figures for every process; Stats reports them only when a Meter was
+// attached.
 type ProcTime struct {
 	Process string
 	// Total is the process's lifetime (spawn to return).
@@ -129,8 +130,9 @@ type Stats struct {
 	SPEs []SPEStats
 	// Links reports per-NIC occupancy and saturation, in node order.
 	Links []LinkUtil
-	// ChannelTypes, ProcTimes and Registry carry the Meter's aggregates
-	// when App.Metrics was attached; all are nil otherwise.
+	// ChannelTypes and Registry carry the Meter's aggregates, and
+	// ProcTimes core's per-process split, when App.Metrics was attached;
+	// all are nil otherwise.
 	ChannelTypes []ChannelTypeMetrics
 	ProcTimes    []ProcTime
 	Registry     *metrics.Registry
@@ -241,8 +243,8 @@ func (a *App) Stats() Stats {
 		st.Registry = m.reg
 		a.pushTelemetryGauges(m.reg, st)
 		for t := Type1; t <= Type5; t++ {
-			prefix := "chan/" + t.String()
-			lat := m.reg.LookupHistogram(prefix + "/latency_us")
+			n := &chanTypeNames[t]
+			lat := m.reg.LookupHistogram(n.latency)
 			if lat == nil {
 				continue // no operation completed on this channel type
 			}
@@ -254,29 +256,25 @@ func (a *App) Stats() Stats {
 			}
 			st.ChannelTypes = append(st.ChannelTypes, ChannelTypeMetrics{
 				Type:             t,
-				Ops:              m.reg.Counter(prefix + "/ops").Value(),
-				Bytes:            m.reg.Counter(prefix + "/payload_bytes_total").Value(),
+				Ops:              m.reg.Counter(n.ops).Value(),
+				Bytes:            m.reg.Counter(n.bytes).Value(),
 				LatencyUs:        lat,
-				SizeBytes:        m.reg.LookupHistogram(prefix + "/payload_bytes"),
-				BandwidthMBps:    m.reg.LookupHistogram(prefix + "/bandwidth_mbps"),
+				SizeBytes:        m.reg.LookupHistogram(n.size),
+				BandwidthMBps:    m.reg.LookupHistogram(n.bandwidth),
 				BacklogHighWater: backlog,
 			})
 		}
 		for _, p := range a.procs {
-			acc, ok := m.procs[p.id]
-			if !ok {
+			if !p.life.ran {
 				continue
 			}
-			end := acc.end
-			if !acc.ended {
-				end = a.K.Now()
-			}
+			start, end := p.life.span(a.K.Now())
 			pt := ProcTime{
 				Process:      p.String(),
-				Total:        end - acc.start,
-				BlockedRead:  acc.blocked[blockRead],
-				BlockedWrite: acc.blocked[blockWrite],
-				MailboxWait:  acc.blocked[blockMailbox],
+				Total:        end - start,
+				BlockedRead:  p.blocked[blockRead],
+				BlockedWrite: p.blocked[blockWrite],
+				MailboxWait:  p.blocked[blockMailbox],
 			}
 			pt.Compute = pt.Total - pt.BlockedRead - pt.BlockedWrite - pt.MailboxWait
 			st.ProcTimes = append(st.ProcTimes, pt)
@@ -314,7 +312,7 @@ func (a *App) pushTelemetryGauges(reg *metrics.Registry, st Stats) {
 	}
 	for _, ch := range a.chans {
 		if ch.backlogHigh > 0 {
-			reg.Gauge(fmt.Sprintf("chan/%s/backlog_highwater", ch.typ)).SetMax(float64(ch.backlogHigh))
+			reg.Gauge(chanTypeNames[ch.typ].backlogHigh).SetMax(float64(ch.backlogHigh))
 		}
 	}
 	if st.Host != nil {
@@ -339,28 +337,8 @@ func (a *App) pushFaultMetrics(reg *metrics.Registry) {
 		return
 	}
 	a.faultMetricsPushed = true
-	c := a.opts.Faults.Counts
-	for _, kv := range []struct {
-		name string
-		v    int64
-	}{
-		{"fault/link_drops", c.LinkDrops},
-		{"fault/link_corrupts", c.LinkCorrupts},
-		{"fault/link_delays", c.LinkDelays},
-		{"fault/retransmits", c.Retransmits},
-		{"fault/dup_frames", c.DupFrames},
-		{"fault/ack_drops", c.AckDrops},
-		{"fault/give_ups", c.GiveUps},
-		{"fault/give_up_drops", c.GiveUpDrops},
-		{"fault/mailbox_drops", c.MailboxDrops},
-		{"fault/mailbox_stalls", c.MailboxStalls},
-		{"fault/mailbox_nacks", c.MailboxNacks},
-		{"fault/mailbox_reposts", c.MailboxReposts},
-		{"fault/op_timeouts", c.OpTimeouts},
-		{"fault/channel_faults", c.ChannelFaults},
-		{"fault/procs_killed", c.ProcsKilled},
-	} {
-		reg.Counter(kv.name).Add(kv.v)
+	for i, c := range fault.Counters {
+		reg.Counter(faultNames[i]).Add(*c.Of(&a.opts.Faults.Counts))
 	}
 }
 

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-
+	"cellpilot/internal/fault"
 	"cellpilot/internal/timeline"
 )
 
@@ -20,9 +19,10 @@ func (a *App) installTimeline() {
 	a.K.SetClockHook(tl.Observe)
 }
 
-// timelineSample reads one window's worth of live state. Series names
-// follow the metrics registry's naming where a registry counterpart
-// exists, so the timeline and /metrics.json speak the same vocabulary.
+// timelineSample reads one window's worth of live state, all of it kept by
+// core whatever sinks are attached. Series names follow the metrics
+// registry's naming where a registry counterpart exists, so the timeline
+// and /metrics.json speak the same vocabulary.
 func (a *App) timelineSample(s *timeline.Sample) {
 	for _, key := range a.copilotOrder {
 		cp := a.copilots[key]
@@ -48,64 +48,34 @@ func (a *App) timelineSample(s *timeline.Sample) {
 		}
 	}
 	total := 0
-	var byType [6]int
-	var present [6]bool
+	var backlog [Type5 + 1]int
+	var chanOps, chanBytes [Type5 + 1]int64
+	var present [Type5 + 1]bool
 	for _, ch := range a.chans {
-		t := int(ch.typ)
-		if t < 1 || t > 5 {
-			continue
-		}
-		present[t] = true
-		byType[t] += ch.backlog
+		present[ch.typ] = true
+		backlog[ch.typ] += ch.backlog
+		chanOps[ch.typ] += ch.ops
+		chanBytes[ch.typ] += ch.bytes
 		total += ch.backlog
 	}
 	s.Add("backlog/total", timeline.Gauge, float64(total))
-	m := a.obs.meter
-	for t := 1; t <= 5; t++ {
+	for t := Type1; t <= Type5; t++ {
 		if !present[t] {
 			continue
 		}
-		s.Add(fmt.Sprintf("backlog/type%d", t), timeline.Gauge, float64(byType[t]))
-		if m == nil {
-			continue
-		}
-		// Bytes moved per type: read-only registry lookup — creating the
-		// counter here would mutate the registry from a sampler.
-		name := fmt.Sprintf("chan/type%d/payload_bytes_total", t)
-		if c := m.reg.LookupCounter(name); c != nil {
-			s.Add(name, timeline.Counter, float64(c.Value()))
+		s.Add(chanTypeNames[t].backlog, timeline.Gauge, float64(backlog[t]))
+		if chanOps[t] > 0 {
+			s.Add(chanTypeNames[t].bytes, timeline.Counter, float64(chanBytes[t]))
 		}
 	}
-	if m != nil {
-		for _, name := range []string{"copilot/stream/inflight_send", "copilot/stream/inflight_recv"} {
-			if g := m.reg.LookupGauge(name); g != nil {
-				s.Add(name, timeline.Gauge, g.Value())
-			}
+	for dir, st := range a.streams {
+		if st.seen {
+			s.Add(streamGauges[dir], timeline.Gauge, float64(st.cur))
 		}
 	}
 	if inj := a.opts.Faults; inj != nil {
-		c := &inj.Counts
-		for _, fc := range []struct {
-			name string
-			v    int64
-		}{
-			{"fault/link_drops", c.LinkDrops},
-			{"fault/link_corrupts", c.LinkCorrupts},
-			{"fault/link_delays", c.LinkDelays},
-			{"fault/retransmits", c.Retransmits},
-			{"fault/dup_frames", c.DupFrames},
-			{"fault/ack_drops", c.AckDrops},
-			{"fault/give_ups", c.GiveUps},
-			{"fault/give_up_drops", c.GiveUpDrops},
-			{"fault/mailbox_drops", c.MailboxDrops},
-			{"fault/mailbox_stalls", c.MailboxStalls},
-			{"fault/mailbox_nacks", c.MailboxNacks},
-			{"fault/mailbox_reposts", c.MailboxReposts},
-			{"fault/op_timeouts", c.OpTimeouts},
-			{"fault/channel_faults", c.ChannelFaults},
-			{"fault/procs_killed", c.ProcsKilled},
-		} {
-			s.Add(fc.name, timeline.Counter, float64(fc.v))
+		for i, c := range fault.Counters {
+			s.Add(faultNames[i], timeline.Counter, float64(*c.Of(&inj.Counts)))
 		}
 	}
 }

@@ -69,35 +69,58 @@ func TestTimelineDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// The backlog/* series come from core's channel state, not from the Meter:
-// a timeline alone records the same backlog windows as a timeline with a
-// Meter, so attaching one sink does not change another sink's output.
+// Every timeline series comes from core state, not from the Meter: a
+// timeline alone records the same series and windows as a timeline with a
+// Meter, for whole-payload transfers of all five types and for a chunked
+// stream, so attaching one sink does not change another sink's output.
 func TestTimelineBacklogWithoutMeter(t *testing.T) {
-	backlog := func(meter *Meter) map[string][]float64 {
-		tl := timeline.New(20 * sim.Microsecond)
-		runFiveTypes(t, 2, sinks{meter: meter, timeline: tl}, Options{})
+	series := func(tl *timeline.Recorder) map[string][]float64 {
 		out := map[string][]float64{}
 		for _, name := range tl.SeriesNames() {
-			if strings.HasPrefix(name, "backlog/") {
-				out[name], _ = tl.Range(name, 0, 0)
-			}
+			out[name], _ = tl.Range(name, 0, 0)
 		}
 		return out
 	}
-	alone, metered := backlog(nil), backlog(NewMeter())
-	// backlog/total plus one series per channel type.
-	if len(alone) != 6 {
-		t.Fatalf("timeline without a Meter has %d backlog series, want 6: %v", len(alone), alone)
+	fiveTypes := func(meter *Meter) map[string][]float64 {
+		tl := timeline.New(20 * sim.Microsecond)
+		runFiveTypes(t, 2, sinks{meter: meter, timeline: tl}, Options{})
+		return series(tl)
 	}
-	peak := 0.0
-	for _, v := range alone["backlog/total"] {
-		peak = max(peak, v)
+	chunked := func(meter *Meter) map[string][]float64 {
+		tl := timeline.New(20 * sim.Microsecond)
+		runType1Bounce(t, 64<<10, Options{Transfer: TransferOptions{ChunkSize: 8 << 10}}, sinks{meter: meter, timeline: tl}, 0)
+		return series(tl)
 	}
-	if peak == 0 {
-		t.Fatal("backlog/total never rose above zero")
-	}
-	if !reflect.DeepEqual(alone, metered) {
-		t.Fatalf("backlog series differ with a Meter attached:\nalone:   %v\nmetered: %v", alone, metered)
+	for _, arm := range []struct {
+		name string
+		run  func(*Meter) map[string][]float64
+		want []string
+	}{
+		{"five types", fiveTypes, []string{
+			"backlog/total", "backlog/type1", "backlog/type2", "backlog/type3", "backlog/type4", "backlog/type5",
+			"chan/type1/payload_bytes_total", "chan/type2/payload_bytes_total", "chan/type3/payload_bytes_total",
+			"chan/type4/payload_bytes_total", "chan/type5/payload_bytes_total",
+		}},
+		{"chunked", chunked, []string{
+			"chan/type1/payload_bytes_total", "copilot/stream/inflight_send", "copilot/stream/inflight_recv",
+		}},
+	} {
+		alone, metered := arm.run(nil), arm.run(NewMeter())
+		for _, name := range arm.want {
+			if _, ok := alone[name]; !ok {
+				t.Errorf("%s: timeline without a Meter lacks %s", arm.name, name)
+			}
+		}
+		peak := 0.0
+		for _, v := range alone["backlog/total"] {
+			peak = max(peak, v)
+		}
+		if peak == 0 {
+			t.Errorf("%s: backlog/total never rose above zero", arm.name)
+		}
+		if !reflect.DeepEqual(alone, metered) {
+			t.Errorf("%s: timeline differs with a Meter attached:\nalone:   %v\nmetered: %v", arm.name, alone, metered)
+		}
 	}
 }
 
@@ -140,24 +163,11 @@ func TestTimelineNotesFaults(t *testing.T) {
 	}
 }
 
-// Options.FlightDepth sizes the always-on flight recorder ring.
+// The always-on flight recorder ring is trace.DefaultFlightDepth deep.
 func TestFlightDepthOption(t *testing.T) {
-	c := newTestCluster(t)
-	a := NewApp(c, Options{FlightDepth: 8})
-	if got := a.flight.Depth(); got != 8 {
-		t.Fatalf("flight depth = %d, want 8", got)
-	}
-	c2 := newTestCluster(t)
-	if got := NewApp(c2, Options{}).flight.Depth(); got != 256 {
+	if got := NewApp(newTestCluster(t), Options{}).flight.Depth(); got != 256 {
 		t.Fatalf("default flight depth = %d, want 256", got)
 	}
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(r.(error).Error(), "FlightDepth") {
-			t.Fatalf("negative FlightDepth panic = %v, want usage error naming FlightDepth", r)
-		}
-	}()
-	NewApp(newTestCluster(t), Options{FlightDepth: -1})
 }
 
 // SetTimeline is a checked setter: refused once Run has started.

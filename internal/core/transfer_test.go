@@ -21,11 +21,11 @@ type bounceResult struct {
 	got      []byte
 }
 
-func runType1Bounce(t *testing.T, bytes int, opts Options, rec *trace.Recorder, timeout sim.Time) bounceResult {
+func runType1Bounce(t *testing.T, bytes int, opts Options, s sinks, timeout sim.Time) bounceResult {
 	t.Helper()
 	c := newTestCluster(t)
 	a := NewApp(c, opts)
-	a.Trace = rec
+	a.Trace, a.Metrics, a.Timeline = s.trace, s.meter, s.timeline
 	format := fmt.Sprintf("%%%db", bytes)
 	msg := make([]byte, bytes)
 	for i := range msg {
@@ -112,13 +112,13 @@ func TestTransferEagerBoundary(t *testing.T) {
 	eagerMax := 4096 // default: Params.EagerThreshold
 
 	recAt := trace.NewRecorder(0)
-	runType1Bounce(t, eagerMax-hdrSize, opts, recAt, 0)
+	runType1Bounce(t, eagerMax-hdrSize, opts, sinks{trace: recAt}, 0)
 	if n := countChunkRelay(recAt); n != 0 {
 		t.Fatalf("wire size == EagerMax took the chunked path (%d chunk-relay phases)", n)
 	}
 
 	recOver := trace.NewRecorder(0)
-	runType1Bounce(t, eagerMax-hdrSize+1, opts, recOver, 0)
+	runType1Bounce(t, eagerMax-hdrSize+1, opts, sinks{trace: recOver}, 0)
 	if n := countChunkRelay(recOver); n == 0 {
 		t.Fatal("wire size == EagerMax+1 did not take the chunked path")
 	}
@@ -128,9 +128,9 @@ func TestTransferEagerBoundary(t *testing.T) {
 // store-and-forward rendezvous it replaces at large sizes.
 func TestTransferChunkedFasterAndDeterministic(t *testing.T) {
 	const bytes = 65536
-	base := runType1Bounce(t, bytes, Options{}, nil, 0)
-	c1 := runType1Bounce(t, bytes, Options{Transfer: TransferOptions{ChunkSize: 8192}}, nil, 0)
-	c2 := runType1Bounce(t, bytes, Options{Transfer: TransferOptions{ChunkSize: 8192}}, nil, 0)
+	base := runType1Bounce(t, bytes, Options{}, sinks{}, 0)
+	c1 := runType1Bounce(t, bytes, Options{Transfer: TransferOptions{ChunkSize: 8192}}, sinks{}, 0)
+	c2 := runType1Bounce(t, bytes, Options{Transfer: TransferOptions{ChunkSize: 8192}}, sinks{}, 0)
 	if c1.vt != c2.vt {
 		t.Fatalf("chunked run not deterministic: %v vs %v", c1.vt, c2.vt)
 	}
@@ -150,7 +150,7 @@ func TestTransferLinkFaultMidStream(t *testing.T) {
 		return runType1Bounce(t, 65536, Options{
 			Faults:   fault.NewInjector(plan),
 			Transfer: TransferOptions{ChunkSize: 8192},
-		}, nil, 20*sim.Millisecond)
+		}, sinks{}, 20*sim.Millisecond)
 	}
 	r1 := once()
 	r2 := once()

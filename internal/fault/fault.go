@@ -140,6 +140,33 @@ type Counts struct {
 	ProcsKilled   int64 // processes killed by injection (directly or by node crash)
 }
 
+// Counter is one Counts field under its snake_case name, the name of its
+// fault/<name> metric and timeline series and of the scenario counter.
+type Counter struct {
+	Name string
+	// Of returns the field in c.
+	Of func(c *Counts) *int64
+}
+
+// Counters lists every Counts field, in struct-field order.
+var Counters = []Counter{
+	{"link_drops", func(c *Counts) *int64 { return &c.LinkDrops }},
+	{"link_corrupts", func(c *Counts) *int64 { return &c.LinkCorrupts }},
+	{"link_delays", func(c *Counts) *int64 { return &c.LinkDelays }},
+	{"retransmits", func(c *Counts) *int64 { return &c.Retransmits }},
+	{"dup_frames", func(c *Counts) *int64 { return &c.DupFrames }},
+	{"ack_drops", func(c *Counts) *int64 { return &c.AckDrops }},
+	{"give_ups", func(c *Counts) *int64 { return &c.GiveUps }},
+	{"give_up_drops", func(c *Counts) *int64 { return &c.GiveUpDrops }},
+	{"mailbox_drops", func(c *Counts) *int64 { return &c.MailboxDrops }},
+	{"mailbox_stalls", func(c *Counts) *int64 { return &c.MailboxStalls }},
+	{"mailbox_nacks", func(c *Counts) *int64 { return &c.MailboxNacks }},
+	{"mailbox_reposts", func(c *Counts) *int64 { return &c.MailboxReposts }},
+	{"op_timeouts", func(c *Counts) *int64 { return &c.OpTimeouts }},
+	{"channel_faults", func(c *Counts) *int64 { return &c.ChannelFaults }},
+	{"procs_killed", func(c *Counts) *int64 { return &c.ProcsKilled }},
+}
+
 // Injector executes a Plan against one run. Create one per run with
 // NewInjector, set OnEvent (the runtime's kill callbacks), then Arm it on
 // the kernel before the simulation starts.

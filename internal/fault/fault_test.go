@@ -1,8 +1,10 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unicode"
 
 	"cellpilot/internal/sim"
 )
@@ -188,5 +190,36 @@ func TestLogDeterminism(t *testing.T) {
 	got[0] = "mutated"
 	if in.Log()[0] == "mutated" {
 		t.Fatal("Log returned the internal slice")
+	}
+}
+
+// TestCountersTable: Counters names every int64 field of Counts exactly
+// once, in field order, under the field's snake_case name.
+func TestCountersTable(t *testing.T) {
+	var c Counts
+	v := reflect.ValueOf(&c).Elem()
+	i := 0
+	for f := 0; f < v.NumField(); f++ {
+		field := v.Type().Field(f)
+		if field.Type.Kind() != reflect.Int64 {
+			continue
+		}
+		if i >= len(Counters) {
+			t.Fatalf("Counts.%s has no Counters entry", field.Name)
+		}
+		var snake strings.Builder
+		for j, r := range field.Name {
+			if unicode.IsUpper(r) && j > 0 {
+				snake.WriteByte('_')
+			}
+			snake.WriteRune(unicode.ToLower(r))
+		}
+		if got := Counters[i]; got.Name != snake.String() || got.Of(&c) != v.Field(f).Addr().Interface().(*int64) {
+			t.Errorf("Counters[%d] = %q, want %q reading Counts.%s", i, got.Name, snake.String(), field.Name)
+		}
+		i++
+	}
+	if i != len(Counters) {
+		t.Errorf("Counters has %d entries, Counts %d int64 fields", len(Counters), i)
 	}
 }

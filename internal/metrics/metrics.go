@@ -270,13 +270,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 // LookupHistogram returns the named histogram, or nil.
 func (r *Registry) LookupHistogram(name string) *Histogram { return r.hists[name] }
 
-// LookupCounter returns an existing counter or nil, never creating one —
-// for read-only samplers that must not mutate the registry.
-func (r *Registry) LookupCounter(name string) *Counter { return r.counters[name] }
-
-// LookupGauge returns the named gauge, or nil.
-func (r *Registry) LookupGauge(name string) *Gauge { return r.gauges[name] }
-
 // GaugeNames reports the registered gauge names, sorted.
 func (r *Registry) GaugeNames() []string {
 	out := make([]string, 0, len(r.gauges))

@@ -38,7 +38,6 @@ const (
 type procProfile struct {
 	start   sim.Time
 	end     sim.Time
-	ended   bool
 	buckets map[string]sim.Time
 }
 
@@ -65,22 +64,12 @@ func (p *Profiler) proc(name string) *procProfile {
 	return pp
 }
 
-// ProcStart marks a process's lifetime beginning.
-func (p *Profiler) ProcStart(name string, at sim.Time) {
-	if p == nil {
-		return
-	}
-	p.proc(name).start = at
-}
-
-// ProcEnd marks a process's lifetime end.
-func (p *Profiler) ProcEnd(name string, at sim.Time) {
-	if p == nil {
-		return
-	}
+// SetLifetime records a process's [start, end] on the virtual timeline;
+// its compute bucket is the part no other bucket covers. The runtime sets
+// every lifetime once, when the run ends.
+func (p *Profiler) SetLifetime(name string, start, end sim.Time) {
 	pp := p.proc(name)
-	pp.end = at
-	pp.ended = true
+	pp.start, pp.end = start, end
 }
 
 // Attribute charges d of the process's time to the named bucket.
@@ -90,21 +79,6 @@ func (p *Profiler) Attribute(name, bucket string, d sim.Time) {
 		return
 	}
 	p.proc(name).buckets[bucket] += d
-}
-
-// Finish closes every process that never reported an end (service loops
-// such as Co-Pilots) at the given time, normally the simulation's final
-// virtual clock.
-func (p *Profiler) Finish(at sim.Time) {
-	if p == nil {
-		return
-	}
-	for _, pp := range p.procs {
-		if !pp.ended {
-			pp.end = at
-			pp.ended = true
-		}
-	}
 }
 
 // Procs returns the profiled process names, sorted.

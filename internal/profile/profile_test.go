@@ -12,13 +12,12 @@ import (
 
 func TestAttributionAndComputeRemainder(t *testing.T) {
 	p := New()
-	p.ProcStart("worker", 100)
 	p.Attribute("worker", BucketPack, 30)
 	p.Attribute("worker", BucketMPISend, 50)
 	p.Attribute("worker", BucketPack, 10) // accumulates
 	p.Attribute("worker", BucketCopy, 0)  // ignored
 	p.Attribute("worker", BucketCopy, -5) // ignored
-	p.ProcEnd("worker", 300)
+	p.SetLifetime("worker", 100, 300)
 
 	b := p.Buckets("worker")
 	if b[BucketPack] != 40 || b[BucketMPISend] != 50 {
@@ -39,41 +38,20 @@ func TestAttributionAndComputeRemainder(t *testing.T) {
 
 func TestOverAttributedClampsCompute(t *testing.T) {
 	p := New()
-	p.ProcStart("w", 0)
 	p.Attribute("w", BucketRelay, 500)
-	p.ProcEnd("w", 100) // attributed exceeds lifetime (overlapping phases)
+	p.SetLifetime("w", 0, 100) // attributed exceeds lifetime (overlapping phases)
 	b := p.Buckets("w")
 	if _, ok := b[BucketCompute]; ok {
 		t.Fatalf("negative compute surfaced: %v", b)
 	}
 }
 
-func TestFinishClosesOpenProcs(t *testing.T) {
-	p := New()
-	p.ProcStart("loop", 10)
-	p.Attribute("loop", BucketCoPilotService, 40)
-	p.Finish(110)
-	if b := p.Buckets("loop"); b[BucketCompute] != 60 {
-		t.Fatalf("buckets after Finish = %v", b)
-	}
-	// Finish must not reopen or move already-ended procs.
-	p2 := New()
-	p2.ProcStart("done", 0)
-	p2.ProcEnd("done", 50)
-	p2.Finish(1000)
-	if _, end, _ := p2.Lifetime("done"); end != 50 {
-		t.Fatalf("Finish moved an ended proc to %v", end)
-	}
-}
-
 func TestFoldedStacksFormat(t *testing.T) {
 	p := New()
-	p.ProcStart("b-proc", 0)
 	p.Attribute("b-proc", BucketMboxWait, 70)
-	p.ProcEnd("b-proc", 100)
-	p.ProcStart("a-proc", 0)
+	p.SetLifetime("b-proc", 0, 100)
 	p.Attribute("a-proc", BucketPack, 25)
-	p.ProcEnd("a-proc", 25) // fully attributed: no compute line
+	p.SetLifetime("a-proc", 0, 25) // fully attributed: no compute line
 	var buf bytes.Buffer
 	if err := p.FoldedStacks(&buf); err != nil {
 		t.Fatal(err)
@@ -86,10 +64,9 @@ func TestFoldedStacksFormat(t *testing.T) {
 
 func TestReportSortsByDuration(t *testing.T) {
 	p := New()
-	p.ProcStart("w", 0)
 	p.Attribute("w", BucketPack, 10)
 	p.Attribute("w", BucketMPIWait, 80)
-	p.ProcEnd("w", 100)
+	p.SetLifetime("w", 0, 100)
 	rep := p.Report()
 	if !strings.Contains(rep, "w (lifetime 100ns)") {
 		t.Fatalf("report header missing:\n%s", rep)
@@ -104,10 +81,7 @@ func TestReportSortsByDuration(t *testing.T) {
 
 func TestNilProfilerSafe(t *testing.T) {
 	var p *Profiler
-	p.ProcStart("x", 0)
-	p.ProcEnd("x", 1)
 	p.Attribute("x", BucketPack, 1)
-	p.Finish(2)
 	if p.Procs() != nil || p.Buckets("x") != nil {
 		t.Fatal("nil profiler is not inert")
 	}
@@ -121,10 +95,9 @@ func TestNilProfilerSafe(t *testing.T) {
 // manually), here we check the container and the embedded strings.
 func TestWritePprof(t *testing.T) {
 	p := New()
-	p.ProcStart("worker#0", 0)
 	p.Attribute("worker#0", BucketMboxWait, 700*sim.Microsecond)
 	p.Attribute("worker#0", BucketPack, 100*sim.Microsecond)
-	p.ProcEnd("worker#0", sim.Millisecond)
+	p.SetLifetime("worker#0", 0, sim.Millisecond)
 	var buf bytes.Buffer
 	if err := p.WritePprof(&buf); err != nil {
 		t.Fatal(err)

@@ -397,21 +397,9 @@ func checkFaults(out *Outcome, a Assertion) []string {
 }
 
 func addCounts(dst *fault.Counts, c fault.Counts) {
-	dst.LinkDrops += c.LinkDrops
-	dst.LinkCorrupts += c.LinkCorrupts
-	dst.LinkDelays += c.LinkDelays
-	dst.Retransmits += c.Retransmits
-	dst.DupFrames += c.DupFrames
-	dst.AckDrops += c.AckDrops
-	dst.GiveUps += c.GiveUps
-	dst.GiveUpDrops += c.GiveUpDrops
-	dst.MailboxDrops += c.MailboxDrops
-	dst.MailboxStalls += c.MailboxStalls
-	dst.MailboxNacks += c.MailboxNacks
-	dst.MailboxReposts += c.MailboxReposts
-	dst.OpTimeouts += c.OpTimeouts
-	dst.ChannelFaults += c.ChannelFaults
-	dst.ProcsKilled += c.ProcsKilled
+	for _, fc := range fault.Counters {
+		*fc.Of(dst) += *fc.Of(&c)
+	}
 }
 
 // checkBlame asserts that a stage owns a channel type's critical path.

@@ -545,81 +545,22 @@ func (s *Scenario) lowerFaults() *fault.Plan {
 // With a nil receiver it only answers whether the name is valid — the
 // decoder uses that to reject unknown counters at parse time.
 func counterValue(c *fault.Counts, name string) (int64, bool) {
-	var v int64
-	switch name {
-	case "link_drops":
-		if c != nil {
-			v = c.LinkDrops
+	for _, fc := range fault.Counters {
+		if fc.Name == name {
+			if c == nil {
+				return 0, true
+			}
+			return *fc.Of(c), true
 		}
-	case "link_corrupts":
-		if c != nil {
-			v = c.LinkCorrupts
-		}
-	case "link_delays":
-		if c != nil {
-			v = c.LinkDelays
-		}
-	case "retransmits":
-		if c != nil {
-			v = c.Retransmits
-		}
-	case "dup_frames":
-		if c != nil {
-			v = c.DupFrames
-		}
-	case "ack_drops":
-		if c != nil {
-			v = c.AckDrops
-		}
-	case "give_ups":
-		if c != nil {
-			v = c.GiveUps
-		}
-	case "give_up_drops":
-		if c != nil {
-			v = c.GiveUpDrops
-		}
-	case "mailbox_drops":
-		if c != nil {
-			v = c.MailboxDrops
-		}
-	case "mailbox_stalls":
-		if c != nil {
-			v = c.MailboxStalls
-		}
-	case "mailbox_nacks":
-		if c != nil {
-			v = c.MailboxNacks
-		}
-	case "mailbox_reposts":
-		if c != nil {
-			v = c.MailboxReposts
-		}
-	case "op_timeouts":
-		if c != nil {
-			v = c.OpTimeouts
-		}
-	case "channel_faults":
-		if c != nil {
-			v = c.ChannelFaults
-		}
-	case "procs_killed":
-		if c != nil {
-			v = c.ProcsKilled
-		}
-	default:
-		return 0, false
 	}
-	return v, true
+	return 0, false
 }
 
 // counterNames lists every valid fault-counter name, sorted.
 func counterNames() []string {
-	names := []string{
-		"link_drops", "link_corrupts", "link_delays",
-		"retransmits", "dup_frames", "ack_drops", "give_ups", "give_up_drops",
-		"mailbox_drops", "mailbox_stalls", "mailbox_nacks", "mailbox_reposts",
-		"op_timeouts", "channel_faults", "procs_killed",
+	names := make([]string, len(fault.Counters))
+	for i, fc := range fault.Counters {
+		names[i] = fc.Name
 	}
 	sort.Strings(names)
 	return names

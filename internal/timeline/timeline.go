@@ -46,9 +46,7 @@ const (
 	// Busy is cumulative busy time in virtual nanoseconds: the window
 	// holds delta ÷ window width — a utilization ratio. Busy time lands
 	// in the window whose events accrued it, so a long service slice
-	// completing in one window can push that window's ratio above 1;
-	// SetClamp caps such windows at 1 (the excess is dropped, not
-	// carried over).
+	// completing in one window can push that window's ratio above 1.
 	Busy
 )
 
@@ -126,7 +124,6 @@ type Recorder struct {
 	end       sim.Time // final clock reading, set by Finish
 	finished  bool
 	truncated bool
-	clamp     bool
 	faults    []FaultMark
 	scratch   Sample
 }
@@ -145,15 +142,6 @@ func New(window sim.Time) *Recorder {
 // recorder is attached; replacing it mid-run starts differentiating
 // cumulative kinds from each series' last seen raw value.
 func (r *Recorder) SetSampler(fn func(*Sample)) { r.sampler = fn }
-
-// SetClamp caps Busy series at a 1.0 utilization ratio per window.
-// Lumpy completions — a service slice longer than the window width
-// accruing in the window where it completes — can legitimately push a
-// Busy window above 1; clamping trades that fidelity for a
-// plot-friendly [0, 1] range. Off by default. Affects only windows
-// closed after the call, so set it before the run starts; Gauge and
-// Counter series are never clamped.
-func (r *Recorder) SetClamp(on bool) { r.clamp = on }
 
 // Observe is the kernel clock hook: it closes every window whose right
 // edge the clock has reached. Nil-receiver safe so callers can hold an
@@ -228,9 +216,6 @@ func (r *Recorder) closeWindow(width sim.Time) {
 		case Busy:
 			v = (raw - s.last) / float64(width)
 			s.last = raw
-			if r.clamp && v > 1 {
-				v = 1
-			}
 		default:
 			v = raw
 		}

@@ -275,41 +275,19 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.NoteFault(1, "x")
 }
 
-// SetClamp caps Busy windows at a 1.0 utilization ratio; off (the
-// default) an overlapping-span series can exceed 1, preserving goldens.
+// Busy windows are not clamped: an overlapping-span series can exceed 1,
+// and counters sampled alongside pass through untouched.
 func TestBusyClamp(t *testing.T) {
-	run := func(clamp bool) *Recorder {
-		busy := 0.0
-		r := New(100)
-		r.SetClamp(clamp)
-		r.SetSampler(func(s *Sample) {
-			s.Add("copilot/x/utilization", Busy, busy)
-			s.Add("net/bytes", Counter, busy) // counters are never clamped
-		})
-		busy = 150 // 150ns of busy in a 100ns window: ratio 1.5
-		r.Observe(100)
-		busy = 200 // 50ns more: ratio 0.5
-		r.Finish(200)
-		return r
-	}
-
-	checkVals(t, run(false), "copilot/x/utilization", []float64{1.5, 0.5})
-	clamped := run(true)
-	checkVals(t, clamped, "copilot/x/utilization", []float64{1, 0.5})
-	// Counter series pass through untouched under clamping.
-	checkVals(t, clamped, "net/bytes", []float64{150, 50})
-}
-
-// Clamping only affects windows closed after the call, so it can be
-// toggled mid-run without rewriting history.
-func TestClampAffectsOnlyLaterWindows(t *testing.T) {
 	busy := 0.0
 	r := New(100)
-	r.SetSampler(func(s *Sample) { s.Add("b", Busy, busy) })
-	busy = 150
-	r.Observe(100) // window 0 closes unclamped: 1.5
-	r.SetClamp(true)
-	busy = 350
-	r.Finish(200) // window 1 closes clamped: 2.0 -> 1
-	checkVals(t, r, "b", []float64{1.5, 1})
+	r.SetSampler(func(s *Sample) {
+		s.Add("copilot/x/utilization", Busy, busy)
+		s.Add("net/bytes", Counter, busy)
+	})
+	busy = 150 // 150ns of busy in a 100ns window: ratio 1.5
+	r.Observe(100)
+	busy = 200 // 50ns more: ratio 0.5
+	r.Finish(200)
+	checkVals(t, r, "copilot/x/utilization", []float64{1.5, 0.5})
+	checkVals(t, r, "net/bytes", []float64{150, 50})
 }

@@ -164,9 +164,7 @@ func (r *Recorder) flowEvents(tids map[string]int) []chromeEvent {
 // visits: chunk k's injection on the writer (or Co-Pilot) track arrows to
 // chunk k's drain on the reader side, so a pipelined stream reads as N
 // parallel arrows instead of one whole-transfer arrow. Flow ids pack the
-// stream id and chunk index so chunks of the same stream stay distinct;
-// sampling keeps or drops a stream's frames together with its other
-// phases (both filter on the same transfer id).
+// stream id and chunk index so chunks of the same stream stay distinct.
 func (r *Recorder) chunkFlowEvents(tids map[string]int) []chromeEvent {
 	type ckey struct {
 		stream int64

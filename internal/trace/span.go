@@ -129,14 +129,9 @@ type PhaseEvent struct {
 func (pe PhaseEvent) Dur() sim.Time { return pe.End - pe.Start }
 
 // RecordPhase appends a phase event, honouring the recorder's limit with
-// separate drop accounting from flat events, and the sampling rate set by
-// SetSampleEvery.
+// separate drop accounting from flat events.
 func (r *Recorder) RecordPhase(pe PhaseEvent) {
 	if r == nil {
-		return
-	}
-	if !r.sampledIn(pe.Xfer) {
-		r.sampledOut++
 		return
 	}
 	if r.limit > 0 && len(r.phases) >= r.limit {

@@ -197,3 +197,56 @@ func TestWriteChromeCounterEvents(t *testing.T) {
 		t.Fatalf("counter events = %d, want 3", counters)
 	}
 }
+
+// Flow events: a transfer whose phases run on several tracks is linked
+// with ph "s"/"f" arrows carrying the transfer id; single-track transfers
+// get none.
+func TestChromeFlowEvents(t *testing.T) {
+	r := NewRecorder(0)
+	r.RecordPhase(PhaseEvent{Xfer: 1, Phase: PhaseMailboxReq, Proc: "writer", Channel: 1,
+		Start: 0, End: 10})
+	r.RecordPhase(PhaseEvent{Xfer: 1, Phase: PhaseCoPilotService, Proc: "copilot", Channel: 1,
+		Start: 10, End: 30})
+	r.RecordPhase(PhaseEvent{Xfer: 1, Phase: PhaseMailboxWait, Proc: "reader", Channel: 1,
+		Start: 30, End: 50})
+	r.RecordPhase(PhaseEvent{Xfer: 2, Phase: PhasePack, Proc: "writer", Channel: 2,
+		Start: 60, End: 70}) // single track: no flow arrows
+
+	var buf bytes.Buffer
+	if err := r.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+			ID *int64 `json:"id"`
+			Bp string `json:"bp"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome output is not JSON: %v", err)
+	}
+	var starts, steps, finishes int
+	for _, ev := range doc.TraceEvents {
+		switch ev.Ph {
+		case "s", "t", "f":
+			if ev.ID == nil || *ev.ID != 1 {
+				t.Fatalf("flow event %+v does not carry transfer id 1", ev)
+			}
+			switch ev.Ph {
+			case "s":
+				starts++
+			case "t":
+				steps++
+			case "f":
+				finishes++
+				if ev.Bp != "e" {
+					t.Errorf("finishing flow event lacks bp=e: %+v", ev)
+				}
+			}
+		}
+	}
+	if starts != 1 || steps != 1 || finishes != 1 {
+		t.Fatalf("flow events s/t/f = %d/%d/%d, want 1/1/1", starts, steps, finishes)
+	}
+}

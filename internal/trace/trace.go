@@ -63,9 +63,6 @@ type Recorder struct {
 	phases        []PhaseEvent
 	phasesDropped int
 
-	sampleEvery int
-	sampledOut  int
-
 	counters []CounterPoint
 }
 
@@ -75,55 +72,9 @@ func NewRecorder(limit int) *Recorder {
 	return &Recorder{limit: limit}
 }
 
-// SetSampleEvery keeps only every n-th transfer (by transfer id): the
-// first of every n consecutive ids is retained, the rest are discarded
-// with accounting, bounding memory at millions of transfers while keeping
-// every phase of the retained transfers together. n <= 1 disables
-// sampling. Events without a transfer id (Xfer == 0) are always kept.
-// Sampling by id is deterministic, so repeated runs retain the same
-// transfers.
-func (r *Recorder) SetSampleEvery(n int) {
-	if r == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	r.sampleEvery = n
-}
-
-// SampleEvery reports the configured sampling rate (1 = keep everything).
-func (r *Recorder) SampleEvery() int {
-	if r == nil || r.sampleEvery < 1 {
-		return 1
-	}
-	return r.sampleEvery
-}
-
-// sampledIn reports whether a transfer id survives the sampling filter.
-func (r *Recorder) sampledIn(xfer int64) bool {
-	if r.sampleEvery <= 1 || xfer == 0 {
-		return true
-	}
-	return (xfer-1)%int64(r.sampleEvery) == 0
-}
-
-// SampledOut reports how many events the sampling filter discarded
-// (flat events and phase events combined).
-func (r *Recorder) SampledOut() int {
-	if r == nil {
-		return 0
-	}
-	return r.sampledOut
-}
-
 // Record appends an event, dropping it (with accounting) past the limit.
 func (r *Recorder) Record(ev Event) {
 	if r == nil {
-		return
-	}
-	if !r.sampledIn(ev.Xfer) {
-		r.sampledOut++
 		return
 	}
 	if r.limit > 0 && len(r.events) >= r.limit {
