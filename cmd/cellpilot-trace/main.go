@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,40 +30,54 @@ import (
 	"cellpilot/internal/trace"
 )
 
-// writeOut opens path for an exporter ("-" = stdout) and runs fn on it.
-func writeOut(path string, fn func(w io.Writer) error) {
-	f := os.Stdout
-	if path != "-" {
-		var err error
-		f, err = os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-	}
-	if err := fn(f); err != nil {
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func main() {
-	rounds := flag.Int("rounds", 5, "pingpong rounds per channel type")
-	events := flag.Int("events", 40, "timeline events to print")
-	chrome := flag.String("chrome", "", "write Chrome trace_event JSON to this file (\"-\" = stdout)")
-	jsonl := flag.String("json", "", "write the event timeline as JSON lines to this file (\"-\" = stdout)")
-	metricsOut := flag.String("metrics", "", "write the metric registry as JSON to this file (\"-\" = stdout)")
-	spans := flag.Int("spans", 10, "transfer spans to print")
-	top := flag.Bool("top", false, "print the per-process / per-channel-type utilization table")
-	critpathOn := flag.Bool("critpath", false, "print the critical-path blame report (per-stage service vs queueing)")
-	folded := flag.String("folded", "", "with -critpath: write folded critical-path stacks to this file (\"-\" = stdout)")
-	timelineOn := flag.Bool("timeline", false, "record and print the windowed telemetry timeline (sparklines, peaks, recovery)")
-	timelineWindow := flag.Duration("timeline-window", 0, "with -timeline: virtual-time bucket width (0 = 100µs)")
-	flowsOn := flag.Bool("flows", false, "record and print the flow observatory (node×node traffic heatmap, top-K flows, per-resource breakdown)")
-	flag.Parse()
+// writeOut opens path for an exporter ("-" = stdout) and runs fn on it.
+func writeOut(path string, stdout io.Writer, fn func(w io.Writer) error) error {
+	if path == "-" {
+		return fn(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// run is the command: it parses args, runs the demonstration application
+// and writes the report to stdout and every requested export to its file.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cellpilot-trace", flag.ContinueOnError)
+	rounds := fs.Int("rounds", 5, "pingpong rounds per channel type")
+	events := fs.Int("events", 40, "timeline events to print")
+	chrome := fs.String("chrome", "", "write Chrome trace_event JSON to this file (\"-\" = stdout)")
+	jsonl := fs.String("json", "", "write the event timeline as JSON lines to this file (\"-\" = stdout)")
+	metricsOut := fs.String("metrics", "", "write the metric registry as JSON to this file (\"-\" = stdout)")
+	spans := fs.Int("spans", 10, "transfer spans to print")
+	top := fs.Bool("top", false, "print the per-process / per-channel-type utilization table")
+	critpathOn := fs.Bool("critpath", false, "print the critical-path blame report (per-stage service vs queueing)")
+	folded := fs.String("folded", "", "with -critpath: write folded critical-path stacks to this file (\"-\" = stdout)")
+	timelineOn := fs.Bool("timeline", false, "record and print the windowed telemetry timeline (sparklines, peaks, recovery)")
+	timelineWindow := fs.Duration("timeline-window", 0, "with -timeline: virtual-time bucket width (0 = 100µs)")
+	flowsOn := fs.Bool("flows", false, "record and print the flow observatory (node×node traffic heatmap, top-K flows, per-resource breakdown)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	clu, err := cellpilot.NewCluster(cellpilot.ClusterSpec{CellNodes: 2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	app := cellpilot.NewApp(clu, cellpilot.Options{})
 	rec := cellpilot.NewTraceRecorder(0)
@@ -152,7 +167,7 @@ func main() {
 		}
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if tl != nil {
@@ -165,19 +180,23 @@ func main() {
 		rec.SetCounters(pts)
 	}
 	if *chrome != "" {
-		writeOut(*chrome, rec.WriteChrome)
+		if err := writeOut(*chrome, stdout, rec.WriteChrome); err != nil {
+			return err
+		}
 		if *chrome != "-" {
-			fmt.Printf("chrome trace written to %s (load in Perfetto or chrome://tracing)\n", *chrome)
+			fmt.Fprintf(stdout, "chrome trace written to %s (load in Perfetto or chrome://tracing)\n", *chrome)
 		}
 	}
 	if *jsonl != "" {
-		writeOut(*jsonl, rec.WriteJSONL)
+		if err := writeOut(*jsonl, stdout, rec.WriteJSONL); err != nil {
+			return err
+		}
 		if *jsonl != "-" {
-			fmt.Printf("event timeline written to %s\n", *jsonl)
+			fmt.Fprintf(stdout, "event timeline written to %s\n", *jsonl)
 		}
 	}
 	if *metricsOut != "" {
-		writeOut(*metricsOut, func(w io.Writer) error {
+		err := writeOut(*metricsOut, stdout, func(w io.Writer) error {
 			data, err := meter.Registry().MarshalJSON()
 			if err != nil {
 				return err
@@ -185,102 +204,108 @@ func main() {
 			_, err = w.Write(append(data, '\n'))
 			return err
 		})
+		if err != nil {
+			return err
+		}
 		if *metricsOut != "-" {
-			fmt.Printf("metrics written to %s\n", *metricsOut)
+			fmt.Fprintf(stdout, "metrics written to %s\n", *metricsOut)
 		}
 	}
 
-	fmt.Printf("timeline (first %d of %d events):\n", *events, len(rec.Events()))
+	fmt.Fprintf(stdout, "timeline (first %d of %d events):\n", *events, len(rec.Events()))
 	for i, ev := range rec.Events() {
 		if i >= *events {
 			break
 		}
-		fmt.Printf("  [%12s] %-7s ch=%-3d %5dB  %s\n", ev.At, ev.Kind, ev.Channel, ev.Bytes, ev.Proc)
+		fmt.Fprintf(stdout, "  [%12s] %-7s ch=%-3d %5dB  %s\n", ev.At, ev.Kind, ev.Channel, ev.Bytes, ev.Proc)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	allSpans := rec.Spans()
-	fmt.Printf("transfer spans (first %d of %d):\n", *spans, len(allSpans))
+	fmt.Fprintf(stdout, "transfer spans (first %d of %d):\n", *spans, len(allSpans))
 	for i, sp := range allSpans {
 		if i >= *spans {
 			break
 		}
-		fmt.Printf("  #%-4d ch=%-3d type%d %5dB %10s:", sp.ID, sp.Channel, sp.ChanType, sp.Bytes, sp.Dur())
+		fmt.Fprintf(stdout, "  #%-4d ch=%-3d type%d %5dB %10s:", sp.ID, sp.Channel, sp.ChanType, sp.Bytes, sp.Dur())
 		for _, ph := range sp.Phases {
-			fmt.Printf(" %s=%s", ph.Phase, ph.Dur())
+			fmt.Fprintf(stdout, " %s=%s", ph.Phase, ph.Dur())
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Println()
-	fmt.Print(rec.Summary())
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, rec.Summary())
+	fmt.Fprintln(stdout)
 	st := app.Stats()
-	fmt.Print(st)
+	fmt.Fprint(stdout, st)
 	if st.Timeline != nil {
-		fmt.Println()
-		fmt.Print(st.Timeline.String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, st.Timeline.String())
 	}
 	if st.Flows != nil {
-		fmt.Println()
-		fmt.Print(st.Flows.String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, st.Flows.String())
 	}
 	if *top {
-		fmt.Println()
-		printTop(st)
+		fmt.Fprintln(stdout)
+		printTop(stdout, st)
 	}
 	if *critpathOn && st.CritPath != nil {
-		fmt.Println()
-		fmt.Print(st.CritPath.Table())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, st.CritPath.Table())
 		if *folded != "" {
-			writeOut(*folded, st.CritPath.FoldedStacks)
+			if err := writeOut(*folded, stdout, st.CritPath.FoldedStacks); err != nil {
+				return err
+			}
 			if *folded != "-" {
-				fmt.Printf("folded critical-path stacks written to %s\n", *folded)
+				fmt.Fprintf(stdout, "folded critical-path stacks written to %s\n", *folded)
 			}
 		}
 	}
+	return nil
 }
 
 // printTop renders the utilization view: where each process's virtual
 // lifetime went, how loaded each channel type, Co-Pilot and interconnect
 // link ran.
-func printTop(st cellpilot.Stats) {
+func printTop(w io.Writer, st cellpilot.Stats) {
 	pct := func(part, total cellpilot.Time) float64 {
 		if total <= 0 {
 			return 0
 		}
 		return 100 * float64(part) / float64(total)
 	}
-	fmt.Println("top: per-process virtual-time utilization")
-	fmt.Printf("  %-28s %12s %8s %8s %8s %8s\n", "process", "lifetime", "compute", "read", "write", "mbox")
+	fmt.Fprintln(w, "top: per-process virtual-time utilization")
+	fmt.Fprintf(w, "  %-28s %12s %8s %8s %8s %8s\n", "process", "lifetime", "compute", "read", "write", "mbox")
 	for _, pt := range st.ProcTimes {
-		fmt.Printf("  %-28s %12s %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
+		fmt.Fprintf(w, "  %-28s %12s %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
 			pt.Process, pt.Total,
 			pct(pt.Compute, pt.Total), pct(pt.BlockedRead, pt.Total),
 			pct(pt.BlockedWrite, pt.Total), pct(pt.MailboxWait, pt.Total))
 	}
-	fmt.Println("top: per-channel-type load")
-	fmt.Printf("  %-6s %8s %10s %12s %12s %14s %8s\n",
+	fmt.Fprintln(w, "top: per-channel-type load")
+	fmt.Fprintf(w, "  %-6s %8s %10s %12s %12s %14s %8s\n",
 		"type", "ops", "bytes", "p50 lat", "p99 lat", "p50 bw", "backlog")
 	for _, ct := range st.ChannelTypes {
 		bw := "-"
 		if ct.BandwidthMBps != nil && ct.BandwidthMBps.Count() > 0 {
 			bw = fmt.Sprintf("%.1fMB/s", ct.BandwidthMBps.Quantile(0.5))
 		}
-		fmt.Printf("  %-6s %8d %10d %10.1fus %10.1fus %14s %8d\n",
+		fmt.Fprintf(w, "  %-6s %8d %10d %10.1fus %10.1fus %14s %8d\n",
 			ct.Type, ct.Ops, ct.Bytes,
 			ct.LatencyUs.Quantile(0.5), ct.LatencyUs.Quantile(0.99), bw, ct.BacklogHighWater)
 	}
-	fmt.Println("top: co-pilot service loops")
+	fmt.Fprintln(w, "top: co-pilot service loops")
 	for _, cp := range st.CoPilots {
-		fmt.Printf("  copilot@node%-2d busy %12s  %5.1f%% utilized  (%d reqs)\n",
+		fmt.Fprintf(w, "  copilot@node%-2d busy %12s  %5.1f%% utilized  (%d reqs)\n",
 			cp.Node, cp.Busy, 100*cp.Utilization, cp.WriteReqs+cp.ReadReqs)
 	}
-	fmt.Println("top: interconnect links")
+	fmt.Fprintln(w, "top: interconnect links")
 	for _, lu := range st.Links {
-		fmt.Printf("  %-6s busy %12s  %5.1f%% saturated\n", lu.Name, lu.Busy, 100*lu.Utilization)
+		fmt.Fprintf(w, "  %-6s busy %12s  %5.1f%% saturated\n", lu.Name, lu.Busy, 100*lu.Utilization)
 	}
-	fmt.Println("top: SPE mailbox high-water marks and MFC DMA engines")
+	fmt.Fprintln(w, "top: SPE mailbox high-water marks and MFC DMA engines")
 	for _, spe := range st.SPEs {
-		fmt.Printf("  %-28s in=%d/4 out=%d/1  mfc-dma busy %12s  %5.1f%% utilized\n",
+		fmt.Fprintf(w, "  %-28s in=%d/4 out=%d/1  mfc-dma busy %12s  %5.1f%% utilized\n",
 			spe.Process, spe.InMboxHighWater, spe.OutMboxHighWater, spe.DMABusy, 100*spe.DMAUtilization)
 	}
 }

@@ -130,9 +130,14 @@ type App struct {
 	// flight is the always-on bounded ring of recent phase events; its
 	// tail is stitched into fault diagnostics.
 	flight *trace.Flight
+	// tracks names every process and Co-Pilot track, indexed by the label
+	// the span sinks record in its place (see numberTracks); traceLbl maps
+	// each label to the span recorder's.
+	tracks   []string
+	traceLbl []trace.Label
 	// backoff accumulates per-process fault-repost time pending profiler
 	// attribution (see noteBackoff).
-	backoff map[string]sim.Time
+	backoff map[trace.Label]sim.Time
 
 	// Logf, when set, receives trace lines from Ctx.Log and SPECtx.Log
 	// prefixed with virtual time and process identity.
@@ -449,13 +454,16 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 		return fmt.Errorf("pilot: Run called twice")
 	}
 	a.phase = phaseExec
-	for _, p := range a.procs {
-		p.str = p.format()
-	}
 	// Freeze the observability sinks: everything recorded during the run
 	// goes through this snapshot, so writing the public fields after this
 	// point cannot race with recording (see SetTrace et al.).
 	a.obs = obsSinks{trace: a.Trace, meter: a.Metrics, prof: a.Profile, flight: a.flight, host: a.HostProf, tline: a.Timeline, flow: a.Flows}
+	a.tracks = make([]string, 0, len(a.procs)+len(a.Clu.Nodes))
+	for _, p := range a.procs {
+		p.str = p.format()
+		p.lbl = trace.Label(len(a.tracks))
+		a.tracks = append(a.tracks, p.str)
+	}
 	// Wire the host-cost profiler into the kernel's probe hooks. Guarded:
 	// a typed-nil assigned into the HostProbe interface would defeat the
 	// kernel's `host != nil` fast path.
@@ -463,10 +471,6 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 		a.K.SetHostProbe(a.obs.host)
 		a.Clu.Net.SetHostProf(a.obs.host)
 	}
-	// Wire the timeline recorder into the kernel's clock hook (guarded
-	// for the same typed-nil reason as the host probe).
-	a.installTimeline()
-
 	// Rank layout: regular processes first (PI_MAIN = 0), then Co-Pilots,
 	// then the deadlock service.
 	placements := make([]mpi.Placement, 0, len(a.regulars)+len(a.Clu.Nodes)+1)
@@ -490,8 +494,14 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 				label = fmt.Sprintf("copilot@%s/cell%d", n.Name, g)
 			}
 			placements = append(placements, mpi.Placement{Node: n.ID, Label: label})
+			a.tracks = append(a.tracks, label)
 		}
 	}
+	if len(a.tracks) > trace.MaxLabels {
+		return usageError(callerLoc(1), "PI_StartAll", "%d processes and Co-Pilots, more than the %d tracks the span log numbers",
+			len(a.tracks), trace.MaxLabels)
+	}
+	a.numberTracks()
 	svcRank := -1
 	if a.opts.DeadlockDetection {
 		svcRank = len(placements)
@@ -514,9 +524,10 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 	}
 
 	// Co-Pilot service processes, spawned in rank order (deterministic).
-	for _, key := range a.copilotOrder {
+	for i, key := range a.copilotOrder {
 		rank := a.copilotRank[key]
 		cp := newCopilot(a, key, world.Rank(rank))
+		cp.lbl = trace.Label(len(a.procs) + i)
 		a.copilots[key] = cp
 		label := world.Rank(rank).Label()
 		cp.proc = a.K.Spawn(label, func(sp *sim.Proc) {
@@ -555,6 +566,11 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 			body(ctx, p.index, p.arg)
 		})
 	}
+
+	// Wire the timeline recorder into the kernel's clock hook (guarded
+	// for the same typed-nil reason as the host probe), now that the
+	// Co-Pilots its series name exist.
+	a.installTimeline()
 
 	// Arm the fault injector last, so its events see the full process set.
 	if inj := a.opts.Faults; inj != nil {
@@ -658,7 +674,7 @@ func (a *App) record(p *sim.Proc, kind trace.Kind, proc *Process, ch *Channel, b
 		m.observeOp(ch.typ, bytes, dur)
 	}
 	if a.obs.trace != nil {
-		a.obs.trace.Record(trace.Event{At: p.Now(), Kind: kind, Proc: proc.String(), Channel: ch.id, Bytes: bytes, Xfer: xfer})
+		a.obs.trace.AddEvent(a.traceLbl[proc.lbl], trace.Event{At: p.Now(), Kind: kind, Channel: ch.id, Bytes: bytes, Xfer: xfer})
 	}
 	if kind == trace.KindRead {
 		a.flowDeliver(ch, bytes, dur)

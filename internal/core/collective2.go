@@ -84,7 +84,7 @@ func (c *Ctx) Scatter(b *Bundle, format string, data any) {
 		c.rank.TagNextXfer(xfer)
 		c.rank.SendVec(c.P, c.peerRank(ch.To), ch.tag(), hdr, wire[i*per:(i+1)*per])
 		c.app.reportSent(ch)
-		c.app.spanPhase(xfer, trace.PhaseMPISend, c.Self.String(), ch, per, sendStart, c.P.Now())
+		c.app.spanPhase(xfer, trace.PhaseMPISend, c.Self.lbl, ch, per, sendStart, c.P.Now())
 		c.Self.blocked[blockWrite] += c.P.Now() - sendStart
 		c.app.record(c.P, trace.KindWrite, c.Self, ch, per, xfer, c.P.Now()-sendStart)
 	}
@@ -129,7 +129,7 @@ func (c *Ctx) Reduce(b *Bundle, format string, op ReduceOp, out any) {
 			c.fail(loc, "PI_Reduce", "writer on %s sent %d bytes with a different format; expected %q (%d bytes)",
 				ch, size, format, per)
 		}
-		c.app.spanPhase(st.Xfer, trace.PhaseMPIWait, c.Self.String(), ch, size, waitStart, c.P.Now())
+		c.app.spanPhase(st.Xfer, trace.PhaseMPIWait, c.Self.lbl, ch, size, waitStart, c.P.Now())
 		c.Self.blocked[blockRead] += c.P.Now() - waitStart
 		c.app.record(c.P, trace.KindRead, c.Self, ch, size, st.Xfer, c.P.Now()-waitStart)
 		if i == 0 {

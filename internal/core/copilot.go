@@ -2,6 +2,7 @@ package core
 
 import (
 	"cellpilot/internal/fmtmsg"
+	"cellpilot/internal/metrics"
 	"cellpilot/internal/mpi"
 	"cellpilot/internal/sdk"
 	"cellpilot/internal/sim"
@@ -22,6 +23,7 @@ type copilot struct {
 	key    copilotKey
 	nodeID int
 	rank   *mpi.Rank
+	lbl    trace.Label // its label in the App's tracks
 	q      *sim.Queue[struct{}]
 	proc   *sim.Proc
 	dead   bool
@@ -44,6 +46,10 @@ type copilot struct {
 	// by elapsed virtual time it is the Co-Pilot's utilization.
 	busy sim.Time
 	life lifetime
+	// The Meter's entries for this Co-Pilot, looked up at its first
+	// request (see meterReq).
+	reqs        *metrics.Counter
+	wait, depth *metrics.Histogram
 }
 
 type speBinding struct {
@@ -209,8 +215,7 @@ func (cp *copilot) step(p *sim.Proc) bool {
 		}
 		p.Advance(cp.app.par.CoPilotDispatch)
 		req.svcEnd = p.Now()
-		cp.app.meterCopilotReq(cp.rank.Label(), decodeStart-post.postedAt,
-			cp.pendWrites.size()+cp.pendReads.size())
+		cp.meterReq(decodeStart-post.postedAt, cp.pendWrites.size()+cp.pendReads.size())
 		if op == opWrite {
 			cp.stats.WriteReqs++
 		} else {
@@ -412,7 +417,7 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 			p.Advance(cp.app.par.MemcpyTime(req.size))
 		}
 		copy(dst, src)
-		cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.rank.Label(), ch, req.size, copyStart, p.Now())
+		cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.lbl, ch, req.size, copyStart, p.Now())
 		cp.stats.Type4Copies++
 		cp.stats.Type4Bytes += int64(req.size)
 		cp.obsComplete(req)
@@ -439,11 +444,11 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 			p.Advance(cp.app.par.ShmCopyTime(req.size))
 			buf := append(append([]byte(nil), hdr...), win...)
 			cp.app.directBox(ch).Put(p, dbMsg{data: buf, xfer: req.xfer})
-			cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.rank.Label(), ch, req.size, relayStart, p.Now())
+			cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.lbl, ch, req.size, relayStart, p.Now())
 		} else {
 			cp.rank.TagNextXfer(req.xfer)
 			cp.rank.IsendVec(p, ch.To.rank, ch.tag(), hdr, win)
-			cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.rank.Label(), ch, req.size, relayStart, p.Now())
+			cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.lbl, ch, req.size, relayStart, p.Now())
 		}
 		cp.stats.RelayedBytes += int64(req.size)
 		cp.obsComplete(req)
@@ -460,7 +465,7 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 		relayStart := p.Now()
 		cp.rank.TagNextXfer(req.xfer)
 		cp.rank.IsendVec(p, cp.app.copilotRankFor(ch.To), ch.tag(), hdr, win)
-		cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.rank.Label(), ch, req.size, relayStart, p.Now())
+		cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.lbl, ch, req.size, relayStart, p.Now())
 		cp.stats.RelayedBytes += int64(req.size)
 		cp.obsComplete(req)
 		cp.notify(p, req, speStatusOK)
@@ -501,7 +506,7 @@ func (cp *copilot) tryRead(p *sim.Proc, req *speReq) bool {
 			copyStart := p.Now()
 			p.Advance(cp.app.par.ShmCopyTime(req.size))
 			copy(cp.lsWindow(p, req), msg.data[hdrSize:])
-			cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.rank.Label(), ch, req.size, copyStart, p.Now())
+			cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.lbl, ch, req.size, copyStart, p.Now())
 			cp.obsComplete(req)
 			cp.notify(p, req, speStatusOK)
 			return true
@@ -519,7 +524,7 @@ func (cp *copilot) tryRead(p *sim.Proc, req *speReq) bool {
 		win := cp.lsWindow(p, req)
 		recvStart := p.Now()
 		cp.rank.RecvIntoVec(p, src, ch.tag(), hdr[:], win)
-		cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.rank.Label(), ch, req.size, recvStart, p.Now())
+		cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.lbl, ch, req.size, recvStart, p.Now())
 		sig, size := parseHeader(hdr[:])
 		cp.validateIncoming(p, req, sig, size)
 		cp.obsComplete(req)
@@ -556,7 +561,7 @@ func (cp *copilot) streamWrite(p *sim.Proc, req *speReq, dst int) bool {
 			n := chunkLen(req.size, chunk, k)
 			d := par.ChunkDMATime(n)
 			st.dmaAt[k] = res.ReserveFor(d)
-			app.spanChunk(req.xfer, trace.PhaseChunkDMA, req.proc.String(), req.ch, n, st.dmaAt[k]-d, st.dmaAt[k], k)
+			app.spanChunk(req.xfer, trace.PhaseChunkDMA, req.proc.lbl, req.ch, n, st.dmaAt[k]-d, st.dmaAt[k], k)
 		}
 	}
 	st := req.stream
@@ -579,7 +584,7 @@ func (cp *copilot) streamWrite(p *sim.Proc, req *speReq, dst int) bool {
 	st.arrivals = append(st.arrivals, cp.rank.SendChunk(p, st.dst, req.ch.streamTag(), frame))
 	*fb = frame
 	fmtmsg.PutWireBuf(fb)
-	app.spanChunk(req.xfer, trace.PhaseChunkFrame, cp.rank.Label(), req.ch, n, injStart, p.Now(), st.next)
+	app.spanChunk(req.xfer, trace.PhaseChunkFrame, cp.lbl, req.ch, n, injStart, p.Now(), st.next)
 	inflight := 0
 	for _, a := range st.arrivals {
 		if a > p.Now() {
@@ -593,7 +598,7 @@ func (cp *copilot) streamWrite(p *sim.Proc, req *speReq, dst int) bool {
 		cp.nudge()
 		return false
 	}
-	app.spanPhase(req.xfer, trace.PhaseChunkRelay, cp.rank.Label(), req.ch, req.size, st.startAt, p.Now())
+	app.spanPhase(req.xfer, trace.PhaseChunkRelay, cp.lbl, req.ch, req.size, st.startAt, p.Now())
 	cp.stats.RelayedBytes += int64(req.size)
 	cp.obsComplete(req)
 	cp.notify(p, req, speStatusOK)
@@ -643,8 +648,8 @@ func (cp *copilot) streamRead(p *sim.Proc, req *speReq, src int) bool {
 		copy(win[rs.got*rs.chunk:], payload)
 		d := par.ChunkDMATime(len(payload))
 		rs.dmaDone = app.dmaRes(req.spe).ReserveFor(d)
-		app.spanChunk(req.xfer, trace.PhaseChunkFrame, cp.rank.Label(), req.ch, len(payload), drainStart, p.Now(), rs.got)
-		app.spanChunk(req.xfer, trace.PhaseChunkDMA, req.proc.String(), req.ch, len(payload), rs.dmaDone-d, rs.dmaDone, rs.got)
+		app.spanChunk(req.xfer, trace.PhaseChunkFrame, cp.lbl, req.ch, len(payload), drainStart, p.Now(), rs.got)
+		app.spanChunk(req.xfer, trace.PhaseChunkDMA, req.proc.lbl, req.ch, len(payload), rs.dmaDone-d, rs.dmaDone, rs.got)
 		rs.got++
 		app.noteStream(inflightRecv, rs.nchunks-rs.got)
 		if rs.got < rs.nchunks {
@@ -656,7 +661,7 @@ func (cp *copilot) streamRead(p *sim.Proc, req *speReq, src int) bool {
 		app.K.After(rs.dmaDone-now, cp.nudge)
 		return false
 	}
-	app.spanPhase(req.xfer, trace.PhaseChunkRelay, cp.rank.Label(), req.ch, req.size, rs.startAt, p.Now())
+	app.spanPhase(req.xfer, trace.PhaseChunkRelay, cp.lbl, req.ch, req.size, rs.startAt, p.Now())
 	cp.obsComplete(req)
 	cp.notify(p, req, speStatusOK)
 	return true

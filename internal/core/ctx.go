@@ -96,7 +96,7 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 	c.P.Advance(c.app.par.PilotOverhead + c.app.par.PackTime(len(wire)))
 	hdr := putHeader(spec.Signature(), len(wire))
 	xfer := c.app.newXfer()
-	self := c.Self.String()
+	self := c.Self.lbl
 	c.app.spanPhase(xfer, trace.PhasePack, self, ch, len(wire), opStart, c.P.Now())
 
 	if c.app.chunked(ch, len(wire)) {
@@ -215,7 +215,7 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 
 	opStart := c.P.Now()
 	deadline := c.app.opDeadline(opStart, timeout)
-	self := c.Self.String()
+	self := c.Self.lbl
 	var data []byte
 	var xfer int64
 	waitStart := c.P.Now()
@@ -365,7 +365,7 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 		arrivals = append(arrivals, c.rank.SendChunk(c.P, dst, stag, frame))
 		*fb = frame
 		fmtmsg.PutWireBuf(fb)
-		c.app.spanChunk(xfer, trace.PhaseChunkFrame, c.Self.String(), ch, n, injStart, c.P.Now(), k)
+		c.app.spanChunk(xfer, trace.PhaseChunkFrame, c.Self.lbl, ch, n, injStart, c.P.Now(), k)
 		inflight := 0
 		for _, a := range arrivals {
 			if a > c.P.Now() {
@@ -377,7 +377,7 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 	// The stream is buffered in flight regardless of the reader: tell the
 	// detector so a blocked read on ch is not treated as a wait.
 	c.app.reportSent(ch)
-	self := c.Self.String()
+	self := c.Self.lbl
 	c.app.spanPhase(xfer, trace.PhaseChunkRelay, self, ch, len(wire), sendStart, c.P.Now())
 	c.Self.blocked[blockWrite] += c.P.Now() - sendStart
 	c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-opStart)
@@ -392,7 +392,7 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expected int, opStart, deadline sim.Time, soft, useCtl bool, args ...any) error {
 	src := c.peerRank(ch.From)
 	stag := ch.streamTag()
-	self := c.Self.String()
+	self := c.Self.lbl
 	par := c.app.par
 	recvOne := func() ([]byte, mpi.Status, error) {
 		if useCtl {
@@ -580,7 +580,7 @@ func (c *Ctx) Broadcast(b *Bundle, format string, args ...any) {
 			c.rank.SendVec(c.P, c.peerRank(ch.To), ch.tag(), hdr, wire)
 		}
 		c.app.reportSent(ch)
-		c.app.spanPhase(xfer, trace.PhaseMPISend, c.Self.String(), ch, len(wire), sendStart, c.P.Now())
+		c.app.spanPhase(xfer, trace.PhaseMPISend, c.Self.lbl, ch, len(wire), sendStart, c.P.Now())
 		c.Self.blocked[blockWrite] += c.P.Now() - sendStart
 		c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-sendStart)
 	}
@@ -634,7 +634,7 @@ func (c *Ctx) Gather(b *Bundle, format string, out any) {
 		if len(data) < hdrSize {
 			c.fail(loc, "PI_Gather", "malformed message on %s", ch)
 		}
-		c.app.spanPhase(st.Xfer, trace.PhaseMPIWait, c.Self.String(), ch, len(data)-hdrSize, waitStart, c.P.Now())
+		c.app.spanPhase(st.Xfer, trace.PhaseMPIWait, c.Self.lbl, ch, len(data)-hdrSize, waitStart, c.P.Now())
 		c.Self.blocked[blockRead] += c.P.Now() - waitStart
 		c.app.record(c.P, trace.KindRead, c.Self, ch, len(data)-hdrSize, st.Xfer, c.P.Now()-waitStart)
 		sig, size := parseHeader(data)

@@ -107,29 +107,26 @@ func (a *App) newXfer() int64 {
 
 // spanPhase dispatches one transfer phase to every attached sink: the
 // always-on flight recorder, the optional span recorder, and the optional
-// virtual-time profiler.
-func (a *App) spanPhase(xfer int64, phase trace.PhaseKind, proc string, ch *Channel, bytes int, start, end sim.Time) {
+// virtual-time profiler. lbl is the executing track's label (see
+// numberTracks).
+func (a *App) spanPhase(xfer int64, phase trace.PhaseKind, lbl trace.Label, ch *Channel, bytes int, start, end sim.Time) {
 	if xfer == 0 {
 		return
 	}
-	pe := trace.PhaseEvent{
-		Xfer: xfer, Phase: phase, Proc: proc,
+	a.span(lbl, trace.PhaseEvent{
+		Xfer: xfer, Phase: phase,
 		Channel: ch.id, ChanType: int(ch.typ), Bytes: bytes,
 		Start: start, End: end,
-	}
-	a.obs.flight.Record(pe)
-	if a.obs.trace != nil {
-		a.obs.trace.RecordPhase(pe)
-	}
+	})
 	if a.obs.prof != nil {
-		a.profAttribute(pe)
+		a.profAttribute(lbl, phase, end-start)
 	}
 	// Flow observatory: a copy/relay span executed by a Co-Pilot is that
 	// hop's measured occupancy on behalf of the channel's flow.
 	if f := a.obs.flow; f != nil {
 		switch phase {
 		case trace.PhaseCopy, trace.PhaseRelay, trace.PhaseChunkRelay:
-			if strings.HasPrefix(proc, copilotLabelPrefix) {
+			if proc := a.tracks[lbl]; strings.HasPrefix(proc, copilotLabelPrefix) {
 				f.HopBusy(proc, a.flowInfo(ch).key, end-start)
 			}
 		}
@@ -138,77 +135,96 @@ func (a *App) spanPhase(xfer int64, phase trace.PhaseKind, proc string, ch *Chan
 
 // spanChunk dispatches one per-chunk annotation event (a chunk frame's
 // stack injection/drain, or its LS↔EA move on the MFC DMA engine). The
-// event carries the owning stream's id and the 1-based chunk index, so
+// event carries the 1-based chunk index (its stream is its transfer), so
 // Chrome flow events can link chunk k's injection to chunk k's drain and
 // the critical-path analyzer gets mfc-dma occupancy intervals.
 // Annotations are never fed to the profiler, whose buckets are exclusive
 // over primary stages only.
-func (a *App) spanChunk(xfer int64, phase trace.PhaseKind, proc string, ch *Channel, bytes int, start, end sim.Time, chunk int) {
+func (a *App) spanChunk(xfer int64, phase trace.PhaseKind, lbl trace.Label, ch *Channel, bytes int, start, end sim.Time, chunk int) {
 	if xfer == 0 {
 		return
 	}
-	pe := trace.PhaseEvent{
-		Xfer: xfer, Phase: phase, Proc: proc,
+	a.span(lbl, trace.PhaseEvent{
+		Xfer: xfer, Phase: phase,
 		Channel: ch.id, ChanType: int(ch.typ), Bytes: bytes,
-		Start: start, End: end,
-		Stream: xfer, Chunk: chunk + 1,
-	}
-	a.obs.flight.Record(pe)
+		Start: start, End: end, Chunk: chunk + 1,
+	})
+}
+
+// span stores one phase in the flight ring and the span recorder.
+func (a *App) span(lbl trace.Label, pe trace.PhaseEvent) {
+	a.obs.flight.Add(lbl, pe)
 	if a.obs.trace != nil {
-		a.obs.trace.RecordPhase(pe)
+		a.obs.trace.AddPhase(a.traceLbl[lbl], pe)
 	}
 }
 
-// profAttribute folds one phase into the profiler's exclusive buckets.
-// PhaseCoPilotWait is deliberately excluded: it spans the requester's
-// posting and waiting interval (already attributed on the SPE side), not
-// Co-Pilot execution. A PhaseMailboxReq that contains fault-protocol
-// reposts is split: the repost portion (noted by the stub via
-// noteBackoff) lands in fault-backoff, the remainder in mbox-req.
-func (a *App) profAttribute(pe trace.PhaseEvent) {
+// numberTracks hands the span sinks the App's track names once Run has
+// named every track: label i is a.tracks[i], processes by id first, then
+// Co-Pilots in rank order, so a phase records a number and never looks a
+// name up. The flight ring resolves labels through the same names; a span
+// recorder gets a mapping into its own table, which other Apps recording
+// into it share.
+func (a *App) numberTracks() {
+	a.flight.SetNames(a.tracks)
+	if rec := a.obs.trace; rec != nil {
+		a.traceLbl = make([]trace.Label, len(a.tracks))
+		for i, name := range a.tracks {
+			a.traceLbl[i] = rec.Intern(name)
+		}
+	}
+}
+
+// profAttribute folds one phase of duration d into the profiler's
+// exclusive buckets. PhaseCoPilotWait is deliberately excluded: it spans
+// the requester's posting and waiting interval (already attributed on the
+// SPE side), not Co-Pilot execution. A PhaseMailboxReq that contains
+// fault-protocol reposts is split: the repost portion (noted by the stub
+// via noteBackoff) lands in fault-backoff, the remainder in mbox-req.
+func (a *App) profAttribute(lbl trace.Label, phase trace.PhaseKind, d sim.Time) {
 	prof := a.obs.prof
-	d := pe.End - pe.Start
-	switch pe.Phase {
+	proc := a.tracks[lbl]
+	switch phase {
 	case trace.PhasePack:
-		prof.Attribute(pe.Proc, profile.BucketPack, d)
+		prof.Attribute(proc, profile.BucketPack, d)
 	case trace.PhaseMailboxReq:
-		if back := a.backoff[pe.Proc]; back > 0 {
-			delete(a.backoff, pe.Proc)
+		if back := a.backoff[lbl]; back > 0 {
+			delete(a.backoff, lbl)
 			if back > d {
 				back = d
 			}
-			prof.Attribute(pe.Proc, profile.BucketFaultBackoff, back)
+			prof.Attribute(proc, profile.BucketFaultBackoff, back)
 			d -= back
 		}
-		prof.Attribute(pe.Proc, profile.BucketMboxReq, d)
+		prof.Attribute(proc, profile.BucketMboxReq, d)
 	case trace.PhaseMailboxWait:
-		prof.Attribute(pe.Proc, profile.BucketMboxWait, d)
+		prof.Attribute(proc, profile.BucketMboxWait, d)
 	case trace.PhaseCoPilotService:
-		prof.Attribute(pe.Proc, profile.BucketCoPilotService, d)
+		prof.Attribute(proc, profile.BucketCoPilotService, d)
 	case trace.PhaseCopy:
-		prof.Attribute(pe.Proc, profile.BucketCopy, d)
+		prof.Attribute(proc, profile.BucketCopy, d)
 	case trace.PhaseRelay:
-		prof.Attribute(pe.Proc, profile.BucketRelay, d)
+		prof.Attribute(proc, profile.BucketRelay, d)
 	case trace.PhaseMPISend:
-		prof.Attribute(pe.Proc, profile.BucketMPISend, d)
+		prof.Attribute(proc, profile.BucketMPISend, d)
 	case trace.PhaseMPIWait:
-		prof.Attribute(pe.Proc, profile.BucketMPIWait, d)
+		prof.Attribute(proc, profile.BucketMPIWait, d)
 	case trace.PhaseChunkRelay:
-		prof.Attribute(pe.Proc, profile.BucketChunkRelay, d)
+		prof.Attribute(proc, profile.BucketChunkRelay, d)
 	}
 }
 
-// noteBackoff records that proc spent d of its current mailbox request in
-// the fault-protocol repost loop, so the profiler can attribute it to
-// fault-backoff instead of mbox-req.
-func (a *App) noteBackoff(proc string, d sim.Time) {
+// noteBackoff records that the process labelled lbl spent d of its
+// current mailbox request in the fault-protocol repost loop, so the
+// profiler can attribute it to fault-backoff instead of mbox-req.
+func (a *App) noteBackoff(lbl trace.Label, d sim.Time) {
 	if a.obs.prof == nil || d <= 0 {
 		return
 	}
 	if a.backoff == nil {
-		a.backoff = map[string]sim.Time{}
+		a.backoff = map[trace.Label]sim.Time{}
 	}
-	a.backoff[proc] += d
+	a.backoff[lbl] += d
 }
 
 // observeOp samples one completed channel operation (read or write side)
@@ -223,19 +239,25 @@ func (m *Meter) observeOp(t ChannelType, bytes int, dur sim.Time) {
 	}
 }
 
-// meterCopilotReq records one decoded Co-Pilot request: how long it sat
-// between the SPE posting it and the Co-Pilot decoding it (mailbox
-// transfer + polling quantization + service-queue wait), and the queue
-// depth found at decode time.
-func (a *App) meterCopilotReq(label string, wait sim.Time, depth int) {
-	m := a.obs.meter
+// meterReq records one decoded Co-Pilot request: how long it sat between
+// the SPE posting it and the Co-Pilot decoding it (mailbox transfer +
+// polling quantization + service-queue wait), and the queue depth found
+// at decode time. The Co-Pilot's meter entries are looked up at its first
+// request, so the registry holds them exactly when a request was metered.
+func (cp *copilot) meterReq(wait sim.Time, depth int) {
+	m := cp.app.obs.meter
 	if m == nil {
 		return
 	}
-	prefix := "copilot/" + label
-	m.reg.Counter(prefix + "/requests").Inc()
-	m.reg.Histogram(prefix+"/queue_wait_us", latencyBucketsUs).Observe(wait.Micros())
-	m.reg.Histogram(prefix+"/queue_depth", depthBuckets).Observe(float64(depth))
+	if cp.reqs == nil {
+		prefix := "copilot/" + cp.rank.Label()
+		cp.reqs = m.reg.Counter(prefix + "/requests")
+		cp.wait = m.reg.Histogram(prefix+"/queue_wait_us", latencyBucketsUs)
+		cp.depth = m.reg.Histogram(prefix+"/queue_depth", depthBuckets)
+	}
+	cp.reqs.Inc()
+	cp.wait.Observe(wait.Micros())
+	cp.depth.Observe(float64(depth))
 }
 
 // spePost is the side-band record of an SPE's in-flight mailbox request.
@@ -279,9 +301,8 @@ func (a *App) speTakeDone(p *Process) int64 {
 func (cp *copilot) obsComplete(req *speReq) {
 	a := cp.app
 	if req.xfer != 0 {
-		lbl := cp.rank.Label()
-		a.spanPhase(req.xfer, trace.PhaseCoPilotWait, lbl, req.ch, req.size, req.postedAt, req.decodeAt)
-		a.spanPhase(req.xfer, trace.PhaseCoPilotService, lbl, req.ch, req.size, req.decodeAt, req.svcEnd)
+		a.spanPhase(req.xfer, trace.PhaseCoPilotWait, cp.lbl, req.ch, req.size, req.postedAt, req.decodeAt)
+		a.spanPhase(req.xfer, trace.PhaseCoPilotService, cp.lbl, req.ch, req.size, req.decodeAt, req.svcEnd)
 	}
 	if req.op == opRead {
 		// A reading stub learns its transfer's id only here, from the

@@ -5,6 +5,7 @@ import (
 
 	"cellpilot/internal/sdk"
 	"cellpilot/internal/sim"
+	"cellpilot/internal/trace"
 )
 
 // Kind distinguishes regular Pilot processes (MPI ranks on PPEs or
@@ -72,8 +73,9 @@ type Process struct {
 
 	// str is String's text, fixed when Run leaves the configuration phase
 	// (placement can change until then: CreateProcessOn sets nodeID after
-	// CreateProcess).
+	// CreateProcess), and lbl is its label in the App's tracks.
 	str string
+	lbl trace.Label
 
 	// The process's lifetime and its blocked virtual time by kind, kept
 	// by core whatever sinks are attached; Stats().ProcTimes and the

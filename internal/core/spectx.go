@@ -95,7 +95,7 @@ func (c *SPECtx) postDesc(loc, api string, op speOpcode, ch *Channel, lsAddr uin
 	repostFrom := sim.Time(-1)
 	defer func() {
 		if repostFrom >= 0 {
-			c.app.noteBackoff(c.Self.String(), c.P.Now()-repostFrom)
+			c.app.noteBackoff(c.Self.lbl, c.P.Now()-repostFrom)
 		}
 	}()
 	for attempt := 0; ; attempt++ {
@@ -238,7 +238,7 @@ func (c *SPECtx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft 
 	}
 	c.P.Advance(c.app.par.SPEStubOverhead + c.app.par.PackTime(len(wire)))
 	xfer := c.app.newXfer()
-	c.app.spanPhase(xfer, trace.PhasePack, c.Self.String(), ch, len(wire), packStart, c.P.Now())
+	c.app.spanPhase(xfer, trace.PhasePack, c.Self.lbl, ch, len(wire), packStart, c.P.Now())
 	ls := c.sctx.SPE.LS
 	lsAddr, err := ls.Alloc("PI_Write buffer", len(wire), 16)
 	if err != nil {
@@ -309,7 +309,7 @@ func (c *SPECtx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft 
 	} else {
 		c.app.reportSent(ch) // eager relay: in flight regardless of reader
 	}
-	self := c.Self.String()
+	self := c.Self.lbl
 	c.app.spanPhase(xfer, trace.PhaseMailboxReq, self, ch, len(wire), postStart, postEnd)
 	c.app.spanPhase(xfer, trace.PhaseMailboxWait, self, ch, len(wire), postEnd, c.P.Now())
 	c.Self.blocked[blockMailbox] += c.P.Now() - postStart
@@ -433,7 +433,7 @@ func (c *SPECtx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft b
 	if err != nil {
 		c.fail(loc, api, "%v", err)
 	}
-	self := c.Self.String()
+	self := c.Self.lbl
 	c.app.spanPhase(xfer, trace.PhaseMailboxReq, self, ch, expected, postStart, postEnd)
 	c.app.spanPhase(xfer, trace.PhaseMailboxWait, self, ch, expected, postEnd, waitEnd)
 	c.app.spanPhase(xfer, trace.PhasePack, self, ch, expected, waitEnd, c.P.Now())

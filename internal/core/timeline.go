@@ -5,17 +5,43 @@ import (
 	"cellpilot/internal/timeline"
 )
 
+// tlNames are the timeline series names that depend on the run's
+// topology, built once when Run starts instead of on every sample.
+type tlNames struct {
+	copilots []string // utilization, by copilotOrder
+	links    []string // saturation, by node
+	spes     []*Process
+	mailbox  []string // in-mailbox high-water, by spes
+	// routes are the flow observatory's routes seen so far and flows
+	// their series names; both grow when a new route appears.
+	routes, flows []string
+}
+
 // installTimeline wires the timeline recorder into the kernel's clock
-// hook. Like every sink, the recorder only reads: the sampler walks live
-// runtime state (Co-Pilot busy time, link occupancy, channel backlog,
-// fault counters) without scheduling anything, so an attached timeline
-// cannot move a single virtual timestamp.
+// hook and builds the series names. Like every sink, the recorder only
+// reads: the sampler walks live runtime state (Co-Pilot busy time, link
+// occupancy, channel backlog, fault counters) without scheduling anything,
+// so an attached timeline cannot move a single virtual timestamp. Run
+// calls it once the Co-Pilots exist.
 func (a *App) installTimeline() {
 	tl := a.obs.tline
 	if tl == nil {
 		return
 	}
-	tl.SetSampler(a.timelineSample)
+	n := &tlNames{}
+	for _, key := range a.copilotOrder {
+		n.copilots = append(n.copilots, "copilot/"+a.copilots[key].rank.Label()+"/utilization")
+	}
+	for _, ls := range a.Clu.Net.LinkStats() {
+		n.links = append(n.links, "link/"+ls.Name+"/saturation")
+	}
+	for _, p := range a.procs {
+		if p.IsSPE() {
+			n.spes = append(n.spes, p)
+			n.mailbox = append(n.mailbox, "mailbox/"+p.String()+"/in_highwater")
+		}
+	}
+	tl.SetSampler(func(s *timeline.Sample) { a.timelineSample(s, n) })
 	a.K.SetClockHook(tl.Observe)
 }
 
@@ -23,13 +49,12 @@ func (a *App) installTimeline() {
 // core whatever sinks are attached. Series names follow the metrics
 // registry's naming where a registry counterpart exists, so the timeline
 // and /metrics.json speak the same vocabulary.
-func (a *App) timelineSample(s *timeline.Sample) {
-	for _, key := range a.copilotOrder {
-		cp := a.copilots[key]
-		s.Add("copilot/"+cp.rank.Label()+"/utilization", timeline.Busy, float64(cp.busy))
+func (a *App) timelineSample(s *timeline.Sample, n *tlNames) {
+	for i, key := range a.copilotOrder {
+		s.Add(n.copilots[i], timeline.Busy, float64(a.copilots[key].busy))
 	}
-	for _, ls := range a.Clu.Net.LinkStats() {
-		s.Add("link/"+ls.Name+"/saturation", timeline.Busy, float64(ls.Busy))
+	for i, name := range n.links {
+		s.Add(name, timeline.Busy, float64(a.Clu.Net.LinkBusy(i)))
 	}
 	msgs, bytes := a.Clu.Net.Stats()
 	s.Add("net/bytes", timeline.Counter, float64(bytes))
@@ -38,13 +63,20 @@ func (a *App) timelineSample(s *timeline.Sample) {
 		// Per-route delivered-byte counters. RouteNames is sorted, so
 		// series creation order — and with it the timeline fingerprint —
 		// is deterministic.
-		for _, r := range f.RouteNames() {
-			s.Add("flow/"+r, timeline.Counter, float64(f.RouteBytes(r)))
+		if f.RouteCount() != len(n.routes) {
+			n.routes = f.RouteNames()
+			n.flows = n.flows[:0]
+			for _, r := range n.routes {
+				n.flows = append(n.flows, "flow/"+r)
+			}
+		}
+		for i, r := range n.routes {
+			s.Add(n.flows[i], timeline.Counter, float64(f.RouteBytes(r)))
 		}
 	}
-	for _, p := range a.procs {
-		if p.IsSPE() && p.sctx != nil {
-			s.Add("mailbox/"+p.String()+"/in_highwater", timeline.Gauge, float64(p.sctx.SPE.InMbox.HighWater()))
+	for i, p := range n.spes {
+		if p.sctx != nil {
+			s.Add(n.mailbox[i], timeline.Gauge, float64(p.sctx.SPE.InMbox.HighWater()))
 		}
 	}
 	total := 0

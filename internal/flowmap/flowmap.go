@@ -326,6 +326,14 @@ func (m *Map) RouteNames() []string {
 	return out
 }
 
+// RouteCount returns how many routes RouteNames would list.
+func (m *Map) RouteCount() int {
+	if m == nil {
+		return 0
+	}
+	return len(m.routes)
+}
+
 // RouteBytes returns the cumulative bytes delivered over one route.
 func (m *Map) RouteBytes(route string) int64 {
 	if m == nil {

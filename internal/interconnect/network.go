@@ -154,6 +154,10 @@ type LinkStat struct {
 	Busy sim.Time
 }
 
+// LinkBusy reports one node's NIC cumulative busy time, as LinkStats does
+// for every node, without building a slice.
+func (n *Network) LinkBusy(node int) sim.Time { return n.tx[node].Busy() }
+
 // LinkStats reports per-NIC cumulative busy time, in node order. Divided
 // by elapsed virtual time it gives each link's saturation.
 func (n *Network) LinkStats() []LinkStat {

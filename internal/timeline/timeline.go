@@ -104,12 +104,45 @@ type FaultMark struct {
 	Label string
 }
 
+// series holds one series' window values. Until a window reads other
+// than zero it keeps only their count: a series that is zero throughout a
+// run, or that appears mid-run, holds no slice of zeros.
 type series struct {
-	name string
-	kind Kind
-	last float64 // previous cumulative raw (Counter/Busy differentiation)
-	gen  int     // last window generation this series was sampled in
-	vals []float64
+	name  string
+	kind  Kind
+	last  float64 // previous cumulative raw (Counter/Busy differentiation)
+	gen   int     // last window generation this series was sampled in
+	zeros int     // leading windows that read zero
+	vals  []float64
+}
+
+// add appends one window's value. Only +0 counts as a leading zero, so
+// every value keeps its exact bits.
+func (s *series) add(v float64) {
+	if len(s.vals) == 0 && math.Float64bits(v) == 0 {
+		s.zeros++
+		return
+	}
+	s.vals = append(s.vals, v)
+}
+
+// values returns every window's value, in a new slice (nil before the
+// first window).
+func (s *series) values() []float64 {
+	if s.zeros+len(s.vals) == 0 {
+		return nil
+	}
+	out := make([]float64, s.zeros+len(s.vals))
+	copy(out[s.zeros:], s.vals)
+	return out
+}
+
+// at returns window w's value.
+func (s *series) at(w int) float64 {
+	if w < s.zeros {
+		return 0
+	}
+	return s.vals[w-s.zeros]
 }
 
 // Recorder accumulates windowed series. The zero value is not usable; use
@@ -193,10 +226,9 @@ func (r *Recorder) closeWindow(width sim.Time) {
 	for i, name := range r.scratch.names {
 		s := r.series[name]
 		if s == nil {
-			s = &series{name: name, kind: r.scratch.kinds[i]}
-			// Series appearing mid-run backfill zero for every window
-			// closed before their first sample.
-			s.vals = make([]float64, r.closed, r.closed+1)
+			// Series appearing mid-run read zero for every window closed
+			// before their first sample.
+			s = &series{name: name, kind: r.scratch.kinds[i], zeros: r.closed}
 			r.series[name] = s
 			at := sort.SearchStrings(r.names, name)
 			r.names = append(r.names, "")
@@ -219,13 +251,13 @@ func (r *Recorder) closeWindow(width sim.Time) {
 		default:
 			v = raw
 		}
-		s.vals = append(s.vals, v)
+		s.add(v)
 	}
 	// Series the sampler skipped this window record zero.
 	for _, name := range r.names {
 		if s := r.series[name]; s.gen != r.gen {
 			s.gen = r.gen
-			s.vals = append(s.vals, 0)
+			s.add(0)
 		}
 	}
 	r.closed++
@@ -278,7 +310,8 @@ func (r *Recorder) Range(name string, from, to sim.Time) ([]float64, bool) {
 	if from > 0 {
 		lo = int(from / r.window)
 	}
-	hi := len(s.vals)
+	vals := s.values()
+	hi := len(vals)
 	if to > 0 {
 		h := int((to + r.window - 1) / r.window)
 		if h < hi {
@@ -288,7 +321,7 @@ func (r *Recorder) Range(name string, from, to sim.Time) ([]float64, bool) {
 	if lo >= hi {
 		return nil, true
 	}
-	return s.vals[lo:hi], true
+	return vals[lo:hi], true
 }
 
 // Recovery measures how long one series took to settle after a fault at
@@ -299,27 +332,31 @@ func (r *Recorder) Range(name string, from, to sim.Time) ([]float64, bool) {
 // in zero time; a disturbance that never settles returns false.
 func (r *Recorder) Recovery(name string, at sim.Time) (sim.Time, bool) {
 	s := r.series[name]
-	if s == nil || len(s.vals) == 0 {
+	if s == nil {
+		return 0, false
+	}
+	vals := s.values()
+	if len(vals) == 0 {
 		return 0, false
 	}
 	fw := int(at / r.window)
 	if fw < 0 {
 		fw = 0
 	}
-	if fw >= len(s.vals) {
+	if fw >= len(vals) {
 		return 0, false
 	}
 	base := 0.0
 	if fw > 0 {
-		base = mean(s.vals[:fw])
+		base = mean(vals[:fw])
 	}
 	thresh := base + math.Max(recoveryTolerance*base, 1e-9)
 	disturbed := false
-	for w := fw; w < len(s.vals); w++ {
+	for w := fw; w < len(vals); w++ {
 		switch {
-		case !disturbed && s.vals[w] > thresh:
+		case !disturbed && vals[w] > thresh:
 			disturbed = true
-		case disturbed && s.vals[w] <= thresh:
+		case disturbed && vals[w] <= thresh:
 			d := r.windowEnd(w) - at
 			if d < 0 {
 				d = 0
@@ -408,22 +445,22 @@ func (r *Recorder) Report() *Report {
 }
 
 func (r *Recorder) seriesStats(s *series) SeriesStats {
-	st := SeriesStats{Name: s.name, Kind: s.kind.String()}
-	st.Values = append([]float64(nil), s.vals...)
-	if len(s.vals) == 0 {
+	vals := s.values()
+	st := SeriesStats{Name: s.name, Kind: s.kind.String(), Values: vals}
+	if len(vals) == 0 {
 		return st
 	}
 	peakW := 0
-	for w, v := range s.vals {
-		if v > s.vals[peakW] {
+	for w, v := range vals {
+		if v > vals[peakW] {
 			peakW = w
 		}
 	}
-	st.Peak = s.vals[peakW]
+	st.Peak = vals[peakW]
 	st.PeakAt = r.windowStart(peakW)
-	st.Mean = mean(s.vals)
-	st.P95 = p95(s.vals)
-	st.Bursts, st.LongestBurst = bursts(s.vals, st.Mean)
+	st.Mean = mean(vals)
+	st.P95 = p95(vals)
+	st.Bursts, st.LongestBurst = bursts(vals, st.Mean)
 	return st
 }
 
@@ -473,7 +510,7 @@ func (r *Recorder) Points() []Point {
 	for w := 0; w < r.closed; w++ {
 		at := r.windowEnd(w)
 		for _, name := range r.names {
-			out = append(out, Point{At: at, Series: name, Value: r.series[name].vals[w]})
+			out = append(out, Point{At: at, Series: name, Value: r.series[name].at(w)})
 		}
 	}
 	return out
@@ -493,7 +530,7 @@ func (r *Recorder) Fingerprint() string {
 		s := r.series[name]
 		st := r.seriesStats(s)
 		fmt.Fprintf(&b, "series %s kind=%s peak=%s peak_at_ns=%d mean=%s p95=%s bursts=%d vals=%016x\n",
-			name, s.kind, fnum(st.Peak), st.PeakAt, fnum(st.Mean), fnum(st.P95), st.Bursts, valsHash(s.vals))
+			name, s.kind, fnum(st.Peak), st.PeakAt, fnum(st.Mean), fnum(st.P95), st.Bursts, valsHash(st.Values))
 	}
 	for _, f := range r.faults {
 		fmt.Fprintf(&b, "fault at_ns=%d label=%q\n", f.At, f.Label)

@@ -2,6 +2,8 @@ package timeline
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -290,4 +292,60 @@ func TestBusyClamp(t *testing.T) {
 	r.Finish(200)
 	checkVals(t, r, "copilot/x/utilization", []float64{1.5, 0.5})
 	checkVals(t, r, "net/bytes", []float64{150, 50})
+}
+
+// TestZeroSeriesHoldCount: a series holds only a count of its leading zero
+// windows — none of the values of a series that never leaves zero — and
+// every reader still sees each window's value with its exact bits.
+func TestZeroSeriesHoldCount(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	script := map[string][]float64{
+		"quiet":   {0, 0, 0, 0, 0, 0, 0, 0},
+		"late":    {0, 0, 0, 0, 0, 6, 6, 7}, // first sampled in window 5
+		"negzero": {negZero, 0, 2, 0, 0, 0, 0, 0},
+		"wave":    {0, 0, 3, 0, 5, 0, 0, 0},
+	}
+	w := 0
+	r := New(10)
+	r.SetSampler(func(s *Sample) {
+		for name, vals := range script {
+			if name != "late" || w >= 5 {
+				s.Add(name, Gauge, vals[w])
+			}
+		}
+		w++
+	})
+	for i := 1; i <= 8; i++ {
+		r.Observe(sim.Time(i) * 10)
+	}
+	r.Finish(80)
+	if s := r.series["quiet"]; s.vals != nil || s.zeros != 8 {
+		t.Fatalf("all-zero series holds %d values and %d zeros, want none and 8", len(s.vals), s.zeros)
+	}
+	points := map[string][]float64{}
+	for _, p := range r.Points() {
+		points[p.Series] = append(points[p.Series], p.Value)
+	}
+	report := map[string][]float64{}
+	for _, st := range r.Report().Series {
+		report[st.Name] = st.Values
+	}
+	fp := r.Fingerprint()
+	for name, want := range script {
+		got, _ := r.Range(name, 0, 0)
+		for reader, vals := range map[string][]float64{"Range": got, "Points": points[name], "Report": report[name]} {
+			if len(vals) != len(want) {
+				t.Fatalf("%s(%q) has %d windows, want %d", reader, name, len(vals), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
+					t.Errorf("%s(%q) window %d = %v, want %v", reader, name, i, vals[i], want[i])
+				}
+			}
+		}
+		if line := fmt.Sprintf("series %s kind=gauge", name); !strings.Contains(fp, line) ||
+			!strings.Contains(fp, fmt.Sprintf("vals=%016x", valsHash(want))) {
+			t.Errorf("fingerprint does not bind %q's values:\n%s", name, fp)
+		}
+	}
 }

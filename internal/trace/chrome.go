@@ -39,11 +39,12 @@ func usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
 func (r *Recorder) WriteChrome(w io.Writer) error {
 	// Deterministic track table: every proc seen in a phase or event, in
 	// sorted order.
+	phases, flat := r.Phases(), r.Events()
 	seen := map[string]bool{}
-	for _, pe := range r.phases {
+	for _, pe := range phases {
 		seen[pe.Proc] = true
 	}
-	for _, ev := range r.events {
+	for _, ev := range flat {
 		seen[ev.Proc] = true
 	}
 	names := make([]string, 0, len(seen))
@@ -52,7 +53,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	}
 	sort.Strings(names)
 	tids := make(map[string]int, len(names))
-	events := make([]chromeEvent, 0, 2*len(names)+len(r.phases)+len(r.events))
+	events := make([]chromeEvent, 0, 2*len(names)+len(phases)+len(flat))
 	for i, name := range names {
 		tid := i + 1
 		tids[name] = tid
@@ -63,7 +64,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 				Args: map[string]any{"sort_index": tid}},
 		)
 	}
-	for _, pe := range r.phases {
+	for _, pe := range phases {
 		dur := usec(pe.End - pe.Start)
 		name := fmt.Sprintf("%s ch%d", pe.Phase, pe.Channel)
 		args := map[string]any{
@@ -84,8 +85,8 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		})
 	}
 	events = append(events, r.flowEvents(tids)...)
-	events = append(events, r.chunkFlowEvents(tids)...)
-	for _, ev := range r.events {
+	events = append(events, chunkFlowEvents(phases, tids)...)
+	for _, ev := range flat {
 		events = append(events, chromeEvent{
 			Name: fmt.Sprintf("%s ch%d", ev.Kind, ev.Channel),
 			Cat:  "event",
@@ -165,14 +166,14 @@ func (r *Recorder) flowEvents(tids map[string]int) []chromeEvent {
 // chunk k's drain on the reader side, so a pipelined stream reads as N
 // parallel arrows instead of one whole-transfer arrow. Flow ids pack the
 // stream id and chunk index so chunks of the same stream stay distinct.
-func (r *Recorder) chunkFlowEvents(tids map[string]int) []chromeEvent {
+func chunkFlowEvents(phases []PhaseEvent, tids map[string]int) []chromeEvent {
 	type ckey struct {
 		stream int64
 		chunk  int
 	}
 	frames := map[ckey][]PhaseEvent{}
 	var keys []ckey
-	for _, pe := range r.phases {
+	for _, pe := range phases {
 		if pe.Phase != PhaseChunkFrame || pe.Chunk == 0 {
 			continue
 		}

@@ -9,14 +9,17 @@ import (
 // keeps everything up to a limit, the Flight keeps only the last N events
 // and is cheap enough to leave attached to every run; its tail is stitched
 // into fault diagnostics so a *ChannelFault or FaultSummary ships the
-// moments leading up to the failure.
+// moments leading up to the failure. It stores the Recorder's compact
+// phase record; its tracks are numbered by the names its App sets through
+// SetNames.
 //
 // Like the Recorder it is used from simulation context only, which is
 // single-threaded by construction.
 type Flight struct {
-	buf   []PhaseEvent
-	next  int
-	total int64
+	buf    []phaseRec
+	next   int
+	total  int64
+	labels *labels
 }
 
 // DefaultFlightDepth is the ring depth used when none is given.
@@ -28,20 +31,34 @@ func NewFlight(depth int) *Flight {
 	if depth <= 0 {
 		depth = DefaultFlightDepth
 	}
-	return &Flight{buf: make([]PhaseEvent, 0, depth)}
+	return &Flight{buf: make([]phaseRec, 0, depth)}
 }
 
-// Record appends a phase event, overwriting the oldest past the depth.
-func (f *Flight) Record(pe PhaseEvent) {
+// SetNames numbers the ring's tracks by names: label i is names[i]. An App
+// sets them once, when Run has named every track, before its first Add. It
+// panics past MaxLabels names.
+func (f *Flight) SetNames(names []string) {
+	if len(names) > MaxLabels {
+		panic(fmt.Sprintf("trace: %d track names, more than MaxLabels (%d)", len(names), MaxLabels))
+	}
+	f.labels = &labels{names: names}
+}
+
+// Add appends a phase event, overwriting the oldest past the depth. lbl
+// numbers the phase's track among the names set by SetNames and replaces
+// pe.Proc; neither pe.Proc nor pe.Stream is read, and the caller keeps the
+// other fields within their stored widths (see Recorder.RecordPhase).
+func (f *Flight) Add(lbl Label, pe PhaseEvent) {
 	if f == nil {
 		return
 	}
 	f.total++
+	rec := packPhase(lbl, &pe)
 	if len(f.buf) < cap(f.buf) {
-		f.buf = append(f.buf, pe)
+		f.buf = append(f.buf, rec)
 		return
 	}
-	f.buf[f.next] = pe
+	f.buf[f.next] = rec
 	f.next = (f.next + 1) % len(f.buf)
 }
 
@@ -68,15 +85,15 @@ func (f *Flight) Tail(n int) []PhaseEvent {
 	if f == nil || len(f.buf) == 0 {
 		return nil
 	}
-	out := make([]PhaseEvent, 0, len(f.buf))
-	if len(f.buf) < cap(f.buf) {
-		out = append(out, f.buf...)
-	} else {
-		out = append(out, f.buf[f.next:]...)
-		out = append(out, f.buf[:f.next]...)
+	kept := len(f.buf)
+	if n <= 0 || n > kept {
+		n = kept
 	}
-	if n > 0 && n < len(out) {
-		out = out[len(out)-n:]
+	out := make([]PhaseEvent, n)
+	// The oldest retained record sits at next once the ring has wrapped
+	// (next is 0 until then).
+	for i := range out {
+		out[i] = f.buf[(f.next+kept-n+i)%kept].expand(f.labels)
 	}
 	return out
 }

@@ -15,13 +15,21 @@ func flightEvent(i int) PhaseEvent {
 	}
 }
 
+// newFlight is NewFlight with the single track "p" that flightEvent
+// records on.
+func newFlight(depth int) *Flight {
+	f := NewFlight(depth)
+	f.SetNames([]string{"p"})
+	return f
+}
+
 func TestFlightRingWraps(t *testing.T) {
-	f := NewFlight(4)
+	f := newFlight(4)
 	if f.Depth() != 4 {
 		t.Fatalf("Depth = %d, want 4", f.Depth())
 	}
 	for i := 1; i <= 10; i++ {
-		f.Record(flightEvent(i))
+		f.Add(0, flightEvent(i))
 	}
 	if f.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", f.Total())
@@ -42,9 +50,9 @@ func TestFlightRingWraps(t *testing.T) {
 }
 
 func TestFlightBeforeWrap(t *testing.T) {
-	f := NewFlight(8)
+	f := newFlight(8)
 	for i := 1; i <= 3; i++ {
-		f.Record(flightEvent(i))
+		f.Add(0, flightEvent(i))
 	}
 	tail := f.Tail(8)
 	if len(tail) != 3 {
@@ -71,7 +79,7 @@ func TestFlightDefaults(t *testing.T) {
 
 func TestFlightNilSafe(t *testing.T) {
 	var f *Flight
-	f.Record(flightEvent(1)) // must not panic
+	f.Add(0, flightEvent(1)) // must not panic
 	if f.Tail(4) != nil || f.TailLines(4) != nil || f.Total() != 0 || f.Depth() != 0 {
 		t.Fatal("nil Flight is not inert")
 	}
@@ -79,7 +87,8 @@ func TestFlightNilSafe(t *testing.T) {
 
 func TestFlightTailLines(t *testing.T) {
 	f := NewFlight(4)
-	f.Record(PhaseEvent{
+	f.SetNames([]string{"copilot@cell0"})
+	f.Add(0, PhaseEvent{
 		Xfer: 7, Phase: PhaseRelay, Proc: "copilot@cell0",
 		Channel: 3, ChanType: 5, Bytes: 1600,
 		Start: 250 * sim.Microsecond, End: 300 * sim.Microsecond,

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cellpilot/internal/sim"
@@ -117,10 +119,12 @@ type PhaseEvent struct {
 	Bytes      int
 	Start, End sim.Time
 	// Stream and Chunk annotate per-chunk events of a pipelined stream:
-	// Stream is the owning stream's transfer id (equal to Xfer — recorded
-	// explicitly so a chunk frame is self-describing even when inspected in
-	// isolation, e.g. in a flight-recorder tail) and Chunk is the 1-based
-	// chunk index. Both are zero on whole-transfer phase events.
+	// Stream is the owning stream's transfer id and Chunk the 1-based
+	// chunk index. A chunk event's stream is always its own transfer, so
+	// Stream equals Xfer exactly when Chunk > 0; the span log stores only
+	// Xfer and fills Stream in when it expands a record, which keeps a
+	// chunk frame self-describing when inspected in isolation, e.g. in a
+	// flight-recorder tail. Both are zero on whole-transfer phase events.
 	Stream int64
 	Chunk  int
 }
@@ -129,25 +133,44 @@ type PhaseEvent struct {
 func (pe PhaseEvent) Dur() sim.Time { return pe.End - pe.Start }
 
 // RecordPhase appends a phase event, honouring the recorder's limit with
-// separate drop accounting from flat events.
+// separate drop accounting from flat events. It panics when the event
+// cannot be stored exactly: Stream must equal Xfer when Chunk > 0 and be
+// zero otherwise, Phase and ChanType must fit a byte, and Channel, Bytes
+// and Chunk 32 bits.
 func (r *Recorder) RecordPhase(pe PhaseEvent) {
 	if r == nil {
 		return
 	}
-	if r.limit > 0 && len(r.phases) >= r.limit {
+	checkPhase(&pe)
+	r.AddPhase(r.Intern(pe.Proc), pe)
+}
+
+// AddPhase is RecordPhase for a phase whose track is already numbered:
+// lbl, from Intern, replaces pe.Proc, and neither pe.Proc nor pe.Stream is
+// read. The caller keeps the fields within their stored widths.
+func (r *Recorder) AddPhase(lbl Label, pe PhaseEvent) {
+	if r.limit > 0 && r.phases.n >= r.limit {
 		r.phasesDropped++
 		return
 	}
-	r.phases = append(r.phases, pe)
+	r.phases.add(packPhase(lbl, &pe))
 }
 
-// Phases returns a copy of the recorded phase events in recording order.
+// Phases returns the recorded phase events in recording order, in a new
+// slice.
 func (r *Recorder) Phases() []PhaseEvent {
-	if r == nil {
+	if r == nil || r.phases.n == 0 {
 		return nil
 	}
-	return append([]PhaseEvent(nil), r.phases...)
+	out := make([]PhaseEvent, r.phases.n)
+	for i := range out {
+		out[i] = r.phase(i)
+	}
+	return out
 }
+
+// phase expands the i-th recorded phase event.
+func (r *Recorder) phase(i int) PhaseEvent { return r.phases.at(i).expand(&r.labels) }
 
 // PhasesDropped reports phase events discarded past the limit.
 func (r *Recorder) PhasesDropped() int { return r.phasesDropped }
@@ -178,46 +201,45 @@ func (s Span) PhaseTotal(k PhaseKind) sim.Time {
 }
 
 // Spans groups the recorded phase events by transfer id, ordered by start
-// time (id as tie-break). Phases recorded without an id (0) are not part
-// of any transfer and are skipped.
+// time (id as tie-break); each span's phases are ordered by start time,
+// then phase kind. Phases recorded without an id (0) are not part of any
+// transfer and are skipped. The spans' phase slices share one backing
+// array, each capped at its own length.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	byID := map[int64]*Span{}
-	for _, pe := range r.phases {
-		if pe.Xfer == 0 {
-			continue
-		}
-		sp, ok := byID[pe.Xfer]
-		if !ok {
-			sp = &Span{
-				ID: pe.Xfer, Channel: pe.Channel, ChanType: pe.ChanType,
-				Bytes: pe.Bytes, Start: pe.Start, End: pe.End,
-			}
-			byID[pe.Xfer] = sp
-		}
-		if pe.Start < sp.Start {
-			sp.Start = pe.Start
-		}
-		if pe.End > sp.End {
-			sp.End = pe.End
-		}
-		if pe.Bytes > sp.Bytes {
-			sp.Bytes = pe.Bytes
-		}
-		sp.Phases = append(sp.Phases, pe)
+	order := r.byXfer()
+	backing := make([]PhaseEvent, len(order))
+	for j, i := range order {
+		backing[j] = r.phase(int(i))
 	}
-	out := make([]Span, 0, len(byID))
-	for _, sp := range byID {
-		sort.Slice(sp.Phases, func(i, j int) bool {
-			a, b := sp.Phases[i], sp.Phases[j]
+	out := []Span{}
+	for lo := 0; lo < len(backing); {
+		hi := lo + 1
+		for hi < len(backing) && backing[hi].Xfer == backing[lo].Xfer {
+			hi++
+		}
+		phases := backing[lo:hi:hi]
+		first := phases[0]
+		sp := Span{
+			ID: first.Xfer, Channel: first.Channel, ChanType: first.ChanType,
+			Bytes: first.Bytes, Start: first.Start, End: first.End, Phases: phases,
+		}
+		for _, pe := range phases[1:] {
+			sp.Start = min(sp.Start, pe.Start)
+			sp.End = max(sp.End, pe.End)
+			sp.Bytes = max(sp.Bytes, pe.Bytes)
+		}
+		sort.Slice(phases, func(i, j int) bool {
+			a, b := phases[i], phases[j]
 			if a.Start != b.Start {
 				return a.Start < b.Start
 			}
 			return a.Phase < b.Phase
 		})
-		out = append(out, *sp)
+		out = append(out, sp)
+		lo = hi
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
@@ -226,4 +248,19 @@ func (r *Recorder) Spans() []Span {
 		return out[i].ID < out[j].ID
 	})
 	return out
+}
+
+// byXfer returns the indices of the phases that carry a transfer id,
+// sorted by id, in recording order within an id.
+func (r *Recorder) byXfer() []int32 {
+	var order []int32
+	for i := 0; i < r.phases.n; i++ {
+		if r.phases.at(i).xfer != 0 {
+			order = append(order, int32(i))
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(r.phases.at(int(a)).xfer, r.phases.at(int(b)).xfer)
+	})
+	return order
 }

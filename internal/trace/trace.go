@@ -53,45 +53,73 @@ type Event struct {
 	Xfer int64
 }
 
-// Recorder accumulates events up to a limit (0 = unlimited). It is used
-// from simulation context only, which is single-threaded by construction.
+// Recorder accumulates events and phase events up to a limit each
+// (0 = unlimited), storing them as compact records in fixed-size blocks
+// with each track's name numbered once in the recorder's label table (see
+// spanlog.go). Several Apps may record into one Recorder in turn; each
+// interns its names into the same table, so Phases and Events read back
+// every App's records under its own names. Transfer ids are not per-App:
+// each App numbers its transfers from 1, so with a shared Recorder, Spans,
+// the critical path built from it and the Chrome exporter's flow arrows
+// merge transfers of different Apps that have the same id; give each App
+// its own Recorder where those matter. It is used from simulation context
+// only, which is single-threaded by construction.
 type Recorder struct {
+	labels  labels
 	limit   int
 	dropped int
-	events  []Event
+	events  blocks[eventRec]
 
-	phases        []PhaseEvent
+	phases        blocks[phaseRec]
 	phasesDropped int
 
 	counters []CounterPoint
 }
 
-// NewRecorder creates a recorder keeping at most limit events
-// (0 = unlimited).
+// NewRecorder creates a recorder keeping at most limit events and limit
+// phase events (0 = unlimited). It allocates no record storage: a block is
+// allocated by the first record it holds.
 func NewRecorder(limit int) *Recorder {
 	return &Recorder{limit: limit}
 }
 
 // Record appends an event, dropping it (with accounting) past the limit.
+// It panics when a field does not fit its stored width (32-bit channel
+// and bytes).
 func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
 	}
-	if r.limit > 0 && len(r.events) >= r.limit {
+	checkEvent(&ev)
+	r.AddEvent(r.Intern(ev.Proc), ev)
+}
+
+// Intern returns the label that numbers name in the recorder's table,
+// numbering it on first use. Apps recording into the recorder in turn
+// share the table. It panics when a new name would exceed MaxLabels.
+func (r *Recorder) Intern(name string) Label { return r.labels.intern(name) }
+
+// AddEvent is Record for an event whose track is already numbered: lbl,
+// from Intern, replaces ev.Proc, which is not read. The caller keeps the
+// fields within their stored widths.
+func (r *Recorder) AddEvent(lbl Label, ev Event) {
+	if r.limit > 0 && r.events.n >= r.limit {
 		r.dropped++
 		return
 	}
-	r.events = append(r.events, ev)
+	r.events.add(packEvent(lbl, &ev))
 }
 
-// Events returns a copy of the recorded events in order. (A copy, so
-// callers cannot corrupt the recorder's internal state by mutating or
-// appending to the returned slice.)
+// Events returns the recorded events in order, in a new slice.
 func (r *Recorder) Events() []Event {
-	if r == nil {
+	if r == nil || r.events.n == 0 {
 		return nil
 	}
-	return append([]Event(nil), r.events...)
+	out := make([]Event, r.events.n)
+	for i := range out {
+		out[i] = r.events.at(i).expand(&r.labels)
+	}
+	return out
 }
 
 // Dropped reports events discarded past the limit.
@@ -119,7 +147,7 @@ func (st ChannelStats) Span() sim.Time {
 // ByChannel aggregates events per channel id.
 func (r *Recorder) ByChannel() []ChannelStats {
 	agg := map[int]*ChannelStats{}
-	for _, ev := range r.events {
+	for _, ev := range r.Events() {
 		if ev.Kind == KindCoPilot {
 			continue
 		}
@@ -153,7 +181,7 @@ func (r *Recorder) ByChannel() []ChannelStats {
 // Summary renders a human-readable per-channel digest.
 func (r *Recorder) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %d events (%d dropped)\n", len(r.events), r.dropped)
+	fmt.Fprintf(&b, "trace: %d events (%d dropped)\n", r.events.n, r.dropped)
 	for _, st := range r.ByChannel() {
 		span := "0s"
 		if s := st.Span(); s > 0 {
