@@ -47,12 +47,14 @@ bench-json:
 .PHONY: bench-json
 
 # Extended gate: tier-1, the race detector, and every step that
-# `go test ./...` does not already run: fuzz smokes
+# `go test ./...` does not already run: ten race-checked repeats of the
+# tests that run simulations on concurrent goroutines, fuzz smokes
 # of the format and scenario parsers, the scenarios/ library validated
 # against its golden fingerprints, a profile-export smoke writing both
 # formats, a kernel microbenchmark smoke, and staticcheck when the host
 # has it installed.
 ci-full: ci race
+	$(GO) test -race -count=10 -run 'TestKiloscaleSeqParEquivalence|TestChaosKernelArmsDeterminism' ./internal/workload
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/fmtmsg
 	$(GO) test -run '^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario/
 	$(GO) run ./cmd/cellpilot-bench validate

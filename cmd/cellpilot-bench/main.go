@@ -12,7 +12,7 @@
 //	cellpilot-bench -exp pingpong   # metered five-type grid (live telemetry)
 //	cellpilot-bench -exp profile    # virtual-time profiler breakdown
 //	cellpilot-bench -exp sizesweep  # 64B..1MB grid, chunk engine off vs on
-//	cellpilot-bench -exp kiloscale  # 1000-node sharded fleet, seq vs parallel arms
+//	cellpilot-bench -exp kiloscale  # 1000-node replica fleet, seq vs parallel arms
 //	cellpilot-bench -exp all        # everything
 //
 // With -serve ADDR the process exposes OpenMetrics text at /metrics, a
@@ -40,7 +40,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -100,7 +99,7 @@ func main() {
 	folded := flag.String("folded", "", "profile: write folded-stack text for -trace-type's run to this file")
 	pprofOut := flag.String("pprof", "", "profile: write a pprof profile for -trace-type's run to this file")
 	quick := flag.Bool("quick", false, "kiloscale: shrink workloads for CI")
-	shards := flag.Int("shards", 0, "kiloscale: host worker shards for the parallel arm (0 = one shard per host core)")
+	shards := flag.Int("shards", 0, "kiloscale: host worker goroutines for the parallel arm (0 = one per host core)")
 	listScen := flag.Bool("list-scenarios", false, "print the scenario library with one-line descriptions and exit")
 	scenDir := flag.String("scenarios", "scenarios", "scenario library directory (for -list-scenarios and the validate verb)")
 	flag.Parse()
@@ -375,21 +374,18 @@ func runSizeSweep(outDir string) {
 	}
 }
 
-// runKiloscale runs the thousand-node sharded fleet: for each workload it
+// runKiloscale runs the thousand-node replica fleet: for each workload it
 // times a sequential reference arm (1 worker) and a parallel arm (-shards
 // workers, 0 = one per host core), checks the two arms' fingerprints are
-// bit-for-bit identical — the parallel-kernel determinism contract at full
-// scale — and prints the wall-clock speedup the host actually delivered.
+// bit-for-bit identical — the concurrent-replica determinism contract at
+// full scale — and prints the wall-clock speedup the host actually
+// delivered.
 func runKiloscale(shards int, seed int64, quick bool) {
-	workers := shards
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	nodes, ppReps, chReps := 1000, 10, 2
 	if quick {
 		nodes, ppReps, chReps = 120, 5, 2
 	}
-	fmt.Printf("kiloscale: %d simulated nodes as independent 3-node replicas, 1 vs %d host workers\n", nodes, workers)
+	fmt.Printf("kiloscale: %d simulated nodes as independent 3-node replicas\n", nodes)
 	for _, wl := range []string{"pingpong", "chaos"} {
 		reps := ppReps
 		if wl == "chaos" {
@@ -406,12 +402,13 @@ func runKiloscale(shards int, seed int64, quick bool) {
 			return res, time.Since(t0)
 		}
 		seq, seqWall := arm(1)
-		par, parWall := arm(workers)
+		par, parWall := arm(shards)
 		match := "MATCH"
 		if seq.Fingerprint != par.Fingerprint {
 			match = "MISMATCH"
 		}
-		fmt.Printf("  %-8s %d replicas, %d events, vt %s\n", wl, par.Replicas, par.Events, par.VirtualTime)
+		fmt.Printf("  %-8s %d replicas, %d events, vt %s, 1 vs %d host workers\n",
+			wl, par.Replicas, par.Events, par.VirtualTime, par.Workers)
 		fmt.Printf("           seq %8.0fms (%8.0f events/s)  par %8.0fms (%8.0f events/s)  speedup %.2fx\n",
 			float64(seqWall.Milliseconds()), float64(seq.Events)/seqWall.Seconds(),
 			float64(parWall.Milliseconds()), float64(par.Events)/parWall.Seconds(),

@@ -164,10 +164,12 @@ func (a *App) span(lbl trace.Label, pe trace.PhaseEvent) {
 // Co-Pilots in rank order, so a phase records a number and never looks a
 // name up. The flight ring resolves labels through the same names; a span
 // recorder gets a mapping into its own table, which other Apps recording
-// into it share.
+// into it share. Transfers are numbered after the highest id the span
+// recorder already holds, so Apps sharing it never share a transfer id.
 func (a *App) numberTracks() {
 	a.flight.SetNames(a.tracks)
 	if rec := a.obs.trace; rec != nil {
+		a.lastXfer = rec.MaxXfer()
 		a.traceLbl = make([]trace.Label, len(a.tracks))
 		for i, name := range a.tracks {
 			a.traceLbl[i] = rec.Intern(name)

@@ -74,8 +74,8 @@ type Time int64
 
 // TestRecorderSharedAcrossApps: Apps that record into one Recorder in turn
 // read back the phases and events each would have recorded alone, under
-// their own track names. (Spans is not per-App: both number transfers from
-// 1; see trace.Recorder.)
+// their own track names, with the second App's transfers numbered after
+// the first's, so Spans keeps every App's transfers apart.
 func TestRecorderSharedAcrossApps(t *testing.T) {
 	run := func(name string, rec *trace.Recorder) {
 		a := NewApp(newTestCluster(t), Options{})
@@ -104,11 +104,38 @@ func TestRecorderSharedAcrossApps(t *testing.T) {
 	run("beta", beta)
 	run("alpha", shared)
 	run("beta", shared)
-	if got, want := shared.Phases(), append(alpha.Phases(), beta.Phases()...); !reflect.DeepEqual(got, want) {
-		t.Fatalf("shared recorder phases differ from the two Apps' own:\n got %+v\nwant %+v", got, want)
+	if got, want := len(shared.Spans()), len(alpha.Spans())+len(beta.Spans()); got != want {
+		t.Fatalf("shared recorder holds %d spans, want %d (alpha's plus beta's)", got, want)
 	}
-	if got, want := shared.Events(), append(alpha.Events(), beta.Events()...); !reflect.DeepEqual(got, want) {
-		t.Fatalf("shared recorder events differ from the two Apps' own:\n got %+v\nwant %+v", got, want)
+	// In the shared recorder, beta's transfer ids follow alpha's highest.
+	var off int64
+	for _, pe := range alpha.Phases() {
+		off = max(off, pe.Xfer)
+	}
+	for _, ev := range alpha.Events() {
+		off = max(off, ev.Xfer)
+	}
+	shift := func(id int64) int64 {
+		if id == 0 {
+			return 0
+		}
+		return id + off
+	}
+	wantPhases := alpha.Phases()
+	for _, pe := range beta.Phases() {
+		pe.Xfer, pe.Stream = shift(pe.Xfer), shift(pe.Stream)
+		wantPhases = append(wantPhases, pe)
+	}
+	if got := shared.Phases(); !reflect.DeepEqual(got, wantPhases) {
+		t.Fatalf("shared recorder phases differ from the two Apps' own:\n got %+v\nwant %+v", got, wantPhases)
+	}
+	wantEvents := alpha.Events()
+	for _, ev := range beta.Events() {
+		ev.Xfer = shift(ev.Xfer)
+		wantEvents = append(wantEvents, ev)
+	}
+	if got := shared.Events(); !reflect.DeepEqual(got, wantEvents) {
+		t.Fatalf("shared recorder events differ from the two Apps' own:\n got %+v\nwant %+v", got, wantEvents)
 	}
 	procs := map[string]bool{}
 	for _, pe := range shared.Phases() {

@@ -10,9 +10,9 @@
 // Counting is exact, never sampled: the flow table is bounded
 // (DefaultMaxFlows) with an overflow bucket that keeps totals exact when
 // a workload exceeds the bound, and there are no randomized sketches, so
-// fingerprints are bit-stable across runs and across shard counts (the
-// map is per-App state updated in per-App event order, which the sharded
-// driver reproduces exactly).
+// fingerprints are bit-stable across runs, whether a run is alone or
+// concurrent with others (the map is per-App state updated in per-App
+// event order, which no other kernel touches).
 //
 // Like every other observability sink in this repo the map only ever
 // observes — it never advances virtual time — so attaching one keeps the
@@ -562,7 +562,7 @@ func (m *Map) canonical() string {
 }
 
 // Fingerprint is FNV-1a over the canonical rendering: bit-stable across
-// runs of the same seed and across shard counts.
+// runs of the same seed, alone or concurrent with others.
 func (m *Map) Fingerprint() string {
 	if m == nil {
 		return ""

@@ -3,7 +3,7 @@
 // (which attributes the *virtual* timeline) — hostprof answers "how many
 // events per second does the kernel dispatch, how many allocations does a
 // transfer cost, and which subsystem burns the host CPU", the questions
-// that gate the parallel-kernel work.
+// that bound how far the simulator scales.
 //
 // Everything here rides strictly outside the virtual timeline: a Profiler
 // never reads or advances the virtual clock, never touches the kernel RNG,
@@ -122,8 +122,8 @@ type Profiler struct {
 
 	subsys [NumSubsystems]subsysAcc
 
-	// absorbed counts per-shard snapshots merged in via Absorb; a plain
-	// single-kernel run leaves it zero.
+	// absorbed counts the snapshots of other kernels' profilers merged in
+	// via Absorb; a plain single-kernel run leaves it zero.
 	absorbed int
 
 	tags    map[int]*procTags
@@ -286,7 +286,7 @@ func (p *Profiler) Exit() {
 	}
 }
 
-// --- shard aggregation ---
+// --- multi-kernel aggregation ---
 
 // subsysByName inverts Subsystem.String for Absorb's name-keyed merge.
 func subsysByName(name string) (Subsystem, bool) {
@@ -299,13 +299,13 @@ func subsysByName(name string) (Subsystem, bool) {
 }
 
 // Absorb merges another profiler's snapshot into this one — the
-// aggregation path for sharded runs, where each logical process carries
-// its own confined Profiler and the driver folds them into a fleet-wide
-// view after Run. Counters and sampled time add; the heap-depth watermark
-// takes the max (it is a per-kernel depth, so the merged value reads as
-// "deepest queue any shard saw"). Subsystem buckets merge by name, so a
-// snapshot from an older schema with fewer buckets still lands correctly.
-// Safe on a nil receiver.
+// aggregation path for runs of several kernels, each confined to its own
+// Profiler (the benchmark merges the clusters of one rep this way).
+// Counters and sampled time add; the heap-depth watermark takes the max
+// (it is a per-kernel depth, so the merged value reads as "deepest queue
+// any kernel saw"). Subsystem buckets merge by name, so a snapshot from
+// an older schema with fewer buckets still lands correctly. Safe on a nil
+// receiver.
 func (p *Profiler) Absorb(s Snapshot) {
 	if p == nil {
 		return
@@ -364,8 +364,9 @@ type Snapshot struct {
 	// NsPerSlice is the mean sampled wall cost of one execution slice —
 	// the sampled estimate of host ns per kernel event.
 	NsPerSlice float64 `json:"ns_per_slice"`
-	// Shards counts the per-shard profilers merged into this snapshot via
-	// Absorb; 0 means a plain single-kernel run.
+	// Shards counts the profilers, one per cluster or replica kernel,
+	// merged into this snapshot via Absorb; 0 means a plain single-kernel
+	// run.
 	Shards int `json:"shards,omitempty"`
 	// Subsystems is the per-bucket attribution, largest share first.
 	Subsystems []SubsysShare `json:"subsystems"`

@@ -126,17 +126,6 @@ func (n *Network) OneWayTime(bytes int) sim.Time {
 	return n.tx[0].SerializationTime(bytes) + n.par.NetLatency
 }
 
-// MinLinkLatency reports the smallest virtual delay any cross-node
-// message can experience on this fabric: the fixed propagation latency
-// plus the per-message startup cost (even a zero-byte message pays both).
-// This is the conservative lookahead a sharded simulation may claim when
-// cluster replicas on different logical processes exchange messages —
-// nothing can cross the fabric faster, so events farther than this bound
-// below a peer's clock are provably unaffected by its future sends.
-func (n *Network) MinLinkLatency() sim.Time {
-	return n.par.NetLatency + n.par.LinkStartup
-}
-
 // SerializationTime reports how long bytes occupy a NIC (uniform across
 // nodes). Used by protocol layers that schedule transfers asynchronously.
 func (n *Network) SerializationTime(bytes int) sim.Time {

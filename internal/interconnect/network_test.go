@@ -27,17 +27,6 @@ func TestOneWayTimeComposition(t *testing.T) {
 	}
 }
 
-func TestMinLinkLatencyIsFloorOfAnyTransfer(t *testing.T) {
-	_, n, par := newNet(t, 2)
-	if got, want := n.MinLinkLatency(), par.NetLatency+par.LinkStartup; got != want {
-		t.Fatalf("MinLinkLatency = %s, want %s", got, want)
-	}
-	// The lookahead bound must hold even for the cheapest possible message.
-	if got := n.OneWayTime(0); got < n.MinLinkLatency() {
-		t.Fatalf("zero-byte OneWayTime %s undercuts MinLinkLatency %s", got, n.MinLinkLatency())
-	}
-}
-
 func TestSelfSendErrors(t *testing.T) {
 	k, n, _ := newNet(t, 2)
 	k.Spawn("bad", func(p *sim.Proc) {

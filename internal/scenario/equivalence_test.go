@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"cellpilot/internal/sim"
@@ -10,10 +12,24 @@ import (
 // The scenario library is the kernel's broadest regression surface: nine
 // files spanning every workload kind, fault plan and assertion the DSL
 // can express. These suites run the whole fleet under the alternate
-// kernel configurations — heap vs calendar event queue, sequential vs
-// sharded parallel driver — and demand bit-for-bit identical
+// kernel configurations — heap vs calendar event queue, one at a time vs
+// all at once on concurrent goroutines — and demand bit-for-bit identical
 // fingerprints. Quick mode is fine here: both arms of each comparison
 // run the same shape, so equivalence (unlike golden comparison) holds.
+
+// fingerprint runs one library scenario once, in quick mode, and returns
+// its fingerprint.
+func fingerprint(file string) (string, error) {
+	s, err := Load(file)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", file, err)
+	}
+	o, err := runOnce(s, Options{Quick: true})
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", file, err)
+	}
+	return o.Fingerprint, nil
+}
 
 // fleetFingerprints runs every library scenario once (no determinism
 // re-runs — the comparison across arms is the determinism check) and
@@ -21,15 +37,11 @@ import (
 func fleetFingerprints(files []string) (map[string]string, error) {
 	out := make(map[string]string, len(files))
 	for _, f := range files {
-		s, err := Load(f)
+		fp, err := fingerprint(f)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", f, err)
+			return nil, err
 		}
-		o, err := runOnce(s, Options{Quick: true})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", f, err)
-		}
-		out[f] = o.Fingerprint
+		out[f] = fp
 	}
 	return out, nil
 }
@@ -59,10 +71,9 @@ func TestScenarioFleetQueueKindEquivalence(t *testing.T) {
 	}
 }
 
-// TestScenarioFleetShardedEquivalence: the whole library executed as
-// logical processes of one parallel sharded fleet (4 workers contending
-// on however many cores the host has) must reproduce the sequential
-// fingerprints exactly.
+// TestScenarioFleetShardedEquivalence: the whole library executed at once,
+// one goroutine per scenario contending for however many cores the host
+// has, must reproduce the one-at-a-time fingerprints exactly.
 func TestScenarioFleetShardedEquivalence(t *testing.T) {
 	files, err := ListFiles("../../scenarios")
 	if err != nil {
@@ -73,28 +84,22 @@ func TestScenarioFleetShardedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := make([]string, len(files))
-	sh := sim.NewSharded(4)
+	errs := make([]error, len(files))
+	var wg sync.WaitGroup
 	for i, f := range files {
-		i, f := i, f
-		sh.AddLP(f, func(lp *sim.LP) error {
-			s, err := Load(f)
-			if err != nil {
-				return fmt.Errorf("%s: %w", f, err)
-			}
-			o, err := runOnce(s, Options{Quick: true})
-			if err != nil {
-				return fmt.Errorf("%s: %w", f, err)
-			}
-			par[i] = o.Fingerprint
-			return nil
-		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			par[i], errs[i] = fingerprint(f)
+		}()
 	}
-	if err := sh.Run(); err != nil {
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	for i, f := range files {
 		if par[i] != seq[f] {
-			t.Errorf("%s: sharded run diverges from sequential:\n%s", f, firstDiff(seq[f], par[i]))
+			t.Errorf("%s: concurrent run diverges from sequential:\n%s", f, firstDiff(seq[f], par[i]))
 		}
 	}
 }

@@ -17,7 +17,7 @@ import "sort"
 // amortized for the bursty short-horizon timer mix the Co-Pilot scan
 // loops generate.
 //
-// Determinism: the queue orders purely by eventLess (at, src, seq) —
+// Determinism: the queue orders purely by eventLess (at, seq) —
 // events at equal timestamps land in the same bucket and are kept sorted
 // there — so its pop sequence is bit-for-bit identical to heapQueue's.
 type calQueue struct {

@@ -26,13 +26,6 @@ type Kernel struct {
 	// they outnumber half the live entries the queue is compacted.
 	nCancelled int
 
-	// gov/grant attach this kernel to a Sharded run as one logical
-	// process. grant is the safe-time horizon: events strictly below it
-	// may dispatch without coordination. A detached kernel has grant ==
-	// Forever, so the gate costs one comparison on the hot path.
-	gov   *LP
-	grant Time
-
 	procs    []*Proc
 	live     int // procs spawned and not yet finished
 	running  *Proc
@@ -84,10 +77,9 @@ func NewKernel(seed int64) *Kernel {
 // same-seed runs are bit-for-bit equal under either.
 func NewKernelQueue(seed int64, kind QueueKind) *Kernel {
 	return &Kernel{
-		pq:    newEventQueue(kind),
-		ctl:   make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-		grant: Forever,
+		pq:  newEventQueue(kind),
+		ctl: make(chan struct{}),
+		rng: rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -218,12 +210,6 @@ func (k *Kernel) RunUntil(deadline Time) error {
 	for !k.shutdown {
 		ev := k.pq.Peek()
 		if ev == nil {
-			// Out of local work. An attached LP parks in the safe-time
-			// protocol and may be handed cross-shard messages; a detached
-			// kernel is simply done.
-			if k.gov != nil && k.gov.awaitWork(k) {
-				continue
-			}
 			break
 		}
 		if ev.cancelled {
@@ -238,14 +224,6 @@ func (k *Kernel) RunUntil(deadline Time) error {
 				k.host.CancelPurge()
 			}
 			k.freeEvent(ev)
-			continue
-		}
-		if k.gov != nil && ev.at >= k.grant {
-			// Conservative gate: the next event is not yet proven safe.
-			// awaitGrant blocks until the safe horizon extends past it or
-			// earlier cross-shard messages arrive (then re-examine), or
-			// aborts the kernel when the Sharded run is stopping.
-			k.gov.awaitGrant(k, ev.at)
 			continue
 		}
 		if ev.at > deadline {

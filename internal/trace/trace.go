@@ -58,12 +58,10 @@ type Event struct {
 // with each track's name numbered once in the recorder's label table (see
 // spanlog.go). Several Apps may record into one Recorder in turn; each
 // interns its names into the same table, so Phases and Events read back
-// every App's records under its own names. Transfer ids are not per-App:
-// each App numbers its transfers from 1, so with a shared Recorder, Spans,
-// the critical path built from it and the Chrome exporter's flow arrows
-// merge transfers of different Apps that have the same id; give each App
-// its own Recorder where those matter. It is used from simulation context
-// only, which is single-threaded by construction.
+// every App's records under its own names, and each numbers its transfers
+// after the highest id already stored (MaxXfer), so Spans keeps every
+// App's transfers apart. It is used from simulation context only, which
+// is single-threaded by construction.
 type Recorder struct {
 	labels  labels
 	limit   int
@@ -124,6 +122,21 @@ func (r *Recorder) Events() []Event {
 
 // Dropped reports events discarded past the limit.
 func (r *Recorder) Dropped() int { return r.dropped }
+
+// MaxXfer returns the highest transfer id among the stored events and
+// phase events, or 0 when none carries one. It scans every record, so an
+// App calls it once, when its Run starts, to number its own transfers
+// after those already stored.
+func (r *Recorder) MaxXfer() int64 {
+	var id int64
+	for i := 0; i < r.events.n; i++ {
+		id = max(id, r.events.at(i).xfer)
+	}
+	for i := 0; i < r.phases.n; i++ {
+		id = max(id, r.phases.at(i).xfer)
+	}
+	return id
+}
 
 // ChannelStats aggregates one channel's traffic.
 type ChannelStats struct {

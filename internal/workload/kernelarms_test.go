@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"cellpilot/internal/core"
@@ -61,8 +63,8 @@ func compareArms(t *testing.T, labelA, labelB string, a, b chaosArmResult) {
 // check at the workload layer: the reference chaos run must produce
 // bit-identical fingerprints, stats reports, timeline series and flow
 // tables under (1) the default calendar queue, (2) the original heap
-// queue, and (3) the sharded parallel driver with a concurrent neighbour
-// LP competing for host workers.
+// queue, and (3) a goroutine of its own, concurrent with a neighbour
+// simulation competing for the host's cores.
 func TestChaosKernelArmsDeterminism(t *testing.T) {
 	ref, err := chaosArmRun()
 	if err != nil {
@@ -78,41 +80,45 @@ func TestChaosKernelArmsDeterminism(t *testing.T) {
 	}
 	compareArms(t, "calendar", "heap", ref, heap)
 
-	// Arm: the same run inside a 2-worker sharded fleet, racing a noisy
-	// neighbour replica for the worker tokens.
-	var sharded chaosArmResult
-	s := sim.NewSharded(2)
-	s.AddLP("chaos", func(lp *sim.LP) error {
-		var err error
-		sharded, err = chaosArmRun()
-		return err
-	})
-	s.AddLP("noise", func(lp *sim.LP) error {
-		_, err := PingPong(PingPongConfig{Type: 1, Bytes: 256, Method: MethodCellPilot, Reps: 20})
-		return err
-	})
-	if err := s.Run(); err != nil {
+	// Arm: the same run on its own goroutine, racing a noisy neighbour
+	// replica on another.
+	var (
+		wg                sync.WaitGroup
+		conc              chaosArmResult
+		concErr, noiseErr error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		conc, concErr = chaosArmRun()
+	}()
+	go func() {
+		defer wg.Done()
+		_, noiseErr = PingPong(PingPongConfig{Type: 1, Bytes: 256, Method: MethodCellPilot, Reps: 20})
+	}()
+	wg.Wait()
+	if err := errors.Join(concErr, noiseErr); err != nil {
 		t.Fatal(err)
 	}
-	compareArms(t, "sequential", "sharded", ref, sharded)
+	compareArms(t, "sequential", "concurrent", ref, conc)
 
 	// Field-level equivalence on the shared-resource accounting the flow
 	// observatory attributes against: per-NIC link occupancy and per-node
-	// Co-Pilot relay counters must match sequential vs sharded exactly.
-	if len(sharded.st.Links) != len(ref.st.Links) {
-		t.Fatalf("link count diverges: sequential %d, sharded %d", len(ref.st.Links), len(sharded.st.Links))
+	// Co-Pilot relay counters must match sequential vs concurrent exactly.
+	if len(conc.st.Links) != len(ref.st.Links) {
+		t.Fatalf("link count diverges: sequential %d, concurrent %d", len(ref.st.Links), len(conc.st.Links))
 	}
 	for i, lu := range ref.st.Links {
-		if sharded.st.Links[i] != lu {
-			t.Errorf("LinkStats[%d] diverges: sequential %+v, sharded %+v", i, lu, sharded.st.Links[i])
+		if conc.st.Links[i] != lu {
+			t.Errorf("LinkStats[%d] diverges: sequential %+v, concurrent %+v", i, lu, conc.st.Links[i])
 		}
 	}
-	if len(sharded.st.CoPilots) != len(ref.st.CoPilots) {
-		t.Fatalf("Co-Pilot count diverges: sequential %d, sharded %d", len(ref.st.CoPilots), len(sharded.st.CoPilots))
+	if len(conc.st.CoPilots) != len(ref.st.CoPilots) {
+		t.Fatalf("Co-Pilot count diverges: sequential %d, concurrent %d", len(ref.st.CoPilots), len(conc.st.CoPilots))
 	}
 	for i, cp := range ref.st.CoPilots {
-		if got := sharded.st.CoPilots[i].RelayedBytes; got != cp.RelayedBytes {
-			t.Errorf("CoPilots[%d].RelayedBytes diverges: sequential %d, sharded %d", i, cp.RelayedBytes, got)
+		if got := conc.st.CoPilots[i].RelayedBytes; got != cp.RelayedBytes {
+			t.Errorf("CoPilots[%d].RelayedBytes diverges: sequential %d, concurrent %d", i, cp.RelayedBytes, got)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"cellpilot/internal/cluster"
 	"cellpilot/internal/hostprof"
@@ -18,12 +20,10 @@ const kiloNodesPerReplica = ChaosNodes
 
 // KiloscaleConfig describes a thousand-node experiment: the node budget is
 // tiled into independent 3-node cluster replicas, each running the chosen
-// workload with its own derived seed, and the replicas execute as unlinked
-// logical processes on a sim.Sharded runtime — the scaling story for the
-// parallel kernel. Replicas never exchange messages, so the safe-time
-// protocol imposes no waiting; the run's wall-clock cost divides across
-// host workers while every per-replica outcome stays bit-for-bit
-// deterministic regardless of worker count.
+// workload on its own kernel with its own derived seed. Replicas share no
+// state, so they run concurrently on host goroutines: the run's wall-clock
+// cost divides across host workers while every per-replica outcome stays
+// bit-for-bit deterministic regardless of worker count.
 type KiloscaleConfig struct {
 	// Nodes is the total simulated-node budget (default 1000). It is
 	// rounded up to a whole number of 3-node replicas.
@@ -32,7 +32,8 @@ type KiloscaleConfig struct {
 	// "chaos".
 	Workload string
 	// Workers is the host worker count: 0 means one per host core
-	// (runtime.NumCPU), 1 is the sequential reference arm.
+	// (runtime.NumCPU), 1 is the sequential reference arm. Negative
+	// counts are rejected.
 	Workers int
 	// Seed is the base seed; replica i derives seed Seed + i*1000003.
 	Seed int64
@@ -92,7 +93,13 @@ func (c KiloscaleConfig) replicaSeed(i int) int64 {
 }
 
 // Kiloscale runs the configured fleet and reports the aggregate outcome.
+// min(Workers, replicas) goroutines take replica indices from one shared
+// counter. Every replica runs even if another fails; the error returned
+// is the lowest-index replica's.
 func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
+	if cfg.Workers < 0 {
+		return KiloscaleResult{}, fmt.Errorf("kiloscale: negative worker count %d (0 means one per host core)", cfg.Workers)
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Workload != "pingpong" && cfg.Workload != "chaos" {
 		return KiloscaleResult{}, fmt.Errorf("kiloscale: unknown workload %q (want pingpong or chaos)", cfg.Workload)
@@ -102,59 +109,69 @@ func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
 		replicas = 1
 	}
 
-	// Outcome slots are indexed by replica, so the result is independent
-	// of host completion order.
+	// Outcome slots are indexed by replica, and each replica writes only
+	// its own, so the result is independent of host completion order.
 	lines := make([]string, replicas)
 	vts := make([]sim.Time, replicas)
 	events := make([]uint64, replicas)
-
-	s := sim.NewSharded(cfg.Workers)
-	for i := 0; i < replicas; i++ {
-		i := i
-		s.AddLP(fmt.Sprintf("replica%d", i), func(lp *sim.LP) error {
-			h := hostprof.New(0)
-			seed := cfg.replicaSeed(i)
-			spec := &cluster.Spec{CellNodes: 2, XeonNodes: 1, Seed: seed}
-			switch cfg.Workload {
-			case "chaos":
-				res, err := Chaos(ChaosConfig{
-					Seed:         seed,
-					Reps:         cfg.Reps,
-					LossProb:     0.05,
-					MailboxDrops: 2,
-					Host:         h,
-					Spec:         spec,
-				})
-				if err != nil {
-					return fmt.Errorf("replica %d: %w", i, err)
-				}
-				fp := fnv.New64a()
-				fp.Write([]byte(res.Fingerprint()))
-				lines[i] = fmt.Sprintf("rep=%d chaos fp=%016x vt=%d", i, fp.Sum64(), int64(res.VirtualTime))
-				vts[i] = res.VirtualTime
-			default:
-				typ := 1 + i%5 // cycle the five Table I channel types across the fleet
-				res, err := PingPong(PingPongConfig{
-					Type:   typ,
-					Bytes:  256,
-					Method: MethodCellPilot,
-					Reps:   cfg.Reps,
-					Host:   h,
-					Spec:   spec,
-				})
-				if err != nil {
-					return fmt.Errorf("replica %d: %w", i, err)
-				}
-				lines[i] = fmt.Sprintf("rep=%d type=%d oneway=%d", i, typ, int64(res.OneWay))
-				// The timed window is Reps round trips of 2*OneWay each.
-				vts[i] = res.OneWay * sim.Time(2*cfg.Reps)
+	errs := make([]error, replicas)
+	run := func(i int) error {
+		h := hostprof.New(0)
+		seed := cfg.replicaSeed(i)
+		spec := &cluster.Spec{CellNodes: 2, XeonNodes: 1, Seed: seed}
+		switch cfg.Workload {
+		case "chaos":
+			res, err := Chaos(ChaosConfig{
+				Seed:         seed,
+				Reps:         cfg.Reps,
+				LossProb:     0.05,
+				MailboxDrops: 2,
+				Host:         h,
+				Spec:         spec,
+			})
+			if err != nil {
+				return fmt.Errorf("replica %d: %w", i, err)
 			}
-			events[i] = h.Snapshot().Events
-			return nil
-		})
+			fp := fnv.New64a()
+			fp.Write([]byte(res.Fingerprint()))
+			lines[i] = fmt.Sprintf("rep=%d chaos fp=%016x vt=%d", i, fp.Sum64(), int64(res.VirtualTime))
+			vts[i] = res.VirtualTime
+		default:
+			typ := 1 + i%5 // cycle the five Table I channel types across the fleet
+			res, err := PingPong(PingPongConfig{
+				Type:   typ,
+				Bytes:  256,
+				Method: MethodCellPilot,
+				Reps:   cfg.Reps,
+				Host:   h,
+				Spec:   spec,
+			})
+			if err != nil {
+				return fmt.Errorf("replica %d: %w", i, err)
+			}
+			lines[i] = fmt.Sprintf("rep=%d type=%d oneway=%d", i, typ, int64(res.OneWay))
+			// The timed window is Reps round trips of 2*OneWay each.
+			vts[i] = res.OneWay * sim.Time(2*cfg.Reps)
+		}
+		events[i] = h.Snapshot().Events
+		return nil
 	}
-	if err := s.Run(); err != nil {
-		return KiloscaleResult{}, err
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(cfg.Workers, replicas); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < replicas; i = int(next.Add(1) - 1) {
+				errs[i] = run(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return KiloscaleResult{}, err
+		}
 	}
 
 	out := KiloscaleResult{
@@ -167,9 +184,7 @@ func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
 	fp.Write([]byte(strings.Join(lines, "\n")))
 	out.Fingerprint = fmt.Sprintf("%016x", fp.Sum64())
 	for i := range vts {
-		if vts[i] > out.VirtualTime {
-			out.VirtualTime = vts[i]
-		}
+		out.VirtualTime = max(out.VirtualTime, vts[i])
 		out.Events += events[i]
 	}
 	return out, nil

@@ -46,10 +46,19 @@ func TestKiloscaleRejectsUnknownWorkload(t *testing.T) {
 	}
 }
 
-// TestKiloscaleParallelSpeedup asserts the point of the sharded runtime: on
-// a multi-core host the parallel arm must beat the sequential arm by >=2x.
-// Hosts with fewer than 4 cores cannot honestly make that bet, so the
-// assertion (not the equivalence contract, tested above) is skipped there.
+// TestKiloscaleRejectsNegativeWorkers: a negative worker count would start
+// no goroutine and report an empty fleet; it must fail instead.
+func TestKiloscaleRejectsNegativeWorkers(t *testing.T) {
+	if res, err := Kiloscale(KiloscaleConfig{Nodes: 3, Workers: -1}); err == nil {
+		t.Fatalf("negative worker count accepted: %+v", res)
+	}
+}
+
+// TestKiloscaleParallelSpeedup asserts the point of running replicas
+// concurrently: on a multi-core host the parallel arm must beat the
+// sequential arm by >=2x. Hosts with fewer than 4 cores cannot honestly
+// make that bet, so the assertion (not the equivalence contract, tested
+// above) is skipped there.
 func TestKiloscaleParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement is wall-clock; skipped in -short")
