@@ -29,11 +29,13 @@ ci: build vet test
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Kernel microbenchmarks, both event-queue implementations side by side:
-# push/pop, steady-state churn and the cancel/purge path on the calendar
-# queue vs the retained heap, plus the allocation-free dispatch/handoff
-# paths (-benchmem makes a pooling regression visible as allocs/op).
+# push/pop, steady-state churn, the cancel/purge path and Try*-style
+# deadline churn on the calendar queue vs the retained heap, plus the
+# allocation-free dispatch/handoff paths (-benchmem makes a pooling
+# regression visible as allocs/op; DeadlineChurn also reports the
+# fractional mallocs/op that resizing churn costs).
 bench-kernel:
-	$(GO) test -run '^$$' -bench 'HeapPushPop|QueueChurn|TimerCancelPurge|EventThroughput|QueueHandoff' -benchmem ./internal/sim/
+	$(GO) test -run '^$$' -bench 'HeapPushPop|QueueChurn|TimerCancelPurge|DeadlineChurn|EventThroughput|QueueHandoff' -benchmem ./internal/sim/
 .PHONY: bench-kernel
 
 # Machine-readable benchmark results (BENCH_<exp>.json) under results/.
@@ -48,20 +50,21 @@ bench-json:
 
 # Extended gate: tier-1, the race detector, and every step that
 # `go test ./...` does not already run: ten race-checked repeats of the
-# tests that run simulations on concurrent goroutines, fuzz smokes
+# tests that run simulations on concurrent goroutines (kiloscale replicas,
+# and Apps sharing the call-site memo of diagnostics), fuzz smokes
 # of the format and scenario parsers, the scenarios/ library validated
 # against its golden fingerprints, a profile-export smoke writing both
 # formats, a kernel microbenchmark smoke, and staticcheck when the host
 # has it installed.
 ci-full: ci race
-	$(GO) test -race -count=10 -run 'TestKiloscaleSeqParEquivalence|TestChaosKernelArmsDeterminism' ./internal/workload
+	$(GO) test -race -count=10 -run 'TestKiloscaleSeqParEquivalence|TestChaosKernelArmsDeterminism|TestDiagnosticsConcurrentApps' ./internal/workload ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/fmtmsg
 	$(GO) test -run '^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario/
 	$(GO) run ./cmd/cellpilot-bench validate
 	$(GO) run ./cmd/cellpilot-bench -exp profile -reps 5 -trace-type 2 \
 		-folded /tmp/cellpilot-ci.folded -pprof /tmp/cellpilot-ci.pb.gz >/dev/null
 	@rm -f /tmp/cellpilot-ci.folded /tmp/cellpilot-ci.pb.gz
-	$(GO) test -run '^$$' -bench 'HeapPushPop|TimerCancelPurge|EventDispatch' -benchtime 100000x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'HeapPushPop|TimerCancelPurge|DeadlineChurn|EventDispatch' -benchtime 100000x ./internal/sim/
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -69,13 +69,18 @@ func (s *Signal) Read(p *sim.Proc) uint32 {
 			p.Fatalf("cellbe: two readers on signal %s", s.name)
 		}
 		s.waiter = p
-		p.Park(fmt.Sprintf("read signal %s", s.name))
+		p.ParkFor((*signalRead)(s))
 	}
 	s.waiter = nil
 	v := s.value
 	s.value = 0
 	return v
 }
+
+// signalRead is a blocked Read's park reason.
+type signalRead Signal
+
+func (s *signalRead) String() string { return fmt.Sprintf("read signal %s", s.name) }
 
 // TryRead returns and clears the register if non-zero, without stalling.
 func (s *Signal) TryRead(p *sim.Proc) (uint32, bool) {

@@ -218,7 +218,8 @@ type speReq struct {
 	decodeAt sim.Time // when the Co-Pilot decoded it
 	svcEnd   sim.Time // when decode/dispatch service finished
 
-	// Chunk-stream state (transfer.go); nil outside the chunked path.
-	stream  *streamSend
-	rstream *streamRecv
+	// Chunk-stream state (transfer.go), zero outside the chunked path. It
+	// is held by value, so a recycled record reuses its slices.
+	stream  streamSend
+	rstream streamRecv
 }

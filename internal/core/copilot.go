@@ -27,10 +27,18 @@ type copilot struct {
 	q      *sim.Queue[struct{}]
 	proc   *sim.Proc
 	dead   bool
+	// nudge wakes the event loop; safe from any context. It is built
+	// once, so handing it to the kernel as a callback allocates nothing.
+	nudge func()
 
 	bindings   []*speBinding
 	pendWrites reqQueue
 	pendReads  reqQueue
+	reqFree    []*speReq // completed requests' records, for newReq
+	// relayHdr and relaySegs receive a relayed message (header, then
+	// local-store window) in tryRead; the loop receives one at a time.
+	relayHdr  [hdrSize]byte
+	relaySegs [2][]byte
 	// scanW/scanR rotate the pending-scan start when the chunk engine is on,
 	// so concurrent streams interleave chunk-by-chunk instead of the first
 	// stream monopolizing the loop. With chunking off the scan always starts
@@ -73,20 +81,42 @@ func newCopilot(a *App, key copilotKey, rank *mpi.Rank) *copilot {
 		rank:   rank,
 		q:      sim.NewQueue[struct{}](a.K, rank.Label()+"/events", 1<<14),
 	}
+	cp.nudge = func() { cp.q.TryPut(struct{}{}) }
 	// Message arrivals for this rank nudge the event loop, so the Co-Pilot
 	// never busy-waits yet still models polling latency (see loop).
-	rank.OnArrival(func() { cp.q.TryPut(struct{}{}) })
+	rank.OnArrival(cp.nudge)
 	return cp
 }
-
-// nudge wakes the event loop; safe from any context.
-func (cp *copilot) nudge() { cp.q.TryPut(struct{}{}) }
 
 // register adds a newly launched SPE process to the polling set. Called by
 // RunSPE before the SPE can issue its first request.
 func (cp *copilot) register(sp *Process, sctx *sdk.Context) {
 	cp.bindings = append(cp.bindings, &speBinding{proc: sp, sctx: sctx, lastSeq: -1})
 	cp.nudge()
+}
+
+// newReq returns a record holding r, recycled when one is free.
+func (cp *copilot) newReq(r speReq) *speReq {
+	n := len(cp.reqFree)
+	if n == 0 {
+		req := new(speReq)
+		*req = r
+		return req
+	}
+	req := cp.reqFree[n-1]
+	cp.reqFree = cp.reqFree[:n-1]
+	arrivals, dmaAt := req.stream.arrivals, req.stream.dmaAt
+	*req = r
+	req.stream.arrivals, req.stream.dmaAt = arrivals, dmaAt
+	return req
+}
+
+// freeReq recycles a completed request: it has left the pending queues
+// and its SPE has been notified, so nothing refers to it. The record
+// keeps its stream slices' storage for the next chunked request.
+func (cp *copilot) freeReq(req *speReq) {
+	*req = speReq{stream: streamSend{arrivals: req.stream.arrivals[:0], dmaAt: req.stream.dmaAt[:0]}}
+	cp.reqFree = append(cp.reqFree, req)
 }
 
 // loop is the Co-Pilot service loop. It blocks on the event queue; each
@@ -207,12 +237,12 @@ func (cp *copilot) step(p *sim.Proc) bool {
 			}
 		}
 		post := cp.app.speTakePost(b.proc)
-		req := &speReq{
+		req := cp.newReq(speReq{
 			op: op, ch: cp.app.chans[chanID],
 			spe: b.sctx.SPE, proc: b.proc,
 			lsAddr: lsAddr, size: int(size), sig: sig,
 			xfer: post.xfer, postedAt: post.postedAt, decodeAt: decodeStart,
-		}
+		})
 		p.Advance(cp.app.par.CoPilotDispatch)
 		req.svcEnd = p.Now()
 		cp.meterReq(decodeStart-post.postedAt, cp.pendWrites.size()+cp.pendReads.size())
@@ -239,6 +269,8 @@ func (cp *copilot) step(p *sim.Proc) bool {
 		case op == opRead && !cp.tryRead(p, req):
 			cp.streamAdvanced = false
 			cp.pendReads.push(req)
+		default:
+			cp.freeReq(req)
 		}
 		return true
 	}
@@ -264,6 +296,7 @@ func (cp *copilot) scanPending(p *sim.Proc, q *reqQueue, scan int, try func(*sim
 		req := q.at(i)
 		if try(p, req) {
 			q.removeAt(i)
+			cp.freeReq(req)
 			return true, i
 		}
 		if cp.streamAdvanced {
@@ -424,6 +457,7 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 		cp.notify(p, req, speStatusOK)
 		cp.obsComplete(rd)
 		cp.notify(p, rd, speStatusOK)
+		cp.freeReq(rd)
 		return true
 
 	case Type2, Type3:
@@ -520,12 +554,11 @@ func (cp *copilot) tryRead(p *sim.Proc, req *speReq) bool {
 				ch, st.Count-hdrSize, req.proc, req.size))
 		}
 		req.xfer = st.Xfer
-		var hdr [hdrSize]byte
-		win := cp.lsWindow(p, req)
+		cp.relaySegs = [2][]byte{cp.relayHdr[:], cp.lsWindow(p, req)}
 		recvStart := p.Now()
-		cp.rank.RecvIntoVec(p, src, ch.tag(), hdr[:], win)
+		cp.rank.RecvIntoVec(p, src, ch.tag(), cp.relaySegs[:]...)
 		cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.lbl, ch, req.size, recvStart, p.Now())
-		sig, size := parseHeader(hdr[:])
+		sig, size := parseHeader(cp.relayHdr[:])
 		cp.validateIncoming(p, req, sig, size)
 		cp.obsComplete(req)
 		cp.notify(p, req, speStatusOK)
@@ -545,26 +578,26 @@ func (cp *copilot) streamWrite(p *sim.Proc, req *speReq, dst int) bool {
 	app := cp.app
 	par := app.par
 	chunk := app.opts.Transfer.ChunkSize
-	if req.stream == nil {
-		st := &streamSend{dst: dst, nchunks: chunkCount(req.size, chunk), startAt: p.Now()}
-		req.stream = st
+	st := &req.stream
+	if st.nchunks == 0 {
+		st.dst, st.nchunks, st.startAt = dst, chunkCount(req.size, chunk), p.Now()
 		cp.rank.TagNextXfer(req.xfer)
-		cp.rank.Send(p, dst, req.ch.streamTag(), streamHeader(req.sig, req.size, chunk, st.nchunks))
+		var hdr [streamHdrSize]byte
+		putStreamHeader(hdr[:], req.sig, req.size, chunk, st.nchunks)
+		cp.rank.SendVec(p, dst, req.ch.streamTag(), hdr[:])
 		// Issue the whole stream's LS→EA fetches as one DMA list: the MFC
 		// works through the elements back to back while the Co-Pilot injects
 		// chunks, so fetch k+1 overlaps chunk k's stack serialization. The
 		// payload cannot change underneath it — the writer stub is parked
 		// until the stream completes.
 		res := app.dmaRes(req.spe)
-		st.dmaAt = make([]sim.Time, st.nchunks)
-		for k := range st.dmaAt {
+		for k := 0; k < st.nchunks; k++ {
 			n := chunkLen(req.size, chunk, k)
 			d := par.ChunkDMATime(n)
-			st.dmaAt[k] = res.ReserveFor(d)
+			st.dmaAt = append(st.dmaAt, res.ReserveFor(d))
 			app.spanChunk(req.xfer, trace.PhaseChunkDMA, req.proc.lbl, req.ch, n, st.dmaAt[k]-d, st.dmaAt[k], k)
 		}
 	}
-	st := req.stream
 	target := st.dmaAt[st.next]
 	if depth := app.pipeDepth(); st.next >= depth {
 		if a := st.arrivals[st.next-depth]; a > target {
@@ -615,7 +648,8 @@ func (cp *copilot) streamRead(p *sim.Proc, req *speReq, src int) bool {
 	app := cp.app
 	par := app.par
 	tag := req.ch.streamTag()
-	if req.rstream == nil {
+	rs := &req.rstream
+	if rs.nchunks == 0 {
 		st, ok := cp.rank.Iprobe(p, src, tag)
 		if !ok {
 			return false
@@ -627,12 +661,11 @@ func (cp *copilot) streamRead(p *sim.Proc, req *speReq, src int) bool {
 		sig, size, chunk, nchunks := parseStreamHeader(data)
 		cp.validateIncoming(p, req, sig, size)
 		req.xfer = hst.Xfer
-		req.rstream = &streamRecv{src: src, chunk: chunk, nchunks: nchunks, startAt: p.Now()}
+		*rs = streamRecv{src: src, chunk: chunk, nchunks: nchunks, startAt: p.Now()}
 		app.noteStream(inflightRecv, nchunks)
 		cp.streamAdvanced = true
 		return false
 	}
-	rs := req.rstream
 	if rs.got < rs.nchunks {
 		if _, ok := cp.rank.Iprobe(p, src, tag); !ok {
 			return false

@@ -19,6 +19,9 @@ type Ctx struct {
 	P    *sim.Proc
 	Self *Process
 	rank *mpi.Rank
+	// arrivals is writeChunked's per-chunk arrival log, kept across writes
+	// so that streaming one allocates none.
+	arrivals []sim.Time
 }
 
 // Index reports the index given at CreateProcess.
@@ -314,13 +317,14 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 	stag := ch.streamTag()
 	sendStart := c.P.Now()
 	c.rank.TagNextXfer(xfer)
-	hdrMsg := streamHeader(spec.Signature(), len(wire), chunk, nchunks)
+	var hdr [streamHdrSize]byte
+	putStreamHeader(hdr[:], spec.Signature(), len(wire), chunk, nchunks)
 	var stop func() error
 	if useCtl {
 		unwatch := c.app.watchChannel(ch, c.P)
 		defer unwatch()
 		stop = c.app.chanStop(ch)
-		if err := c.rank.SendCtl(c.P, dst, stag, hdrMsg, mpi.Ctl{Deadline: deadline, Stop: stop}); err != nil {
+		if err := c.rank.SendVecCtl(c.P, dst, stag, mpi.Ctl{Deadline: deadline, Stop: stop}, hdr[:]); err != nil {
 			cf := c.app.opFault(loc, api, c.Self, ch, err)
 			if soft {
 				return cf
@@ -328,9 +332,9 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 			c.app.raiseFault(c.Self, ch, cf, false)
 		}
 	} else {
-		c.rank.Send(c.P, dst, stag, hdrMsg)
+		c.rank.SendVec(c.P, dst, stag, hdr[:])
 	}
-	arrivals := make([]sim.Time, 0, nchunks)
+	arrivals := c.arrivals[:0]
 	for k := 0; k < nchunks; k++ {
 		if k >= depth {
 			if a := arrivals[k-depth]; a > c.P.Now() {
@@ -374,6 +378,7 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 		}
 		c.app.noteStream(inflightSend, inflight)
 	}
+	c.arrivals = arrivals
 	// The stream is buffered in flight regardless of the reader: tell the
 	// detector so a blocked read on ch is not treated as a wait.
 	c.app.reportSent(ch)

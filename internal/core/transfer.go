@@ -123,13 +123,13 @@ const streamHdrSize = 16
 // order is already guaranteed; the index is an integrity assertion.
 const chunkIdxSize = 4
 
-func streamHeader(sig uint32, size, chunkBytes, nchunks int) []byte {
-	b := make([]byte, streamHdrSize)
+// putStreamHeader writes a stream header into b, which holds at least
+// streamHdrSize bytes.
+func putStreamHeader(b []byte, sig uint32, size, chunkBytes, nchunks int) {
 	be32(b[0:], sig)
 	be32(b[4:], uint32(size))
 	be32(b[8:], uint32(chunkBytes))
 	be32(b[12:], uint32(nchunks))
-	return b
 }
 
 func parseStreamHeader(b []byte) (sig uint32, size, chunkBytes, nchunks int) {
@@ -174,7 +174,7 @@ func chunkLen(n, chunk, k int) int {
 
 // streamSend is the writer-side state of one in-progress chunk stream
 // (held on the Co-Pilot's speReq; the PPE writer streams inline and needs
-// no persistent state).
+// no persistent state). nchunks is 0 until the stream starts.
 type streamSend struct {
 	dst      int // destination rank
 	nchunks  int
@@ -185,6 +185,7 @@ type streamSend struct {
 }
 
 // streamRecv is the reader-side state of one in-progress chunk stream.
+// nchunks is 0 until its header has arrived.
 type streamRecv struct {
 	src     int // source rank
 	chunk   int // chunk size announced by the header

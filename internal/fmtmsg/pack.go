@@ -19,85 +19,84 @@ func (s *Spec) Pack(args ...any) ([]byte, error) {
 // consume an int count argument first, like the paper's
 // PI_Read(ch, "%*d", 100, array).
 func (s *Spec) Unpack(data []byte, args ...any) error {
-	counts, dataArgs, err := s.splitArgs(args, true)
+	total, err := s.WireSize(args...)
 	if err != nil {
 		return err
-	}
-	total := 0
-	for i, it := range s.Items {
-		total += counts[i] * it.Type.Size()
 	}
 	if len(data) != total {
 		return fmt.Errorf("fmtmsg: %q: wire payload is %d bytes, format describes %d", s.Format, len(data), total)
 	}
-	off := 0
-	for i, it := range s.Items {
-		n := counts[i] * it.Type.Size()
-		if err := readElems(data[off:off+n], it.Type, counts[i], dataArgs[i], s.Format); err != nil {
-			return err
-		}
-		off += n
-	}
-	return nil
+	return s.readAll(data, args)
 }
 
 // WireSize reports the payload size the given call-time arguments produce;
-// it resolves '*' counts.
+// it resolves '*' counts. It checks args against the items — each '*'
+// count, then one data argument per item, and nothing left over — and
+// allocates only for an error. Pack and Unpack run it first, so argument
+// errors take precedence over element errors.
 func (s *Spec) WireSize(args ...any) (int, error) {
-	counts, _, err := s.splitArgs(args, false)
-	if err != nil {
-		return 0, err
+	ai, total := 0, 0
+	for _, it := range s.Items {
+		count, _, next, err := s.itemArgs(it, args, ai)
+		if err != nil {
+			return 0, err
+		}
+		total += count * it.Type.Size()
+		ai = next
 	}
-	total := 0
-	for i, it := range s.Items {
-		total += counts[i] * it.Type.Size()
+	if ai != len(args) {
+		return 0, fmt.Errorf("fmtmsg: %q: %d excess argument(s)", s.Format, len(args)-ai)
 	}
 	return total, nil
 }
 
-// splitArgs resolves per-item counts and the data argument for each item.
-func (s *Spec) splitArgs(args []any, unpack bool) (counts []int, dataArgs []any, err error) {
-	ai := 0
-	next := func() (any, error) {
+// itemArgs resolves one item's element count and data argument from the
+// arguments starting at args[ai], and returns the index after them.
+func (s *Spec) itemArgs(it Item, args []any, ai int) (count int, arg any, next int, err error) {
+	count = it.Count
+	if it.Star {
 		if ai >= len(args) {
-			return nil, fmt.Errorf("fmtmsg: %q: not enough arguments (%d supplied)", s.Format, len(args))
+			return 0, nil, ai, s.tooFew(args)
 		}
-		a := args[ai]
+		switch v := args[ai].(type) {
+		case int:
+			count = v
+		case int32:
+			count = int(v)
+		case int64:
+			count = int(v)
+		default:
+			return 0, nil, ai, fmt.Errorf("fmtmsg: %q: '*' count must be an int, got %T", s.Format, args[ai])
+		}
+		if count <= 0 {
+			return 0, nil, ai, fmt.Errorf("fmtmsg: %q: '*' count %d must be positive", s.Format, count)
+		}
 		ai++
-		return a, nil
 	}
+	if ai >= len(args) {
+		return 0, nil, ai, s.tooFew(args)
+	}
+	return count, args[ai], ai + 1, nil
+}
+
+func (s *Spec) tooFew(args []any) error {
+	return fmt.Errorf("fmtmsg: %q: not enough arguments (%d supplied)", s.Format, len(args))
+}
+
+// readAll decodes every item from the front of data, which holds at least
+// the size WireSize reported for args.
+func (s *Spec) readAll(data []byte, args []any) error {
+	off, ai := 0, 0
 	for _, it := range s.Items {
-		count := it.Count
-		if it.Star {
-			a, err := next()
-			if err != nil {
-				return nil, nil, err
-			}
-			switch v := a.(type) {
-			case int:
-				count = v
-			case int32:
-				count = int(v)
-			case int64:
-				count = int(v)
-			default:
-				return nil, nil, fmt.Errorf("fmtmsg: %q: '*' count must be an int, got %T", s.Format, a)
-			}
-			if count <= 0 {
-				return nil, nil, fmt.Errorf("fmtmsg: %q: '*' count %d must be positive", s.Format, count)
-			}
+		count, arg, next, _ := s.itemArgs(it, args, ai) // checked by WireSize
+		n := count * it.Type.Size()
+		if err := readElems(data[off:off+n], it.Type, count, arg, s.Format); err != nil {
+			return err
 		}
-		a, err := next()
-		if err != nil {
-			return nil, nil, err
-		}
-		counts = append(counts, count)
-		dataArgs = append(dataArgs, a)
+		off += n
+		ai = next
 	}
-	if ai != len(args) {
-		return nil, nil, fmt.Errorf("fmtmsg: %q: %d excess argument(s)", s.Format, len(args)-ai)
-	}
-	return counts, dataArgs, nil
+	return nil
 }
 
 func argErr(format string, typ ElemType, arg any, unpack bool) error {

@@ -102,5 +102,6 @@ func parse(format string) (*Spec, error) {
 	if len(s.Items) == 0 {
 		return nil, fmt.Errorf("fmtmsg: %q: no conversions", format)
 	}
+	s.sig = signature(s.Items)
 	return s, nil
 }

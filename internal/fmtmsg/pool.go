@@ -40,24 +40,23 @@ func PutWireBuf(bp *[]byte) {
 // when buf lacks capacity; it returns the extended slice. With a pooled
 // buffer sized by WireSize this makes steady-state packing allocation-free.
 func (s *Spec) PackInto(buf []byte, args ...any) ([]byte, error) {
-	counts, dataArgs, err := s.splitArgs(args, false)
+	total, err := s.WireSize(args...)
 	if err != nil {
 		return nil, err
-	}
-	total := 0
-	for i, it := range s.Items {
-		total += counts[i] * it.Type.Size()
 	}
 	if cap(buf)-len(buf) < total {
 		nb := make([]byte, len(buf), len(buf)+total)
 		copy(nb, buf)
 		buf = nb
 	}
-	for i, it := range s.Items {
-		buf, err = appendElems(buf, it.Type, counts[i], dataArgs[i], s.Format)
+	ai := 0
+	for _, it := range s.Items {
+		count, arg, next, _ := s.itemArgs(it, args, ai) // checked by WireSize
+		buf, err = appendElems(buf, it.Type, count, arg, s.Format)
 		if err != nil {
 			return nil, err
 		}
+		ai = next
 	}
 	return buf, nil
 }
@@ -66,24 +65,15 @@ func (s *Spec) PackInto(buf []byte, args ...any) ([]byte, error) {
 // larger reassembly buffer) and returns the number of bytes consumed.
 // Unlike Unpack it tolerates trailing bytes.
 func (s *Spec) UnpackFrom(data []byte, args ...any) (int, error) {
-	counts, dataArgs, err := s.splitArgs(args, true)
+	total, err := s.WireSize(args...)
 	if err != nil {
 		return 0, err
-	}
-	total := 0
-	for i, it := range s.Items {
-		total += counts[i] * it.Type.Size()
 	}
 	if len(data) < total {
 		return 0, fmt.Errorf("fmtmsg: %q: wire payload is %d bytes, format describes %d", s.Format, len(data), total)
 	}
-	off := 0
-	for i, it := range s.Items {
-		n := counts[i] * it.Type.Size()
-		if err := readElems(data[off:off+n], it.Type, counts[i], dataArgs[i], s.Format); err != nil {
-			return 0, err
-		}
-		off += n
+	if err := s.readAll(data, args); err != nil {
+		return 0, err
 	}
-	return off, nil
+	return total, nil
 }

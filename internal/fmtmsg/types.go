@@ -97,12 +97,14 @@ type Item struct {
 	Type ElemType
 }
 
-// Spec is a parsed format string.
+// Spec is a parsed format string. Obtain one from Parse or MustParse,
+// which also compute its signature.
 type Spec struct {
 	// Format is the original string, for diagnostics.
 	Format string
 	// Items are the conversions in order.
 	Items []Item
+	sig   uint32
 }
 
 // Signature is a compact writer/reader compatibility code: same element
@@ -110,10 +112,14 @@ type Spec struct {
 // Fixed counts are included — reading fewer elements than were written is
 // the classic MPI bug Pilot exists to catch — except that a '*' end
 // matches any count of the same type (the paper's "%*d" example reads an
-// array written as "%100d").
-func (s *Spec) Signature() uint32 {
+// array written as "%100d"). Parse computes it once, so every channel
+// operation reads a stored value.
+func (s *Spec) Signature() uint32 { return s.sig }
+
+// signature hashes the items' element types for Signature.
+func signature(items []Item) uint32 {
 	h := fnv.New32a()
-	for _, it := range s.Items {
+	for _, it := range items {
 		fmt.Fprintf(h, "|%s", it.Type.Verb())
 	}
 	return h.Sum32()

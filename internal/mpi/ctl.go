@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"errors"
-	"fmt"
 
 	"cellpilot/internal/sim"
 )
@@ -47,15 +46,11 @@ func (r *Rank) RecvCtl(p *sim.Proc, src, tag int, ctl Ctl) ([]byte, Status, erro
 	r.bind(p)
 	w := r.w
 	p.Advance(w.Par.MPIRecvOverhead)
-	req := &recvReq{src: src, tag: tag, proc: p}
-	if env, ok := r.takeUnexpected(src, tag); ok {
-		r.complete(env, req)
-	} else {
-		r.posted = append(r.posted, req)
-	}
-	var tm *sim.Timer
+	req := w.newRecvReq(r, p, src, tag)
+	r.post(req)
+	var tm sim.Timer
 	if ctl.Deadline > 0 && !req.done {
-		tm = w.K.AfterTimer(ctl.Deadline-w.K.Now(), func() { w.K.ReadyIfParked(p) })
+		tm = p.WakeAt(ctl.Deadline)
 	}
 	for !req.done {
 		if err := ctl.check(w.K.Now()); err != nil {
@@ -69,10 +64,12 @@ func (r *Rank) RecvCtl(p *sim.Proc, src, tag int, ctl Ctl) ([]byte, Status, erro
 			tm.Cancel()
 			return nil, Status{}, err
 		}
-		p.Park(fmt.Sprintf("mpi recv rank%d src=%d tag=%d", r.id, src, tag))
+		p.ParkFor((*recvWait)(req))
 	}
 	tm.Cancel()
-	return req.out, req.status, nil
+	out, st := req.out, req.status
+	w.freeRecvReq(req)
+	return out, st, nil
 }
 
 // SendCtl is Send bounded by ctl. Only the rendezvous wait (a payload
@@ -81,10 +78,10 @@ func (r *Rank) RecvCtl(p *sim.Proc, src, tag int, ctl Ctl) ([]byte, Status, erro
 // Send. An abandoned rendezvous withdraws its RTS announcement; the
 // message is never delivered.
 func (r *Rank) SendCtl(p *sim.Proc, dst, tag int, data []byte, ctl Ctl) error {
-	return r.send(p, dst, tag, data, false, nil, ctl)
+	return r.send(p, dst, tag, data, false, false, nil, ctl)
 }
 
 // SendVecCtl is SendVec bounded by ctl.
 func (r *Rank) SendVecCtl(p *sim.Proc, dst, tag int, ctl Ctl, segs ...[]byte) error {
-	return r.send(p, dst, tag, concat(segs), true, nil, ctl)
+	return r.send(p, dst, tag, concat(segs), true, false, nil, ctl)
 }

@@ -49,6 +49,7 @@ type World struct {
 	rel    map[relKey]*relState
 
 	envFree []*envelope // recycled envelope records (see newEnvelope)
+	reqFree []*recvReq  // recycled internal receive records (see newRecvReq)
 
 	// Flow, when non-nil, observes every delivered message as (source
 	// node, destination node, bytes) — the node×node traffic matrix feed.

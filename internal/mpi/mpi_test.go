@@ -232,25 +232,63 @@ func TestProbeAndIprobe(t *testing.T) {
 	run(t, c)
 }
 
+// TestUnmatchedRecvDeadlocks: every blocking wait names itself in the
+// deadlock report, verbatim, although the reasons with values are
+// formatted only when the report is built.
 func TestUnmatchedRecvDeadlocks(t *testing.T) {
-	c, w := newWorld(t)
+	c, err := cluster.New(cluster.Spec{CellNodes: 2, XeonNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	placements := make([]Placement, 7)
+	for i := range placements {
+		placements[i] = Placement{Node: i % 3, Label: fmt.Sprintf("r%d", i)}
+	}
+	w, err := NewWorld(c, placements)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.K.Spawn("r0", func(p *sim.Proc) {
 		w.Rank(0).Recv(p, 2, 1) // nobody sends
+	})
+	c.K.Spawn("r1", func(p *sim.Proc) {
+		w.Rank(1).RecvCtl(p, 4, 2, Ctl{})
+	})
+	c.K.Spawn("r2", func(p *sim.Proc) {
+		w.Rank(2).RecvIntoVec(p, 0, 3, make([]byte, 4), make([]byte, 4))
 	})
 	c.K.Spawn("r3", func(p *sim.Proc) {
 		r := w.Rank(3)
 		r.Wait(p, r.Irecv(p, 4, 1)) // nor here
 	})
-	err := c.K.Run()
+	c.K.Spawn("r4", func(p *sim.Proc) {
+		w.Rank(4).ProbeMulti(p, []ProbeSpec{{Src: 0, Tag: 5}, {Src: 1, Tag: 6}})
+	})
+	big := 2 * w.Par.EagerThreshold
+	c.K.Spawn("r5", func(p *sim.Proc) {
+		w.Rank(5).Send(p, 6, 7, make([]byte, big)) // rank 6 never receives
+	})
+	snr := c.Nodes[1].Cells[0].SPEs[2].SNR1
+	c.K.Spawn("spu", func(p *sim.Proc) {
+		snr.Read(p) // nobody signals
+	})
+	err = c.K.Run()
 	var dl *sim.ErrDeadlock
 	if !errors.As(err, &dl) {
 		t.Fatalf("err = %v, want deadlock", err)
 	}
-	if !strings.Contains(err.Error(), "mpi recv rank0") {
-		t.Fatalf("deadlock report lacks recv context: %v", err)
-	}
-	if !strings.Contains(err.Error(), "mpi wait rank3") {
-		t.Fatalf("deadlock report lacks wait context: %v", err)
+	for _, reason := range []string{
+		"r0: mpi recv rank0 src=2 tag=1",
+		"r1: mpi recv rank1 src=4 tag=2",
+		"r2: mpi recvvec rank2 src=0 tag=3",
+		"r3: mpi wait rank3",
+		"r4: mpi probemulti rank4 (2 patterns)",
+		fmt.Sprintf("r5: mpi rendezvous send rank5->rank6 tag 7 (%d bytes)", big),
+		"spu: read signal " + c.Nodes[1].Name + "/spe2/snr1",
+	} {
+		if !strings.Contains(err.Error(), "\n  "+reason+"\n") && !strings.HasSuffix(err.Error(), "\n  "+reason) {
+			t.Errorf("deadlock report lacks %q:\n%v", reason, err)
+		}
 	}
 }
 

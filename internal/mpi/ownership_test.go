@@ -12,8 +12,8 @@ import (
 )
 
 // senders are every way to send one message. Each gets the message as
-// segments; the plain senders use only the first. send returns a
-// nonblocking sender's request and nil for a blocking one.
+// segments; the plain senders use only the first. send returns Isend's
+// request, and nil for a blocking sender or IsendVec, which gives none.
 var senders = []struct {
 	name string
 	send func(r *Rank, p *sim.Proc, dst, tag int, segs [][]byte) *Request
@@ -36,7 +36,8 @@ var senders = []struct {
 		return nil
 	}},
 	{"IsendVec", func(r *Rank, p *sim.Proc, dst, tag int, segs [][]byte) *Request {
-		return r.IsendVec(p, dst, tag, segs...)
+		r.IsendVec(p, dst, tag, segs...)
+		return nil
 	}},
 	{"SendVecCtl", func(r *Rank, p *sim.Proc, dst, tag int, segs [][]byte) *Request {
 		if err := r.SendVecCtl(p, dst, tag, Ctl{Deadline: sim.Second}, segs...); err != nil {

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"cellpilot/internal/hostprof"
 	"cellpilot/internal/sim"
@@ -26,22 +27,19 @@ type envelope struct {
 	// cancelled marks a rendezvous announcement whose sender abandoned the
 	// wait (SendCtl deadline/stop); deliver discards it.
 	cancelled bool
-	// taken marks an envelope consumed from the unexpected queue; the
-	// arrival-ordered index skips it lazily.
-	taken bool
-	dst   *Rank
+	// reliable marks an envelope sent through the reliability layer, whose
+	// frame keeps it until acked, so no receive may recycle it.
+	reliable bool
+	arrival  uint64 // unexpected-queue arrival number
+	dst      *Rank
 	// fire delivers the envelope to dst. It is built once per record, so
 	// scheduling a recycled envelope's delivery allocates nothing.
 	fire func()
 }
 
 // newEnvelope returns an envelope from rank r to rank d. It reuses a
-// record from the world's free list when there is one. Only fire returns
-// records to that list: an eager envelope it delivered straight into a
-// posted receive has no other holder, while one queued as unexpected
-// stays in the queue's arrival index and one sent through the
-// reliability layer (which delivers without fire) stays in its frame
-// until acked.
+// record from the world's free list when there is one; complete returns
+// eager records to that list once their receive has taken the payload.
 func (w *World) newEnvelope(r, d *Rank, tag, size int) *envelope {
 	var env *envelope
 	if n := len(w.envFree); n > 0 {
@@ -49,12 +47,7 @@ func (w *World) newEnvelope(r, d *Rank, tag, size int) *envelope {
 		w.envFree = w.envFree[:n-1]
 	} else {
 		env = &envelope{}
-		env.fire = func() {
-			if env.dst.deliver(env) {
-				*env = envelope{fire: env.fire}
-				w.envFree = append(w.envFree, env)
-			}
-		}
+		env.fire = func() { env.dst.deliver(env) }
 	}
 	env.src, env.tag, env.size, env.dst = r.id, tag, size, d
 	env.srcNode, env.dstNode = r.node.ID, d.node.ID
@@ -62,80 +55,110 @@ func (w *World) newEnvelope(r, d *Rank, tag, size int) *envelope {
 	return env
 }
 
+// freeEnvelope recycles an eager envelope whose payload a receive took.
+// Nothing else holds it: deliver and take have unlinked it, and the
+// rendezvous and reliable envelopes that others do hold never come here.
+func (w *World) freeEnvelope(env *envelope) {
+	*env = envelope{fire: env.fire}
+	w.envFree = append(w.envFree, env)
+}
+
+// sendWait is a blocked rendezvous sender's park reason.
+type sendWait envelope
+
+func (e *sendWait) String() string {
+	return fmt.Sprintf("mpi rendezvous send rank%d->rank%d tag %d (%d bytes)", e.src, e.dst.id, e.tag, e.size)
+}
+
 // envKey addresses one per-(source, tag) FIFO in the unexpected queue.
 type envKey struct{ src, tag int }
 
-// unexpectedQueue holds unmatched arrivals. The hot path — every channel
-// operation receives from a specific peer on a specific tag — hits a
-// per-key FIFO in O(1) instead of the old linear scan with a slice shift.
-// Wildcard queries walk an arrival-ordered side index (taken entries are
-// skipped lazily and compacted), reproducing the original scan's matching
-// order exactly; no map iteration happens anywhere, so matching stays
-// deterministic.
+// unexpectedQueue holds unmatched arrivals in one FIFO per (source, tag),
+// each in arrival order. The hot path — every channel operation receives
+// from a specific peer on a specific tag — pops a FIFO's head in O(1). A
+// wildcard query takes, among the heads of the FIFOs it matches, the one
+// that arrived first; a FIFO's head is its only candidate, because every
+// entry of a FIFO matches the same queries. Choosing by arrival number
+// keeps matching deterministic although the map's iteration is not.
 type unexpectedQueue struct {
-	byKey map[envKey][]*envelope
-	order []*envelope // arrival order; consumed entries stay until compaction
-	head  int         // first possibly-live index in order
-	n     int
+	byKey map[envKey]*envFIFO
+	// spare holds emptied FIFOs with their storage, so steady traffic on
+	// a key re-queues without allocating.
+	spare []*envFIFO
+	next  uint64 // arrival number of the next envelope
+}
+
+// envFIFO is one key's arrivals, items[head:]; the map holds only
+// non-empty ones.
+type envFIFO struct {
+	items []*envelope
+	head  int
 }
 
 func (q *unexpectedQueue) add(env *envelope) {
 	if q.byKey == nil {
-		q.byKey = map[envKey][]*envelope{}
+		q.byKey = map[envKey]*envFIFO{}
 	}
 	k := envKey{env.src, env.tag}
-	q.byKey[k] = append(q.byKey[k], env)
-	for q.head < len(q.order) && q.order[q.head].taken {
-		q.head++
+	f := q.byKey[k]
+	if f == nil {
+		if n := len(q.spare); n > 0 {
+			f = q.spare[n-1]
+			q.spare = q.spare[:n-1]
+		} else {
+			f = &envFIFO{}
+		}
+		q.byKey[k] = f
 	}
-	if q.head > 32 && q.head > len(q.order)/2 {
-		q.order = append(q.order[:0], q.order[q.head:]...)
-		q.head = 0
-	}
-	q.order = append(q.order, env)
-	q.n++
+	f.items = append(f.items, env)
+	env.arrival = q.next
+	q.next++
 }
 
 // peek returns the earliest-arrived envelope matching (src, tag) without
 // consuming it.
 func (q *unexpectedQueue) peek(src, tag int) (*envelope, bool) {
-	if q.n == 0 {
+	if len(q.byKey) == 0 {
 		return nil, false
 	}
 	if src != AnySource && tag != AnyTag {
-		if l := q.byKey[envKey{src, tag}]; len(l) > 0 {
-			return l[0], true
+		if f := q.byKey[envKey{src, tag}]; f != nil {
+			return f.items[f.head], true
 		}
 		return nil, false
 	}
-	for i := q.head; i < len(q.order); i++ {
-		if env := q.order[i]; !env.taken && match(src, tag, env.src, env.tag) {
-			return env, true
+	var first *envelope
+	for k, f := range q.byKey {
+		if match(src, tag, k.src, k.tag) {
+			if env := f.items[f.head]; first == nil || env.arrival < first.arrival {
+				first = env
+			}
 		}
 	}
-	return nil, false
+	return first, first != nil
 }
 
 // peekMulti returns the earliest-arrived envelope matching any spec, with
 // the index of the first spec it matches — the ProbeMulti contract.
 func (q *unexpectedQueue) peekMulti(specs []ProbeSpec) (int, *envelope, bool) {
-	for i := q.head; i < len(q.order); i++ {
-		env := q.order[i]
-		if env.taken {
+	var first *envelope
+	firstSpec := 0
+	for k, f := range q.byKey {
+		env := f.items[f.head]
+		if first != nil && env.arrival > first.arrival {
 			continue
 		}
 		for si, sp := range specs {
-			if match(sp.Src, sp.Tag, env.src, env.tag) {
-				return si, env, true
+			if match(sp.Src, sp.Tag, k.src, k.tag) {
+				first, firstSpec = env, si
+				break
 			}
 		}
 	}
-	return 0, nil, false
+	return firstSpec, first, first != nil
 }
 
-// take consumes the earliest-arrived envelope matching (src, tag). The
-// match is always the head of its key FIFO: per-key order is a subsequence
-// of arrival order.
+// take consumes the earliest-arrived envelope matching (src, tag).
 func (q *unexpectedQueue) take(src, tag int) (*envelope, bool) {
 	env, ok := q.peek(src, tag)
 	if !ok {
@@ -148,42 +171,42 @@ func (q *unexpectedQueue) take(src, tag int) (*envelope, bool) {
 // remove drops a specific envelope if still queued (SendCtl withdrawing a
 // cancelled rendezvous announcement).
 func (q *unexpectedQueue) remove(env *envelope) {
-	if env.taken {
-		return
-	}
-	k := envKey{env.src, env.tag}
-	for _, e := range q.byKey[k] {
-		if e == env {
-			q.unlink(env)
-			return
-		}
+	if f := q.byKey[envKey{env.src, env.tag}]; f != nil && slices.Contains(f.items[f.head:], env) {
+		q.unlink(env)
 	}
 }
 
 func (q *unexpectedQueue) unlink(env *envelope) {
 	k := envKey{env.src, env.tag}
-	l := q.byKey[k]
-	if len(l) > 0 && l[0] == env {
-		l = l[1:] // O(1) head pop — the overwhelmingly common case
+	f := q.byKey[k]
+	if f.items[f.head] == env {
+		f.items[f.head] = nil // O(1) head pop — the overwhelmingly common case
+		f.head++
 	} else {
-		for i, e := range l {
-			if e == env {
-				l = append(l[:i], l[i+1:]...)
+		for i := f.head; i < len(f.items); i++ {
+			if f.items[i] == env {
+				copy(f.items[i:], f.items[i+1:])
+				f.items[len(f.items)-1] = nil
+				f.items = f.items[:len(f.items)-1]
 				break
 			}
 		}
 	}
-	if len(l) == 0 {
+	switch {
+	case f.head == len(f.items):
+		f.items, f.head = f.items[:0], 0
 		delete(q.byKey, k)
-	} else {
-		q.byKey[k] = l
+		q.spare = append(q.spare, f)
+	case f.head > 32 && f.head > len(f.items)/2:
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items, f.head = f.items[:n], 0
 	}
-	env.taken = true
-	q.n--
 }
 
 // recvReq is a posted receive awaiting a matching envelope.
 type recvReq struct {
+	rank     *Rank
 	src, tag int
 	proc     *sim.Proc
 	buf      []byte   // destination; nil means take or allocate one
@@ -195,6 +218,40 @@ type recvReq struct {
 	// abandoned marks a receive whose ctl fired (RecvCtl deadline/stop); a
 	// data phase already in flight completes into the void.
 	abandoned bool
+	vec       bool // posted by RecvIntoVec, for the park reason
+}
+
+// newRecvReq returns an internal receive record for Recv, RecvCtl or
+// RecvIntoVec, reusing one from the world's free list when it can.
+func (w *World) newRecvReq(r *Rank, p *sim.Proc, src, tag int) *recvReq {
+	var req *recvReq
+	if n := len(w.reqFree); n > 0 {
+		req = w.reqFree[n-1]
+		w.reqFree = w.reqFree[:n-1]
+	} else {
+		req = &recvReq{}
+	}
+	req.rank, req.proc, req.src, req.tag = r, p, src, tag
+	return req
+}
+
+// freeRecvReq recycles a completed internal receive once its caller has
+// read the result. An abandoned one never comes here: a data phase in
+// flight may still write to it.
+func (w *World) freeRecvReq(req *recvReq) {
+	*req = recvReq{}
+	w.reqFree = append(w.reqFree, req)
+}
+
+// recvWait is a blocked receive's park reason.
+type recvWait recvReq
+
+func (req *recvWait) String() string {
+	verb := "recv"
+	if req.vec {
+		verb = "recvvec"
+	}
+	return fmt.Sprintf("mpi %s rank%d src=%d tag=%d", verb, req.rank.id, req.src, req.tag)
 }
 
 func match(src, tag, esrc, etag int) bool {
@@ -226,20 +283,21 @@ func (w *World) ctrlLatency(a, b int) sim.Time {
 func (r *Rank) Send(p *sim.Proc, dst, tag int, data []byte) {
 	r.w.Host.Enter(hostprof.SubsysMPI)
 	defer r.w.Host.Exit()
-	r.send(p, dst, tag, data, false, nil, Ctl{})
+	r.send(p, dst, tag, data, false, false, nil, Ctl{})
 }
 
 // send is the one send path behind Send, Isend, SendCtl and their *Vec
 // forms. own reports that data is already a private buffer the envelope
 // may keep (the *Vec senders' concatenation); otherwise an eager payload,
-// or a nonblocking rendezvous one, is snapshotted here. A non-nil q makes
-// the send nonblocking: q completes when an eager message is buffered or
-// the rendezvous data phase lets the sender proceed. A blocking send parks
-// through its rendezvous until the data phase or ctl ends the wait.
-func (r *Rank) send(p *sim.Proc, dst, tag int, data []byte, own bool, q *Request, ctl Ctl) error {
+// or a nonblocking rendezvous one, is snapshotted here. A nonblocking send
+// returns at once; its q, if any, completes when an eager message is
+// buffered or the rendezvous data phase lets the sender proceed. A
+// blocking send parks through its rendezvous until the data phase or ctl
+// ends the wait.
+func (r *Rank) send(p *sim.Proc, dst, tag int, data []byte, own, nonblocking bool, q *Request, ctl Ctl) error {
 	r.bind(p)
 	op := "send"
-	if q != nil {
+	if nonblocking {
 		op = "isend"
 	}
 	if dst < 0 || dst >= len(r.w.ranks) {
@@ -251,7 +309,7 @@ func (r *Rank) send(p *sim.Proc, dst, tag int, data []byte, own bool, q *Request
 	size := len(data)
 	env := w.newEnvelope(r, d, tag, size)
 	env.eager = size <= w.Par.EagerThreshold
-	if !own && (env.eager || q != nil) {
+	if !own && (env.eager || nonblocking) {
 		data = snapshot(data)
 	}
 	if env.eager {
@@ -276,12 +334,12 @@ func (r *Rank) send(p *sim.Proc, dst, tag int, data []byte, own bool, q *Request
 		w.K.ReadyIfParked(p)
 	}
 	w.K.After(w.ctrlLatency(r.node.ID, d.node.ID), env.fire)
-	if q != nil {
+	if nonblocking {
 		return nil
 	}
-	var tm *sim.Timer
+	var tm sim.Timer
 	if ctl.Deadline > 0 {
-		tm = w.K.AfterTimer(ctl.Deadline-w.K.Now(), func() { w.K.ReadyIfParked(p) })
+		tm = p.WakeAt(ctl.Deadline)
 	}
 	for !*done {
 		if err := ctl.check(w.K.Now()); err != nil {
@@ -290,7 +348,7 @@ func (r *Rank) send(p *sim.Proc, dst, tag int, data []byte, own bool, q *Request
 			tm.Cancel()
 			return err
 		}
-		p.Park(fmt.Sprintf("mpi rendezvous send rank%d->rank%d tag %d (%d bytes)", r.id, dst, tag, size))
+		p.ParkFor((*sendWait)(env))
 	}
 	tm.Cancel()
 	return nil
@@ -326,13 +384,11 @@ func snapshot(data []byte) []byte {
 }
 
 // deliver runs in scheduler context when an envelope reaches the receiver.
-// It reports whether it completed an eager envelope into a posted receive,
-// which leaves nothing holding the envelope.
-func (r *Rank) deliver(env *envelope) bool {
+func (r *Rank) deliver(env *envelope) {
 	r.w.Host.Enter(hostprof.SubsysMPI)
 	defer r.w.Host.Exit()
 	if env.cancelled {
-		return false
+		return
 	}
 	if w := r.w; w.Flow != nil {
 		w.Flow(w.ranks[env.src].node.ID, r.node.ID, env.size)
@@ -345,11 +401,10 @@ func (r *Rank) deliver(env *envelope) bool {
 		if match(req.src, req.tag, env.src, env.tag) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
 			r.complete(env, req)
-			return env.eager
+			return
 		}
 	}
 	r.unexpected.add(env)
-	return false
 }
 
 // complete pairs an envelope with a receive request: at once for an
@@ -377,6 +432,9 @@ func (r *Rank) complete(env *envelope, req *recvReq) {
 	if env.eager {
 		req.fill(env, env.data)
 		w.finish(req)
+		if !env.reliable {
+			w.freeEnvelope(env)
+		}
 		return
 	}
 	// Rendezvous data phase: CTS travels back, then the payload. The bytes
@@ -455,29 +513,40 @@ func (r *Rank) recv(p *sim.Proc, src, tag int, buf []byte) ([]byte, Status) {
 	r.bind(p)
 	w := r.w
 	p.Advance(w.Par.MPIRecvOverhead)
-	req := &recvReq{src: src, tag: tag, proc: p, buf: buf}
-	if env, ok := r.takeUnexpected(src, tag); ok {
+	req := w.newRecvReq(r, p, src, tag)
+	req.buf = buf
+	r.post(req)
+	for !req.done {
+		p.ParkFor((*recvWait)(req))
+	}
+	out, st := req.out, req.status
+	w.freeRecvReq(req)
+	return out, st
+}
+
+// post pairs req with the earliest matching unexpected envelope, or
+// queues it for a later arrival.
+func (r *Rank) post(req *recvReq) {
+	if env, ok := r.unexpected.take(req.src, req.tag); ok {
 		r.complete(env, req)
 	} else {
 		r.posted = append(r.posted, req)
 	}
-	for !req.done {
-		p.Park(fmt.Sprintf("mpi recv rank%d src=%d tag=%d", r.id, src, tag))
-	}
-	return req.out, req.status
-}
-
-func (r *Rank) takeUnexpected(src, tag int) (*envelope, bool) {
-	return r.unexpected.take(src, tag)
 }
 
 // probeReq is a blocked Probe or ProbeMulti.
 type probeReq struct {
+	rank    int
 	specs   []ProbeSpec
 	proc    *sim.Proc
 	status  Status
 	matched int
 	done    bool
+}
+
+// String is the blocked probe's park reason.
+func (pr *probeReq) String() string {
+	return fmt.Sprintf("mpi probemulti rank%d (%d patterns)", pr.rank, len(pr.specs))
 }
 
 func (r *Rank) wakeProbes(env *envelope) {

@@ -90,6 +90,7 @@ func (w *World) relNeeded(r, d *Rank) bool {
 // (head of queue); queued frames transmit from scheduler context when
 // their predecessor is acked.
 func (w *World) relSend(p *sim.Proc, r, d *Rank, env *envelope) {
+	env.reliable = true
 	st := w.relStateFor(r.id, d.id)
 	if st.dead {
 		w.Faults.Counts.GiveUpDrops++

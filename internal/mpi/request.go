@@ -6,9 +6,8 @@ import "cellpilot/internal/sim"
 // with Wait, Waitall or Test on the owning rank.
 type Request struct {
 	// recvReq is an Irecv's posted receive, completed in place when a
-	// message matches; a send request uses only its done flag.
+	// message matches; a send request uses only its rank and done flag.
 	recvReq
-	rank *Rank
 }
 
 // Done reports whether the operation has completed (without progressing
@@ -20,8 +19,8 @@ func (q *Request) Done() bool { return q.done }
 // request completes when an eager message is buffered or a rendezvous
 // data phase finishes.
 func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte) *Request {
-	q := &Request{rank: r}
-	r.send(p, dst, tag, data, false, q, Ctl{})
+	q := &Request{recvReq{rank: r}}
+	r.send(p, dst, tag, data, false, true, q, Ctl{})
 	return q
 }
 
@@ -40,12 +39,8 @@ func (r *Rank) IrecvInto(p *sim.Proc, src, tag int, buf []byte) *Request {
 func (r *Rank) irecv(p *sim.Proc, src, tag int, buf []byte) *Request {
 	r.bind(p)
 	p.Advance(r.w.Par.MPIRecvOverhead)
-	q := &Request{rank: r, recvReq: recvReq{src: src, tag: tag, proc: p, buf: buf}}
-	if env, ok := r.takeUnexpected(src, tag); ok {
-		r.complete(env, &q.recvReq)
-	} else {
-		r.posted = append(r.posted, &q.recvReq)
-	}
+	q := &Request{recvReq{rank: r, src: src, tag: tag, proc: p, buf: buf}}
+	r.post(&q.recvReq)
 	return q
 }
 

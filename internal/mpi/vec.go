@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"cellpilot/internal/hostprof"
 	"cellpilot/internal/sim"
 )
@@ -17,17 +15,16 @@ func (r *Rank) SendVec(p *sim.Proc, dst, tag int, segs ...[]byte) {
 	buf := concat(segs)
 	r.w.Host.Enter(hostprof.SubsysMPI)
 	defer r.w.Host.Exit()
-	r.send(p, dst, tag, buf, true, nil, Ctl{})
+	r.send(p, dst, tag, buf, true, false, nil, Ctl{})
 }
 
 // IsendVec is the nonblocking SendVec: the segments are snapshotted and
-// the send proceeds without the caller. The Co-Pilot relays SPE writes
-// this way — a blocking relay to a PPE that is itself mid-send toward the
-// Co-Pilot would be a circular wait.
-func (r *Rank) IsendVec(p *sim.Proc, dst, tag int, segs ...[]byte) *Request {
-	q := &Request{rank: r}
-	r.send(p, dst, tag, concat(segs), true, q, Ctl{})
-	return q
+// the send proceeds without the caller, who gets no request to wait on.
+// The Co-Pilot relays SPE writes this way — a blocking relay to a PPE
+// that is itself mid-send toward the Co-Pilot would be a circular wait —
+// and never waits for a relay to finish.
+func (r *Rank) IsendVec(p *sim.Proc, dst, tag int, segs ...[]byte) {
+	r.send(p, dst, tag, concat(segs), true, true, nil, Ctl{})
 }
 
 // concat joins segs into one new buffer, never nil, which the message
@@ -46,24 +43,26 @@ func concat(segs [][]byte) []byte {
 
 // RecvIntoVec receives one message scattered across the given segments in
 // order (header into scratch, payload straight into a local-store window).
-// The message size must exactly fill the segments.
+// The message size must exactly fill the segments. The receive keeps segs
+// until it completes, so a caller that passes a slice it owns (segs...)
+// rather than a list of segments spares the variadic slice's allocation.
 func (r *Rank) RecvIntoVec(p *sim.Proc, src, tag int, segs ...[]byte) Status {
 	total := 0
 	for _, s := range segs {
 		total += len(s)
 	}
 	r.bind(p)
-	p.Advance(r.w.Par.MPIRecvOverhead)
-	req := &recvReq{src: src, tag: tag, proc: p, segs: segs, segTotal: total}
-	if env, ok := r.takeUnexpected(src, tag); ok {
-		r.complete(env, req)
-	} else {
-		r.posted = append(r.posted, req)
-	}
+	w := r.w
+	p.Advance(w.Par.MPIRecvOverhead)
+	req := w.newRecvReq(r, p, src, tag)
+	req.segs, req.segTotal, req.vec = segs, total, true
+	r.post(req)
 	for !req.done {
-		p.Park(fmt.Sprintf("mpi recvvec rank%d src=%d tag=%d", r.id, src, tag))
+		p.ParkFor((*recvWait)(req))
 	}
-	return req.status
+	st := req.status
+	w.freeRecvReq(req)
+	return st
 }
 
 // OnArrival registers fn to run (in scheduler context) whenever a message
@@ -87,10 +86,10 @@ func (r *Rank) ProbeMulti(p *sim.Proc, specs []ProbeSpec) (int, Status) {
 	if i, env, ok := r.unexpected.peekMulti(specs); ok {
 		return i, Status{Source: env.src, Tag: env.tag, Count: env.size, Xfer: env.xfer}
 	}
-	pr := &probeReq{specs: specs, proc: p}
+	pr := &probeReq{rank: r.id, specs: specs, proc: p}
 	r.probes = append(r.probes, pr)
 	for !pr.done {
-		p.Park(fmt.Sprintf("mpi probemulti rank%d (%d patterns)", r.id, len(specs)))
+		p.ParkFor(pr)
 	}
 	return pr.matched, pr.status
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // BenchmarkEventThroughput measures raw scheduler speed: one proc
 // advancing b.N times (one heap event each).
@@ -129,6 +132,44 @@ func benchCancelPurge(b *testing.B, kind QueueKind) {
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkDeadlineChurn measures the queue shape Try* ops give it: one
+// proc arms a deadline per op and cancels it when the op completes, while
+// liveTimers long timers stay queued. Cancelled deadlines pile up until
+// the kernel compacts them in bulk, so the population swings between the
+// live events and that pile; mallocs/op shows whether the calendar
+// resizes (and so allocates) on every swing. BenchmarkTimerCancelPurge
+// cancels every timer with none live, which never swings.
+func BenchmarkDeadlineChurn(b *testing.B) {
+	b.Run("calendar", func(b *testing.B) { benchDeadlineChurn(b, QueueCalendar) })
+	b.Run("heap", func(b *testing.B) { benchDeadlineChurn(b, QueueHeap) })
+}
+
+func benchDeadlineChurn(b *testing.B, kind QueueKind) {
+	const liveTimers = 16
+	k := NewKernelQueue(1, kind)
+	for i := 0; i < liveTimers; i++ {
+		k.After(Time(i+1)*Second, func() {})
+	}
+	k.Spawn("ops", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			deadline := p.WakeAt(p.Now() + 200*Millisecond)
+			p.Advance(Microsecond)
+			deadline.Cancel()
+		}
+	})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	// Resizing churn costs under one allocation per op, which -benchmem's
+	// whole-number allocs/op prints as 0.
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "mallocs/op")
 }
 
 // BenchmarkEventDispatch measures the full dispatch cycle — heap pop,

@@ -11,11 +11,11 @@ import "sort"
 // the last popped timestamp, the first acceptable head is the exact
 // eventLess minimum. When a whole year is empty the queue falls back to a
 // direct search over all bucket heads. The structure is tuned by resizing
-// (doubling/halving the bucket count and re-deriving the width from the
-// observed event span) when the population crosses 2x/0.5x the bucket
-// count, which keeps both the push insertion sort and the pop scan O(1)
-// amortized for the bursty short-horizon timer mix the Co-Pilot scan
-// loops generate.
+// (re-deriving the bucket count from the population and the width from
+// the observed event span) when the population grows past twice the
+// bucket count or falls below an eighth of it, which keeps both the push
+// insertion sort and the pop scan O(1) amortized for the bursty
+// short-horizon timer mix the Co-Pilot scan loops generate.
 //
 // Determinism: the queue orders purely by eventLess (at, seq) —
 // events at equal timestamps land in the same bucket and are kept sorted
@@ -41,6 +41,14 @@ type calQueue struct {
 const (
 	calMinBuckets = 1 << 4
 	calMaxBuckets = 1 << 18
+	// calShrinkDiv sets the shrink threshold: population below
+	// buckets/calShrinkDiv. Deadline-bounded (Try*) ops cancel most timers
+	// they arm, and cancelled timers stay queued until Kernel.noteCancel
+	// compacts them in bulk, so the population swings about 3x between
+	// compactions. A threshold of a half would shrink the calendar at
+	// every compaction and regrow it on the refill, reallocating the
+	// bucket array and every bucket each cycle.
+	calShrinkDiv = 8
 	// calInitWidth is the starting bucket width. Resizes re-derive it
 	// from the live event spread, so this only matters until the first
 	// resize at ~2*calMinBuckets events.
@@ -160,7 +168,7 @@ func (q *calQueue) Pop() *event {
 	q.floor = ev.at
 	q.size--
 	q.pk = nil
-	if n := q.mask + 1; n > calMinBuckets && q.size < n/2 {
+	if n := q.mask + 1; n > calMinBuckets && q.size < n/calShrinkDiv {
 		q.resize()
 	}
 	return ev
@@ -237,7 +245,7 @@ func (q *calQueue) Compact(onPurge func(*event)) {
 		q.buckets[bi] = kept
 	}
 	q.pk = nil
-	if n := q.mask + 1; n > calMinBuckets && q.size < n/2 {
+	if n := q.mask + 1; n > calMinBuckets && q.size < n/calShrinkDiv {
 		q.resize()
 	}
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // event is a scheduled kernel action: either waking a parked proc or
-// running a callback inside the scheduler.
+// running a callback inside the scheduler. Its fields are ordered so it
+// packs into 48 bytes, an exact allocation size class.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: insertion order, for determinism
@@ -14,16 +15,16 @@ type event struct {
 	// object is recycled, so a stale Timer handle (cancelled after its
 	// timer fired and the event was reused) can detect it points at a
 	// different logical event and turn into a no-op.
-	gen   uint32
-	p     *Proc  // proc to wake, or nil
-	epoch uint64 // p's wake epoch at scheduling; stale events are skipped
-	fn    func() // callback to run in the scheduler, or nil
+	gen uint32
 	// cancelled events are discarded without running and without
 	// advancing the clock — a cancelled timeout must not extend a run's
 	// final virtual time. They are purged lazily when they surface at the
 	// head of the queue, or in bulk when they outnumber half of the live
 	// entries (Kernel.noteCancel).
 	cancelled bool
+	p         *Proc  // proc to wake, or nil
+	epoch     uint64 // p's wake epoch at scheduling; stale events are skipped
+	fn        func() // callback to run in the scheduler, or nil
 }
 
 // eventLess is the kernel's total order: timestamp, then insertion

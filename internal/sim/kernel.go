@@ -25,6 +25,7 @@ type Kernel struct {
 	// nCancelled counts cancelled events still sitting in the queue; when
 	// they outnumber half the live entries the queue is compacted.
 	nCancelled int
+	purge      func(*event) // compact's per-event callback, built once
 
 	procs    []*Proc
 	live     int // procs spawned and not yet finished
@@ -95,13 +96,16 @@ func (k *Kernel) noteCancel() {
 }
 
 func (k *Kernel) compact() {
-	k.pq.Compact(func(ev *event) {
-		if k.host != nil {
-			k.host.HeapPop()
-			k.host.CancelPurge()
+	if k.purge == nil {
+		k.purge = func(ev *event) {
+			if k.host != nil {
+				k.host.HeapPop()
+				k.host.CancelPurge()
+			}
+			k.freeEvent(ev)
 		}
-		k.freeEvent(ev)
-	})
+	}
+	k.pq.Compact(k.purge)
 	k.nCancelled = 0
 }
 
@@ -345,7 +349,10 @@ func (k *Kernel) deadlockError() error {
 	for _, p := range k.procs {
 		if p.state == procParked {
 			reason := p.waitReason
-			if reason == "advancing" && p.waitTarget != 0 {
+			switch {
+			case p.waitWhy != nil:
+				reason = p.waitWhy.String()
+			case reason == "advancing" && p.waitTarget != 0:
 				// Formatted lazily here so the Advance hot path does not
 				// build the string on every park.
 				reason = fmt.Sprintf("advancing to %s", p.waitTarget)

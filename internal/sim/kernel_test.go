@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestAdvanceOrdering(t *testing.T) {
@@ -196,5 +197,14 @@ func TestPanicInProcAborts(t *testing.T) {
 	}
 	if k.Live() != 0 {
 		t.Fatalf("live = %d after panic abort", k.Live())
+	}
+}
+
+// TestEventSize: an event fills the 48-byte allocation size class
+// exactly; one byte more would put every queued and pooled event in the
+// 64-byte class.
+func TestEventSize(t *testing.T) {
+	if s := unsafe.Sizeof(event{}); s != 48 {
+		t.Errorf("event is %d bytes, want 48", s)
 	}
 }

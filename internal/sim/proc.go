@@ -26,6 +26,9 @@ type Proc struct {
 	wake       chan struct{}
 	state      procState
 	waitReason string
+	// waitWhy, when set, stands in for waitReason: a ParkFor reason,
+	// formatted only if a deadlock report reads it.
+	waitWhy fmt.Stringer
 	// waitTarget qualifies waitReason for Advance parks ("advancing to
 	// <target>"): the formatted string is built lazily in deadlock
 	// reports, keeping the Advance hot path allocation-free.
@@ -105,6 +108,14 @@ func (p *Proc) readyCB() func() {
 	return p.readySelf
 }
 
+// WakeAt arms a timer that readies p at virtual time at if p is parked
+// then: the deadline of a bounded wait, cancelled when the wait ends. The
+// handle is a value, so a bounded operation that arms and cancels one
+// allocates nothing.
+func (p *Proc) WakeAt(at Time) Timer {
+	return p.k.afterTimer(at-p.k.now, p.readyCB())
+}
+
 // checkRunning panics if a kernel primitive is invoked from a goroutine
 // other than the currently running proc — the classic way to corrupt a
 // cooperative simulation.
@@ -135,6 +146,15 @@ func (p *Proc) park(reason string) {
 // It is the extension point synchronization layers (MPI matching, Pilot
 // channels) build on; reason appears in deadlock reports.
 func (p *Proc) Park(reason string) { p.park(reason) }
+
+// ParkFor is Park for a reason that takes formatting: why.String() runs
+// only if a deadlock report reads it, so a wait on a hot path builds no
+// text. why must describe the wait until the proc resumes.
+func (p *Proc) ParkFor(why fmt.Stringer) {
+	p.waitWhy = why
+	p.park("")
+	p.waitWhy = nil
+}
 
 // Advance blocks the proc for duration d of virtual time. It models
 // computation or a fixed hardware latency. A spurious wake from another
