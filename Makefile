@@ -52,13 +52,15 @@ bench-json:
 # `go test ./...` does not already run: ten race-checked repeats of the
 # tests that run simulations on concurrent goroutines (kiloscale replicas,
 # and Apps sharing the call-site memo of diagnostics), fuzz smokes
-# of the format and scenario parsers, the scenarios/ library validated
+# of the format and scenario parsers and of the paged simulated memory
+# against a flat reference, the scenarios/ library validated
 # against its golden fingerprints, a profile-export smoke writing both
 # formats, a kernel microbenchmark smoke, and staticcheck when the host
 # has it installed.
 ci-full: ci race
 	$(GO) test -race -count=10 -run 'TestKiloscaleSeqParEquivalence|TestChaosKernelArmsDeterminism|TestDiagnosticsConcurrentApps' ./internal/workload ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/fmtmsg
+	$(GO) test -run '^$$' -fuzz=FuzzPagedStore -fuzztime=5s ./internal/cellbe
 	$(GO) test -run '^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario/
 	$(GO) run ./cmd/cellpilot-bench validate
 	$(GO) run ./cmd/cellpilot-bench -exp profile -reps 5 -trace-type 2 \

@@ -33,10 +33,11 @@ func produce(rt *dacs.Runtime, leaf *dacs.Element, rm *dacs.RemoteMem) *sdk.Prog
 		if err != nil {
 			p.Fatalf("%v", err)
 		}
-		buf, _ := c.SPE.LS.Window(lsAddr, size)
+		buf := make([]byte, size)
 		for i := 0; i < n; i++ {
 			binary.BigEndian.PutUint32(buf[i*4:], uint32(i*i))
 		}
+		c.SPE.LS.CopyIn(lsAddr, buf)
 		if err := leaf.Put(p, rm, 0, lsAddr, size, tagRMA); err != nil {
 			p.Fatalf("dacs_put: %v", err)
 		}
@@ -60,7 +61,8 @@ func consume(rt *dacs.Runtime, leaf *dacs.Element, rm *dacs.RemoteMem) *sdk.Prog
 			p.Fatalf("dacs_get: %v", err)
 		}
 		leaf.Wait(p, tagRMA)
-		buf, _ := c.SPE.LS.Window(lsAddr, size)
+		buf := make([]byte, size)
+		c.SPE.LS.CopyOut(lsAddr, buf)
 		sum := int64(0)
 		for i := 0; i < n; i++ {
 			sum += int64(int32(binary.BigEndian.Uint32(buf[i*4:])))
@@ -104,7 +106,8 @@ func main() {
 		if v, _ := heA.MailboxRead(p, leafA); v != mbDone {
 			p.Fatalf("unexpected mailbox %#x", v)
 		}
-		win, _ := heA.Node.Mem.Window(stagingA, nBytes)
+		win := make([]byte, nBytes)
+		heA.Node.Mem.CopyOut(stagingA, win)
 		if err := heA.SendTo(p, rt.Root, win); err != nil {
 			p.Fatalf("dacs_send_to: %v", err)
 		}
@@ -124,8 +127,7 @@ func main() {
 		if err != nil {
 			p.Fatalf("dacs_recv_from: %v", err)
 		}
-		win, _ := heB.Node.Mem.Window(stagingB, nBytes)
-		copy(win, data)
+		heB.Node.Mem.CopyIn(stagingB, data)
 		heB.MailboxWrite(p, leafB, mbGo)
 		leafB.Ctx.Done.Wait(p)
 		rmB.Release()

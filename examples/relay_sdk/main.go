@@ -54,15 +54,15 @@ func produceProgram(stagingEA int64) *sdk.Program {
 		if err != nil {
 			p.Fatalf("LS alloc: %v", err)
 		}
-		buf, err := c.SPE.LS.Window(lsAddr, size)
-		if err != nil {
-			p.Fatalf("LS window: %v", err)
-		}
 		data := make([]int32, n)
 		for i := range data {
 			data[i] = int32(i * i)
 		}
+		buf := make([]byte, size)
 		encode(buf, data)
+		if err := c.SPE.LS.CopyIn(lsAddr, buf); err != nil {
+			p.Fatalf("LS write: %v", err)
+		}
 		// mfc_put to the PPE's staging buffer, then wait on the tag group.
 		if err := c.MFCPut(p, lsAddr, stagingEA, size, tagOut); err != nil {
 			p.Fatalf("mfc_put: %v", err)
@@ -91,7 +91,8 @@ func consumeProgram(stagingEA int64) *sdk.Program {
 			p.Fatalf("mfc_get: %v", err)
 		}
 		c.TagWait(p, 1<<tagIn)
-		buf, _ := c.SPE.LS.Window(lsAddr, size)
+		buf := make([]byte, size)
+		c.SPE.LS.CopyOut(lsAddr, buf)
 		data := make([]int32, n)
 		decode(data, buf)
 		sum := int64(0)
@@ -153,11 +154,11 @@ func main() {
 		if v := ctxA.ReadOutMbox(p); v != mboxDone {
 			p.Fatalf("unexpected mailbox value %#x", v)
 		}
-		win, err := nodeA.Mem.Window(stagingA, nBytes)
+		segs, err := nodeA.Mem.Segments(stagingA, nBytes, nil)
 		if err != nil {
-			p.Fatalf("window: %v", err)
+			p.Fatalf("staging: %v", err)
 		}
-		world.Rank(0).Send(p, 1, 0, win)
+		world.Rank(0).SendVec(p, 1, 0, segs...)
 		ctxA.Done.Wait(p)
 		ctxA.Destroy()
 	})
@@ -165,11 +166,11 @@ func main() {
 	// PPE B: receive into its staging buffer, start the consumer SPE and
 	// signal it through the mailbox.
 	clu.K.Spawn("ppeB", func(p *sim.Proc) {
-		win, err := nodeB.Mem.Window(stagingB, nBytes)
+		segs, err := nodeB.Mem.Segments(stagingB, nBytes, nil)
 		if err != nil {
-			p.Fatalf("window: %v", err)
+			p.Fatalf("staging: %v", err)
 		}
-		if _, st := world.Rank(1).RecvInto(p, 0, 0, win); st.Count != nBytes {
+		if st := world.Rank(1).RecvIntoVec(p, 0, 0, segs...); st.Count != nBytes {
 			p.Fatalf("short receive: %d bytes", st.Count)
 		}
 		if err := ctxB.Run(0, nil); err != nil {

@@ -7,15 +7,15 @@ import "fmt"
 // stack reserve) claimed once at load time, with the remainder available to
 // a stack-disciplined buffer allocator for message staging. Exceeding the
 // store is the paper's central resource constraint and is reported as an
-// explicit error, never a silent wrap. Like Memory, the store's bytes are
-// allocated whole on the first Window call and never move afterwards, so
-// an SPE that never moves data costs no host memory.
+// explicit error, never a silent wrap. Like Memory, the store is backed
+// on the host page by page (see PageSize), each page on its first touch,
+// so an SPE that never moves data costs no host memory.
 type LocalStore struct {
 	size      int
-	data      []byte // nil until the first Window
-	resident  int    // bytes claimed by runtime/code/stack, at the bottom
-	top       int    // bump pointer for buffer allocations
-	highWater int    // largest top ever reached (for utilization reports)
+	mem       pages
+	resident  int // bytes claimed by runtime/code/stack, at the bottom
+	top       int // bump pointer for buffer allocations
+	highWater int // largest top ever reached (for utilization reports)
 	allocs    []int
 }
 
@@ -110,13 +110,44 @@ func (ls *LocalStore) Release() error {
 	return nil
 }
 
-// Window returns a mutable view of LS bytes [addr, addr+n).
-func (ls *LocalStore) Window(addr uint32, n int) ([]byte, error) {
-	if int(addr)+n > ls.size || n < 0 {
-		return nil, fmt.Errorf("cellbe: LS access [%#x,+%d) out of range (size %d)", addr, n, ls.size)
+// check returns the error an access to LS bytes [addr, addr+n) meets, if
+// any.
+func (ls *LocalStore) check(addr uint32, n int) error {
+	if n < 0 || int(addr) > ls.size-n {
+		return fmt.Errorf("cellbe: LS access [%#x,+%d) out of range (size %d)", addr, n, ls.size)
 	}
-	if ls.data == nil {
-		ls.data = make([]byte, ls.size)
-	}
-	return ls.data[addr : int(addr)+n : int(addr)+n], nil
+	return nil
 }
+
+// Segments appends to dst mutable views of the pages that cover LS bytes
+// [addr, addr+n), in address order, backing any page not yet touched. A
+// zero-length range appends nothing.
+func (ls *LocalStore) Segments(addr uint32, n int, dst [][]byte) ([][]byte, error) {
+	if err := ls.check(addr, n); err != nil {
+		return dst, err
+	}
+	return ls.mem.segments(ls.size, int(addr), n, dst), nil
+}
+
+// CopyIn writes src to LS bytes starting at addr.
+func (ls *LocalStore) CopyIn(addr uint32, src []byte) error {
+	if err := ls.check(addr, len(src)); err != nil {
+		return err
+	}
+	ls.mem.copyIn(ls.size, int(addr), src)
+	return nil
+}
+
+// CopyOut reads LS bytes starting at addr into dst. It backs no page:
+// bytes never written read as zero.
+func (ls *LocalStore) CopyOut(addr uint32, dst []byte) error {
+	if err := ls.check(addr, len(dst)); err != nil {
+		return err
+	}
+	ls.mem.copyOut(int(addr), dst)
+	return nil
+}
+
+// Backed reports how many bytes of host memory back the store: PageSize
+// for each page touched so far.
+func (ls *LocalStore) Backed() int { return ls.mem.backed() }

@@ -22,16 +22,16 @@ func TestLocalStoreImageAndAlloc(t *testing.T) {
 	if !IsAligned(int64(addr), 16) {
 		t.Fatalf("alloc not quad-word aligned: %#x", addr)
 	}
-	w, err := ls.Window(addr, 1600)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := make([]byte, 1600)
 	for i := range w {
 		w[i] = byte(i)
 	}
-	w2, _ := ls.Window(addr, 1600)
-	if w2[1599] != byte(1599%256) {
-		t.Fatal("window does not alias store")
+	if err := ls.CopyIn(addr, w); err != nil {
+		t.Fatal(err)
+	}
+	w2 := make([]byte, 1600)
+	if err := ls.CopyOut(addr, w2); err != nil || w2[1599] != byte(1599%256) {
+		t.Fatalf("CopyOut does not read what CopyIn wrote (%v)", err)
 	}
 	ls.Release()
 	if ls.Free() != 256*1024-Align(ls.Resident(), 16) {
@@ -82,11 +82,23 @@ func TestLocalStoreLIFO(t *testing.T) {
 
 func TestLocalStoreWindowBounds(t *testing.T) {
 	ls := NewLocalStore(1024)
-	if _, err := ls.Window(1000, 100); err == nil {
-		t.Fatal("out-of-range window succeeded")
+	if _, err := ls.Segments(1000, 100, nil); err == nil {
+		t.Fatal("out-of-range segments succeeded")
 	}
-	if _, err := ls.Window(0, -1); err == nil {
-		t.Fatal("negative window succeeded")
+	if _, err := ls.Segments(0, -1, nil); err == nil {
+		t.Fatal("negative range succeeded")
+	}
+	if err := ls.CopyIn(1000, make([]byte, 100)); err == nil {
+		t.Fatal("out-of-range CopyIn succeeded")
+	}
+	if err := ls.CopyOut(1000, make([]byte, 100)); err == nil {
+		t.Fatal("out-of-range CopyOut succeeded")
+	}
+	if segs, err := ls.Segments(1024, 0, nil); err != nil || len(segs) != 0 {
+		t.Fatalf("empty range at the end: %d segments, %v", len(segs), err)
+	}
+	if ls.Backed() != 0 {
+		t.Fatal("refused and empty ranges backed a page")
 	}
 }
 

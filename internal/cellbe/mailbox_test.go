@@ -93,7 +93,7 @@ func TestMailboxFIFOProperty(t *testing.T) {
 }
 
 // Property: the EA map is a bijection between (SPE, offset) and EA for
-// in-range addresses, and the windows alias the same storage.
+// in-range addresses, and its segments alias the same storage.
 func TestEAMapProperty(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := NewCellNode(k, 0, "c", 2, DefaultParams(), 1<<20)
@@ -104,13 +104,13 @@ func TestEAMapProperty(t *testing.T) {
 		}
 		offset := off % uint32(spe.LS.Size()-1)
 		ea := spe.LSBase() + int64(offset)
-		w, err := n.EAWindow(ea, 1)
-		if err != nil {
+		w, err := n.EASegments(ea, 1, nil)
+		if err != nil || len(w) != 1 {
 			return false
 		}
-		w[0] = val
-		direct, err := spe.LS.Window(offset, 1)
-		if err != nil {
+		w[0][0] = val
+		direct := make([]byte, 1)
+		if err := spe.LS.CopyOut(offset, direct); err != nil {
 			return false
 		}
 		return direct[0] == val

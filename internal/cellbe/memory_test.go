@@ -1,6 +1,7 @@
 package cellbe
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -53,9 +54,10 @@ func TestAllocRejectsBadArguments(t *testing.T) {
 	}
 }
 
-// TestMemoryFirstTouch: a main memory allocates its bytes on the first
-// Window call and never moves them; allocator calls, queries and refused
-// windows allocate nothing.
+// TestMemoryFirstTouch: a main memory backs its bytes page by page, each
+// page on its first write or Segments call, and never moves a page;
+// allocator calls, queries, reads, checks and refused accesses back
+// nothing.
 func TestMemoryFirstTouch(t *testing.T) {
 	m := NewMemory(1 << 20)
 	a, err := m.Alloc(4096, 128)
@@ -69,37 +71,56 @@ func TestMemoryFirstTouch(t *testing.T) {
 		t.Fatalf("overflow error changed: %v", err)
 	}
 	const outOfRange = "cellbe: main memory access [0xffff0,+17) out of range"
-	if _, err := m.Window(1<<20-16, 17); err == nil || err.Error() != outOfRange {
-		t.Fatalf("out-of-range error changed: %v", err)
+	refused := func(when string) {
+		t.Helper()
+		errs := []error{m.Check(1<<20-16, 17), m.CopyIn(1<<20-16, make([]byte, 17)), m.CopyOut(1<<20-16, make([]byte, 17))}
+		_, err := m.Segments(1<<20-16, 17, nil)
+		for _, err := range append(errs, err) {
+			if err == nil || err.Error() != outOfRange {
+				t.Fatalf("out-of-range error changed %s: %v", when, err)
+			}
+		}
 	}
-	if m.data != nil {
-		t.Fatal("untouched memory holds backing")
+	refused("untouched")
+	zeros := make([]byte, 64)
+	if err := m.CopyOut(a, zeros); err != nil || !bytes.Equal(zeros, make([]byte, 64)) {
+		t.Fatalf("untouched memory reads %v (%v)", zeros, err)
+	}
+	if segs, err := m.Segments(a, 0, nil); err != nil || len(segs) != 0 || m.Check(0, 1<<20) != nil {
+		t.Fatalf("empty range: %d segments, %v", len(segs), err)
+	}
+	if m.mem != nil || m.Backed() != 0 {
+		t.Fatal("untouched memory holds a page table")
 	}
 
-	before, err := m.Window(a, 4096)
+	// A range across a page boundary is two segments, and backs two pages.
+	before, err := m.Segments(a+4000, 200, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(before, "first touch")
+	if len(before) != 2 || len(before[0]) != 96 || len(before[1]) != 104 || m.Backed() != 2*PageSize {
+		t.Fatalf("segments %d, backed %d", len(before), m.Backed())
+	}
+	copy(before[0], "first touch")
 	b, err := m.Alloc(4096, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := m.Window(a, int(b-a)+4096)
+	after, err := m.Segments(a, int(b-a)+4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &before[0] != &after[0] || string(after[:11]) != "first touch" {
-		t.Fatal("window taken before a later Window does not alias it")
+	if len(after) != 2 || &before[0][0] != &after[0][4000] || &before[1][0] != &after[1][0] || string(after[0][4000:4011]) != "first touch" {
+		t.Fatal("segment taken before a later Segments call does not alias it")
 	}
-	after[1] = 'X'
-	if before[1] != 'X' {
-		t.Fatal("write through a later window not visible in an earlier one")
+	after[0][4001] = 'X'
+	if before[0][1] != 'X' {
+		t.Fatal("write through a later segment not visible in an earlier one")
 	}
 
 	// Above the allocator mark: zero until written, then keeps the write.
-	high, err := m.Window(m.InUse(), 1<<20-int(m.InUse()))
-	if err != nil {
+	high := make([]byte, 1<<20-int(m.InUse()))
+	if err := m.CopyOut(m.InUse(), high); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range high {
@@ -107,19 +128,26 @@ func TestMemoryFirstTouch(t *testing.T) {
 			t.Fatalf("byte %d above the mark reads %d", i, c)
 		}
 	}
-	high[len(high)-1] = 0xA5
-	last, _ := m.Window(1<<20-1, 1)
-	if last[0] != 0xA5 {
+	if m.Backed() != 2*PageSize {
+		t.Fatalf("reading backed pages: %d bytes", m.Backed())
+	}
+	if err := m.CopyIn(1<<20-1, []byte{0xA5}); err != nil {
+		t.Fatal(err)
+	}
+	last := make([]byte, 1)
+	if err := m.CopyOut(1<<20-1, last); err != nil || last[0] != 0xA5 {
 		t.Fatal("byte above the mark lost its write")
 	}
-	if _, err := m.Window(1<<20-16, 17); err == nil || err.Error() != outOfRange {
-		t.Fatalf("out-of-range error changed once backed: %v", err)
+	if m.Backed() != 3*PageSize {
+		t.Fatalf("backed %d bytes, want 3 pages", m.Backed())
 	}
+	refused("once backed")
 }
 
-// TestLocalStoreFirstTouch: a local store allocates its bytes on the first
-// Window call and never moves them; loading, allocating, releasing and
-// occupancy queries allocate nothing.
+// TestLocalStoreFirstTouch: a local store backs its bytes page by page,
+// each page on its first write or Segments call, and never moves a page;
+// loading, allocating, releasing, occupancy queries and reads back
+// nothing.
 func TestLocalStoreFirstTouch(t *testing.T) {
 	ls := NewLocalStore(256 << 10)
 	if err := ls.LoadImage("rt", 10336); err != nil {
@@ -145,34 +173,48 @@ func TestLocalStoreFirstTouch(t *testing.T) {
 		t.Fatalf("size %d free %d high water %d resident %d", ls.Size(), ls.Free(), ls.HighWater(), ls.Resident())
 	}
 	const outOfRange = "cellbe: LS access [0x3fff0,+17) out of range (size 262144)"
-	if _, err := ls.Window(256<<10-16, 17); err == nil || err.Error() != outOfRange {
-		t.Fatalf("out-of-range error changed: %v", err)
+	refused := func(when string) {
+		t.Helper()
+		_, err := ls.Segments(256<<10-16, 17, nil)
+		for _, err := range []error{err, ls.CopyIn(256<<10-16, make([]byte, 17)), ls.CopyOut(256<<10-16, make([]byte, 17))} {
+			if err == nil || err.Error() != outOfRange {
+				t.Fatalf("out-of-range error changed %s: %v", when, err)
+			}
+		}
 	}
-	if ls.data != nil {
-		t.Fatal("untouched local store holds backing")
+	refused("untouched")
+	if err := ls.CopyOut(a, make([]byte, 1600)); err != nil {
+		t.Fatal(err)
+	}
+	if ls.mem != nil || ls.Backed() != 0 {
+		t.Fatal("untouched local store holds a page table")
 	}
 
-	before, err := ls.Window(a, 1600)
+	// The 1600-byte buffer at 0x2860 lies in page 2 alone.
+	before, err := ls.Segments(a, 1600, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(before, "staged")
+	if len(before) != 1 || len(before[0]) != 1600 || ls.Backed() != PageSize {
+		t.Fatalf("%d segments, backed %d", len(before), ls.Backed())
+	}
+	copy(before[0], "staged")
 	b, err := ls.Alloc("second", 256, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := ls.Window(0, int(b)+256)
+	after, err := ls.Segments(0, int(b)+256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &before[0] != &after[a] || string(after[a:a+6]) != "staged" {
-		t.Fatal("window taken before a later Window does not alias it")
+	if len(after) != 3 || &before[0][0] != &after[2][a-2*PageSize] || string(after[2][a-2*PageSize:][:6]) != "staged" {
+		t.Fatal("segment taken before a later Segments call does not alias it")
 	}
 
 	// Above the allocator mark: zero until written, then keeps the write.
 	top := uint32(ls.Size() - ls.Free())
-	high, err := ls.Window(top, ls.Free())
-	if err != nil {
+	high := make([]byte, ls.Free())
+	if err := ls.CopyOut(top, high); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range high {
@@ -180,12 +222,15 @@ func TestLocalStoreFirstTouch(t *testing.T) {
 			t.Fatalf("byte %d above the mark reads %d", i, c)
 		}
 	}
-	high[0] = 0x5A
-	again, _ := ls.Window(top, 1)
-	if again[0] != 0x5A {
+	if err := ls.CopyIn(top, []byte{0x5A}); err != nil {
+		t.Fatal(err)
+	}
+	again := make([]byte, 1)
+	if err := ls.CopyOut(top, again); err != nil || again[0] != 0x5A {
 		t.Fatal("byte above the mark lost its write")
 	}
-	if _, err := ls.Window(256<<10-16, 17); err == nil || err.Error() != outOfRange {
-		t.Fatalf("out-of-range error changed once backed: %v", err)
+	if ls.Backed() != 4*PageSize {
+		t.Fatalf("backed %d bytes, want 4 pages", ls.Backed())
 	}
+	refused("once backed")
 }

@@ -63,18 +63,8 @@ func (m *MFC) transfer(p *sim.Proc, lsAddr uint32, ea int64, size, tag int, put 
 	if err := checkDMA(lsAddr, ea, size); err != nil {
 		return err
 	}
-	ls, err := m.spe.LS.Window(lsAddr, size)
-	if err != nil {
+	if err := m.copy(lsAddr, ea, size, put); err != nil {
 		return err
-	}
-	mainWin, err := m.spe.Cell.Node.EAWindow(ea, size)
-	if err != nil {
-		return err
-	}
-	if put {
-		copy(mainWin, ls)
-	} else {
-		copy(ls, mainWin)
 	}
 	// Issue cost on the SPU; the transfer itself proceeds asynchronously,
 	// with EIB occupancy determining completion (observed by TagWait).
@@ -82,6 +72,32 @@ func (m *MFC) transfer(p *sim.Proc, lsAddr uint32, ea int64, size, tag int, put 
 	done := m.spe.Cell.EIB.Reserve(size)
 	if done > m.completion[tag] {
 		m.completion[tag] = done
+	}
+	return nil
+}
+
+// dmaPages bounds the pages one DMA command touches on either side: a
+// MaxDMASize transfer at any offset.
+const dmaPages = MaxDMASize/PageSize + 1
+
+// copy moves one command's bytes between local store lsAddr and effective
+// address ea, page segment by page segment; put copies toward ea. The
+// segment lists live on the stack, so a DMA allocates no host memory but
+// the pages it touches first.
+func (m *MFC) copy(lsAddr uint32, ea int64, size int, put bool) error {
+	var lsBuf, eaBuf [dmaPages][]byte
+	ls, err := m.spe.LS.Segments(lsAddr, size, lsBuf[:0])
+	if err != nil {
+		return err
+	}
+	mem, err := m.spe.Cell.Node.EASegments(ea, size, eaBuf[:0])
+	if err != nil {
+		return err
+	}
+	if put {
+		CopySegments(mem, ls)
+	} else {
+		CopySegments(ls, mem)
 	}
 	return nil
 }
@@ -129,23 +145,13 @@ func (m *MFC) transferList(p *sim.Proc, lsAddr uint32, list []ListElement, tag i
 		off += uint32(el.Size)
 		total += el.Size
 	}
-	if _, err := m.spe.LS.Window(lsAddr, total); err != nil {
+	if err := m.spe.LS.check(lsAddr, total); err != nil {
 		return err
 	}
 	off = lsAddr
 	for _, el := range list {
-		ls, err := m.spe.LS.Window(off, el.Size)
-		if err != nil {
+		if err := m.copy(off, el.EA, el.Size, put); err != nil {
 			return err
-		}
-		win, err := m.spe.Cell.Node.EAWindow(el.EA, el.Size)
-		if err != nil {
-			return err
-		}
-		if put {
-			copy(win, ls)
-		} else {
-			copy(ls, win)
 		}
 		off += uint32(el.Size)
 	}

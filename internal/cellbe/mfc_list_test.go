@@ -19,18 +19,22 @@ func TestDMAListScatterGather(t *testing.T) {
 
 	k.Spawn("spe", func(p *sim.Proc) {
 		lsAddr, _ := spe.LS.Alloc("buf", 224, 128)
-		w, _ := spe.LS.Window(lsAddr, 224)
+		w := make([]byte, 224)
 		for i := range w {
 			w[i] = byte(i + 1)
+		}
+		if err := spe.LS.CopyIn(lsAddr, w); err != nil {
+			p.Fatalf("%v", err)
 		}
 		if err := spe.MFC.PutList(p, lsAddr, list, 4); err != nil {
 			p.Fatalf("putl: %v", err)
 		}
 		spe.MFC.TagWait(p, 1<<4)
 		// Scatter landed contiguous pieces at each EA.
-		w1, _ := n.Mem.Window(ea1, 64)
-		w2, _ := n.Mem.Window(ea2, 128)
-		w3, _ := n.Mem.Window(ea3, 32)
+		w1, w2, w3 := make([]byte, 64), make([]byte, 128), make([]byte, 32)
+		n.Mem.CopyOut(ea1, w1)
+		n.Mem.CopyOut(ea2, w2)
+		n.Mem.CopyOut(ea3, w3)
 		if !bytes.Equal(w1, w[:64]) || !bytes.Equal(w2, w[64:192]) || !bytes.Equal(w3, w[192:224]) {
 			p.Fatalf("scatter wrong")
 		}
@@ -40,8 +44,8 @@ func TestDMAListScatterGather(t *testing.T) {
 			p.Fatalf("getl: %v", err)
 		}
 		spe.MFC.TagWait(p, 1<<5)
-		g, _ := spe.LS.Window(ls2, 224)
-		if !bytes.Equal(g, w) {
+		g := make([]byte, 224)
+		if err := spe.LS.CopyOut(ls2, g); err != nil || !bytes.Equal(g, w) {
 			p.Fatalf("gather wrong")
 		}
 	})
@@ -69,18 +73,17 @@ func TestDMAListValidation(t *testing.T) {
 		}
 		// An invalid element mid-list must reject the whole list before
 		// any byte moves.
-		w, _ := n.Mem.Window(ea, 16)
-		w[0] = 0xEE
+		n.Mem.CopyIn(ea, []byte{0xEE})
 		bad := []ListElement{
 			{EA: ea, Size: 16},
 			{EA: ea + 3, Size: 16}, // misaligned
 		}
-		lsw, _ := spe.LS.Window(lsAddr, 16)
-		lsw[0] = 0x11
+		spe.LS.CopyIn(lsAddr, []byte{0x11})
 		if err := spe.MFC.PutList(p, lsAddr, bad, 0); err == nil {
 			p.Fatalf("misaligned element accepted")
 		}
-		if w[0] != 0xEE {
+		w := make([]byte, 1)
+		if n.Mem.CopyOut(ea, w); w[0] != 0xEE {
 			p.Fatalf("half-applied DMA list")
 		}
 	})

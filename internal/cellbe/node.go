@@ -120,26 +120,27 @@ func (n *Node) SPE(global int) (*SPE, error) {
 	return n.Cells[c].SPEs[global%8], nil
 }
 
-// EAWindow resolves an effective-address range to the backing bytes: main
-// memory for low addresses, or a memory-mapped SPE local store. This is
-// the mechanism CellPilot's Co-Pilot exploits to move SPE data without DMA.
-func (n *Node) EAWindow(ea int64, size int) ([]byte, error) {
+// EASegments resolves an effective-address range to the pages that back
+// it, appended to dst: main memory for low addresses, or a memory-mapped
+// SPE local store. This is the mechanism CellPilot's Co-Pilot exploits to
+// move SPE data without DMA.
+func (n *Node) EASegments(ea int64, size int, dst [][]byte) ([][]byte, error) {
 	if ea < 0 || size < 0 {
-		return nil, fmt.Errorf("cellbe: bad EA range [%#x,+%d)", ea, size)
+		return dst, fmt.Errorf("cellbe: bad EA range [%#x,+%d)", ea, size)
 	}
 	if ea < LSMapBase {
-		return n.Mem.Window(ea, size)
+		return n.Mem.Segments(ea, size, dst)
 	}
 	idx := (ea - LSMapBase) / LSMapStride
 	off := (ea - LSMapBase) % LSMapStride
 	spe, err := n.SPE(int(idx))
 	if err != nil {
-		return nil, fmt.Errorf("cellbe: EA %#x maps to no SPE on %s", ea, n.Name)
+		return dst, fmt.Errorf("cellbe: EA %#x maps to no SPE on %s", ea, n.Name)
 	}
 	if off+int64(size) > int64(spe.LS.Size()) {
-		return nil, fmt.Errorf("cellbe: EA range [%#x,+%d) exceeds %s local store", ea, size, spe.Name())
+		return dst, fmt.Errorf("cellbe: EA range [%#x,+%d) exceeds %s local store", ea, size, spe.Name())
 	}
-	return spe.LS.Window(uint32(off), size)
+	return spe.LS.Segments(uint32(off), size, dst)
 }
 
 // IsLSMapped reports whether ea falls in the local-store mapping region.

@@ -44,14 +44,14 @@ func TestEAWindowMainMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := n.EAWindow(addr, 256)
+	w, err := n.EASegments(addr, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(w, []byte("hello"))
-	w2, _ := n.Mem.Window(addr, 5)
-	if string(w2) != "hello" {
-		t.Fatal("EA window does not alias main memory")
+	copy(w[0], []byte("hello"))
+	w2 := make([]byte, 5)
+	if err := n.Mem.CopyOut(addr, w2); err != nil || string(w2) != "hello" {
+		t.Fatal("EA segments do not alias main memory")
 	}
 }
 
@@ -67,20 +67,20 @@ func TestEAWindowMapsLocalStore(t *testing.T) {
 	if !IsLSMapped(ea) {
 		t.Fatal("LS EA not recognized as mapped")
 	}
-	w, err := n.EAWindow(ea, 64)
+	w, err := n.EASegments(ea, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(w, []byte("through the EA window"))
-	direct, _ := spe.LS.Window(lsAddr, 21)
-	if string(direct) != "through the EA window" {
-		t.Fatal("EA window does not alias the local store")
+	copy(w[0], []byte("through the EA window"))
+	direct := make([]byte, 21)
+	if err := spe.LS.CopyOut(lsAddr, direct); err != nil || string(direct) != "through the EA window" {
+		t.Fatal("EA segments do not alias the local store")
 	}
-	// Out-of-range LS access through EA must fail.
-	if _, err := n.EAWindow(spe.LSBase()+int64(spe.LS.Size())-8, 64); err == nil {
+	// Out-of-range LS access through EA must fail, and leave dst as it was.
+	if segs, err := n.EASegments(spe.LSBase()+int64(spe.LS.Size())-8, 64, w[:1]); err == nil || len(segs) != 1 {
 		t.Fatal("EA overrun of local store succeeded")
 	}
-	if _, err := n.EAWindow(LSMapBase+99*LSMapStride, 4); err == nil {
+	if _, err := n.EASegments(LSMapBase+99*LSMapStride, 4, nil); err == nil {
 		t.Fatal("EA of nonexistent SPE succeeded")
 	}
 }
@@ -122,16 +122,19 @@ func TestMFCTransfersAndAlignment(t *testing.T) {
 		if err != nil {
 			p.Fatalf("%v", err)
 		}
-		w, _ := spe.LS.Window(lsAddr, 1600)
+		w := make([]byte, 1600)
 		for i := range w {
 			w[i] = byte(i * 7)
+		}
+		if err := spe.LS.CopyIn(lsAddr, w); err != nil {
+			p.Fatalf("%v", err)
 		}
 		if err := spe.MFC.Put(p, lsAddr, mainAddr, 1600, 5); err != nil {
 			p.Fatalf("put: %v", err)
 		}
 		spe.MFC.TagWait(p, 1<<5)
-		mw, _ := n.Mem.Window(mainAddr, 1600)
-		if !bytes.Equal(mw, w) {
+		mw := make([]byte, 1600)
+		if err := n.Mem.CopyOut(mainAddr, mw); err != nil || !bytes.Equal(mw, w) {
 			p.Fatalf("DMA put corrupted data")
 		}
 		// Round-trip back into a second LS buffer.
@@ -140,8 +143,8 @@ func TestMFCTransfersAndAlignment(t *testing.T) {
 			p.Fatalf("get: %v", err)
 		}
 		spe.MFC.TagWait(p, 1<<6)
-		w2, _ := spe.LS.Window(ls2, 1600)
-		if !bytes.Equal(w2, w) {
+		w2 := make([]byte, 1600)
+		if err := spe.LS.CopyOut(ls2, w2); err != nil || !bytes.Equal(w2, w) {
 			p.Fatalf("DMA get corrupted data")
 		}
 
@@ -227,7 +230,7 @@ func TestMemoryAllocator(t *testing.T) {
 	if _, err := m.Alloc(2048, 1); err == nil {
 		t.Fatal("overflow alloc succeeded")
 	}
-	if _, err := m.Window(1000, 100); err == nil {
-		t.Fatal("out-of-range window succeeded")
+	if err := m.Check(1000, 100); err == nil {
+		t.Fatal("out-of-range check succeeded")
 	}
 }

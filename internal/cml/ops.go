@@ -26,11 +26,9 @@ func (c *Ctx) stageOut(data []byte) {
 		c.fail("%v", err)
 	}
 	defer c.rs.spe.LS.Release()
-	win, err := c.rs.spe.LS.Window(lsAddr, len(data))
-	if err != nil {
+	if err := c.rs.spe.LS.CopyIn(lsAddr, data); err != nil {
 		c.fail("%v", err)
 	}
-	copy(win, data)
 	if err := c.rs.sctx.MFCPut(c.P, lsAddr, c.rs.staging, size, 1); err != nil {
 		c.fail("%v", err)
 	}
@@ -50,11 +48,11 @@ func (c *Ctx) stageIn(size int) []byte {
 		c.fail("%v", err)
 	}
 	c.rs.sctx.TagWait(c.P, 1<<2)
-	win, err := c.rs.spe.LS.Window(lsAddr, size)
-	if err != nil {
+	out := make([]byte, size)
+	if err := c.rs.spe.LS.CopyOut(lsAddr, out); err != nil {
 		c.fail("%v", err)
 	}
-	return append([]byte(nil), win...)
+	return out
 }
 
 // request posts a two-word descriptor and nudges the router.

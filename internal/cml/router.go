@@ -51,6 +51,8 @@ type router struct {
 	bwait  map[int][]*rankState
 	reduce map[int]*reduceOp // root -> in-progress reduction
 	rwait  map[int]*rankState
+	// segs and peerSegs list the staging pages one step moves; reused.
+	segs, peerSegs [][]byte
 }
 
 // queuedSend is one message waiting for its receiver: a local sender's
@@ -97,13 +99,30 @@ func (rt *router) fail(p *sim.Proc, format string, args ...any) {
 	p.Fatalf("%v", err)
 }
 
-// staging returns rank rs's staging window for size bytes.
-func (rt *router) staging(p *sim.Proc, rs *rankState, size int) []byte {
-	win, err := rt.w.clu.Nodes[rt.node.ID].Mem.Window(rs.staging, size)
+// staging returns the page segments of rank rs's first size staging
+// bytes, in dst's storage.
+func (rt *router) staging(p *sim.Proc, rs *rankState, size int, dst [][]byte) [][]byte {
+	segs, err := rt.w.clu.Nodes[rt.node.ID].Mem.Segments(rs.staging, size, dst[:0])
 	if err != nil {
 		rt.fail(p, "staging: %v", err)
 	}
-	return win
+	return segs
+}
+
+// toStaging copies data into rank rs's staging buffer.
+func (rt *router) toStaging(p *sim.Proc, rs *rankState, data []byte) {
+	if err := rt.w.clu.Nodes[rt.node.ID].Mem.CopyIn(rs.staging, data); err != nil {
+		rt.fail(p, "staging: %v", err)
+	}
+}
+
+// fromStaging returns a copy of rank rs's first size staging bytes.
+func (rt *router) fromStaging(p *sim.Proc, rs *rankState, size int) []byte {
+	out := make([]byte, size)
+	if err := rt.w.clu.Nodes[rt.node.ID].Mem.CopyOut(rs.staging, out); err != nil {
+		rt.fail(p, "staging: %v", err)
+	}
+	return out
 }
 
 func (rt *router) loop(p *sim.Proc) {
@@ -158,7 +177,8 @@ func (rt *router) step(p *sim.Proc) bool {
 			if len(rt.recvs[key]) > 0 {
 				rs := rt.recvs[key][0]
 				rt.recvs[key] = rt.recvs[key][1:]
-				rt.rank.RecvInto(p, st.Source, st.Tag, rt.staging(p, rs, st.Count))
+				rt.segs = rt.staging(p, rs, st.Count, rt.segs)
+				rt.rank.RecvIntoVec(p, st.Source, st.Tag, rt.segs...)
 				rs.spe.InMbox.Write(p, uint32(st.Count))
 				return true
 			}
@@ -185,9 +205,10 @@ func (rt *router) handleDescriptor(p *sim.Proc, rs *rankState, op opcode, peer, 
 				&queuedSend{src: rs, size: size})
 			rt.match(p, rs.id, peer)
 		} else {
-			// Isend snapshots the staging window, so the sender may reuse
-			// it as soon as we ack.
-			rt.rank.Isend(p, dst.node, sendTag(rs.id, peer), rt.staging(p, rs, size))
+			// IsendVec snapshots the staging buffer, so the sender may
+			// reuse it as soon as we ack.
+			rt.segs = rt.staging(p, rs, size, rt.segs)
+			rt.rank.IsendVec(p, dst.node, sendTag(rs.id, peer), rt.segs...)
 			rs.spe.InMbox.Write(p, 0)
 		}
 
@@ -196,7 +217,7 @@ func (rt *router) handleDescriptor(p *sim.Proc, rs *rankState, op opcode, peer, 
 		rt.match(p, peer, rs.id)
 
 	case opBcastRoot:
-		payload := append([]byte(nil), rt.staging(p, rs, size)...)
+		payload := rt.fromStaging(p, rs, size)
 		p.Advance(w.par.ShmCopyTime(size))
 		for _, other := range rt.w.routers {
 			if other.idx != rt.idx {
@@ -212,7 +233,7 @@ func (rt *router) handleDescriptor(p *sim.Proc, rs *rankState, op opcode, peer, 
 
 	case opReduceSend, opReduceRecv:
 		root := peer
-		contrib := append([]byte(nil), rt.staging(p, rs, size)...)
+		contrib := rt.fromStaging(p, rs, size)
 		p.Advance(w.par.ShmCopyTime(size))
 		red := rt.reduce[root]
 		if red == nil {
@@ -273,11 +294,13 @@ func (rt *router) match(p *sim.Proc, src, dst int) {
 		rt.sends[key] = rt.sends[key][1:]
 		rs := rt.recvs[key][0]
 		rt.recvs[key] = rt.recvs[key][1:]
-		payload := qs.data
 		if qs.src != nil {
-			payload = rt.staging(p, qs.src, qs.size)
+			rt.peerSegs = rt.staging(p, qs.src, qs.size, rt.peerSegs)
+			rt.segs = rt.staging(p, rs, qs.size, rt.segs)
+			cellbe.CopySegments(rt.segs, rt.peerSegs)
+		} else {
+			rt.toStaging(p, rs, qs.data)
 		}
-		copy(rt.staging(p, rs, qs.size), payload)
 		p.Advance(rt.w.par.ShmCopyTime(qs.size))
 		if qs.src != nil {
 			qs.src.spe.InMbox.Write(p, 0) // sender completes at delivery
@@ -298,7 +321,7 @@ func (rt *router) matchBcast(p *sim.Proc, root int) {
 		msg := rt.bcasts[root][0]
 		rs := rt.bwait[root][0]
 		rt.bwait[root] = rt.bwait[root][1:]
-		copy(rt.staging(p, rs, len(msg.data)), msg.data)
+		rt.toStaging(p, rs, msg.data)
 		p.Advance(rt.w.par.ShmCopyTime(len(msg.data)))
 		rs.spe.InMbox.Write(p, uint32(len(msg.data)))
 		msg.remaining--
@@ -328,7 +351,7 @@ func (rt *router) progressReduce(p *sim.Proc, root int) {
 	if rs == nil {
 		return // root rank's request not yet decoded
 	}
-	copy(rt.staging(p, rs, len(red.acc)), red.acc)
+	rt.toStaging(p, rs, red.acc)
 	p.Advance(rt.w.par.ShmCopyTime(len(red.acc)))
 	rs.spe.InMbox.Write(p, uint32(len(red.acc)))
 	red.rootDeliverd = true

@@ -1,24 +1,29 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
+	"cellpilot/internal/cellbe"
 	"cellpilot/internal/cluster"
 	"cellpilot/internal/fmtmsg"
+	"cellpilot/internal/mpi"
+	"cellpilot/internal/sim"
 )
 
-// roundTrips runs rounds round trips of a 1600-byte "%100Lf" payload
-// (Table II's message) over one channel pair of the given Table I type, on
-// the 2-Cell + 1-Xeon machine, and returns the heap allocations the whole
-// run made, build included. The payload and the receive buffers are boxed
-// once, so the ops' variadic arguments allocate nothing per call.
-func roundTrips(t *testing.T, typ ChannelType, rounds int) uint64 {
+// roundTrips runs rounds round trips of an elems-long "%<elems>Lf" payload
+// (16 bytes an element; Table II's message is 100 of them) over one
+// channel pair of the given Table I type, on the 2-Cell + 1-Xeon machine,
+// and returns the heap allocations the whole run made, build included.
+// The payload and the receive buffers are boxed once, so the ops'
+// variadic arguments allocate nothing per call.
+func roundTrips(t *testing.T, typ ChannelType, rounds, elems int, opts Options) uint64 {
 	t.Helper()
-	const format = "%100Lf"
-	send := make([]fmtmsg.LongDoubleVal, 100)
-	recv := make([]fmtmsg.LongDoubleVal, 100)
-	echo := make([]fmtmsg.LongDoubleVal, 100)
+	format := fmt.Sprintf("%%%dLf", elems)
+	send := make([]fmtmsg.LongDoubleVal, elems)
+	recv := make([]fmtmsg.LongDoubleVal, elems)
+	echo := make([]fmtmsg.LongDoubleVal, elems)
 	var sendArg, recvArg, echoArg any = send, recv, echo
 	var ab, ba *Channel
 	check := func(r int) bool {
@@ -69,7 +74,7 @@ func roundTrips(t *testing.T, typ ChannelType, rounds int) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewApp(c, Options{})
+	a := NewApp(c, opts)
 	main := a.Main()
 	var body func(*Ctx)
 	switch typ {
@@ -105,27 +110,123 @@ func roundTrips(t *testing.T, typ ChannelType, rounds int) uint64 {
 	return m1.Mallocs - m0.Mallocs
 }
 
+// mpiRoundTrips runs rounds round trips of a size-byte message between
+// two ranks on two Cell nodes with raw MPI Send and Recv, and returns the
+// heap allocations the whole run made, build included.
+func mpiRoundTrips(t *testing.T, rounds, size int) uint64 {
+	t.Helper()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	c, err := cluster.New(cluster.Spec{CellNodes: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mpi.NewWorld(c, []mpi.Placement{{Node: 0, Label: "a"}, {Node: 1, Label: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	c.K.Spawn("a", func(p *sim.Proc) {
+		for r := 0; r < rounds; r++ {
+			w.Rank(0).Send(p, 1, 0, buf)
+			w.Rank(0).Recv(p, 1, 0)
+		}
+	})
+	c.K.Spawn("b", func(p *sim.Proc) {
+		for r := 0; r < rounds; r++ {
+			data, _ := w.Rank(1).Recv(p, 0, 0)
+			w.Rank(1).Send(p, 0, 0, data)
+		}
+	})
+	if err := c.K.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
+}
+
 // TestMessagePathAllocationBudget: a successful channel operation
-// allocates nothing of its own in fmtmsg, core and mpi. What is left per
-// message is the eager payload copy that every MPI-carried type makes
+// allocates nothing of its own in fmtmsg, core, mpi and cellbe. What is
+// left per message is the payload copy that every MPI-carried type makes
 // (mpi.concat: the header and payload joined into the message's private
 // buffer); a type-4 transfer is a Co-Pilot memcpy and allocates nothing.
-// Running R and then 2R round trips and taking the difference cancels the
-// cluster and App build, which allocate the same either way; the slack
-// absorbs the runtime's own occasional allocations.
+// A 64 KiB type-5 message through the chunk engine crosses 17 local-store
+// pages at each end; what it allocates is one private copy per chunk frame
+// on the wire, and the segment lists and gather buffers it needs are
+// reused. A raw-MPI rendezvous message allocates only the receive's
+// result buffer. Running R and then 2R round trips and taking the
+// difference cancels the cluster and App build, which allocate the same
+// either way; the slack absorbs the runtime's own occasional allocations.
 func TestMessagePathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const rounds, slack = 200, 0.25
+	perMsg := func(run func(rounds int) uint64) float64 {
+		run(1) // first use: format parse, call-site memo
+		short := run(rounds)
+		long := run(2 * rounds)
+		return (float64(long) - float64(short)) / (2 * rounds)
+	}
 	budget := map[ChannelType]float64{Type1: 1, Type2: 1, Type3: 1, Type4: 0, Type5: 1}
 	for typ := Type1; typ <= Type5; typ++ {
-		roundTrips(t, typ, 1) // first use: format parse, call-site memo
-		short := roundTrips(t, typ, rounds)
-		long := roundTrips(t, typ, 2*rounds)
-		perMsg := (float64(long) - float64(short)) / (2 * rounds)
-		if perMsg > budget[typ]+slack {
-			t.Errorf("type %d: %.2f heap allocations per message, budget %v", typ, perMsg, budget[typ])
+		got := perMsg(func(n int) uint64 { return roundTrips(t, typ, n, 100, Options{}) })
+		if got > budget[typ]+slack {
+			t.Errorf("type %d: %.2f heap allocations per message, budget %v", typ, got, budget[typ])
 		}
+	}
+	// Eight 8 KiB chunk frames and the stream header. The wider slack
+	// covers the wire-buffer pool's refills after each GC cycle (about 0.2
+	// per message here); a buffer or list allocated per operation costs at
+	// least one more.
+	stream := Options{Transfer: TransferOptions{ChunkSize: 8192, PipelineDepth: 4, ZeroCopyType4: true}}
+	if got := perMsg(func(n int) uint64 { return roundTrips(t, Type5, n, 4096, stream) }); got > 9+0.5 {
+		t.Errorf("64 KiB type 5 through the chunk engine: %.2f heap allocations per message, budget 9", got)
+	}
+	if got := perMsg(func(n int) uint64 { return mpiRoundTrips(t, n, 64<<10) }); got > 1+slack {
+		t.Errorf("64 KiB raw MPI rendezvous: %.2f heap allocations per message, budget 1", got)
+	}
+}
+
+// TestType4RoundTripBacksOnePagePerStore: a 1600-byte type-4 round trip
+// backs the one local-store page each SPE's message buffer lies in, and
+// nothing else: no other SPE's store and no main memory.
+func TestType4RoundTripBacksOnePagePerStore(t *testing.T) {
+	c, err := cluster.New(cluster.Spec{CellNodes: 2, XeonNodes: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewApp(c, Options{})
+	var ab, ba *Channel
+	buf := make([]fmtmsg.LongDoubleVal, 100)
+	s1 := a.CreateSPE(&SPEProgram{Name: "init", Body: func(c *SPECtx) {
+		c.Write(ab, "%100Lf", buf)
+		c.Read(ba, "%100Lf", buf)
+	}}, a.Main(), 0)
+	s2 := a.CreateSPE(&SPEProgram{Name: "echo", Body: func(c *SPECtx) {
+		c.Read(ab, "%100Lf", buf)
+		c.Write(ba, "%100Lf", buf)
+	}}, a.Main(), 1)
+	ab, ba = a.CreateChannel(s1, s2), a.CreateChannel(s2, s1)
+	if err := a.Run(func(c *Ctx) { c.RunSPE(s1, 0, nil); c.RunSPE(s2, 0, nil) }); err != nil {
+		t.Fatal(err)
+	}
+	stores := 0
+	for _, n := range c.Nodes {
+		if n.Mem.Backed() != 0 {
+			t.Errorf("%s main memory: %d bytes backed", n.Name, n.Mem.Backed())
+		}
+		for _, spe := range n.SPEs() {
+			switch b := spe.LS.Backed(); b {
+			case 0:
+			case cellbe.PageSize:
+				stores++
+			default:
+				t.Errorf("%s: %d bytes backed, want at most one page", spe.Name(), b)
+			}
+		}
+	}
+	if stores != 2 {
+		t.Errorf("%d local stores backed, want the two endpoints'", stores)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cellpilot/internal/cellbe"
 	"cellpilot/internal/fmtmsg"
 	"cellpilot/internal/metrics"
 	"cellpilot/internal/mpi"
@@ -35,10 +36,14 @@ type copilot struct {
 	pendWrites reqQueue
 	pendReads  reqQueue
 	reqFree    []*speReq // completed requests' records, for newReq
-	// relayHdr and relaySegs receive a relayed message (header, then
-	// local-store window) in tryRead; the loop receives one at a time.
-	relayHdr  [hdrSize]byte
-	relaySegs [2][]byte
+	// hdr is a relayed message's validation header: written before a
+	// relay send, received into by a relay receive. segs and segs2 list
+	// the page segments of the buffers one step moves: segs a request's
+	// local-store buffer (after hdr, for a relay), segs2 the type-4
+	// reader's buffer or one chunk of segs. The loop moves one message at
+	// a time, and every list is reused.
+	hdr         [hdrSize]byte
+	segs, segs2 [][]byte
 	// scanW/scanR rotate the pending-scan start when the chunk engine is on,
 	// so concurrent streams interleave chunk-by-chunk instead of the first
 	// stream monopolizing the loop. With chunking off the scan always starts
@@ -382,16 +387,24 @@ func (cp *copilot) ackDesc(p *sim.Proc, b *speBinding, word uint32) {
 	}
 }
 
-// lsWindow resolves a request's buffer through the node's EA map — the
-// spe_ls_area_get trick at the heart of CellPilot's zero-copy transfers.
-func (cp *copilot) lsWindow(p *sim.Proc, req *speReq) []byte {
+// lsSegments appends to dst the page segments of a request's buffer,
+// resolved through the node's EA map — the spe_ls_area_get trick at the
+// heart of CellPilot's zero-copy transfers.
+func (cp *copilot) lsSegments(p *sim.Proc, req *speReq, dst [][]byte) [][]byte {
 	node := cp.app.Clu.Nodes[cp.nodeID]
 	ea := req.spe.LSBase() + int64(req.lsAddr)
-	w, err := node.EAWindow(ea, req.size)
+	segs, err := node.EASegments(ea, req.size, dst)
 	if err != nil {
 		p.Fatalf("%v", usageError("runtime", "co-pilot", "bad SPE buffer from %s: %v", req.proc, err))
 	}
-	return w
+	return segs
+}
+
+// relaySegments sets cp.segs to a relayed message's segments: the header
+// buffer, then req's local-store buffer.
+func (cp *copilot) relaySegments(p *sim.Proc, req *speReq) [][]byte {
+	cp.segs = cp.lsSegments(p, req, append(cp.segs[:0], cp.hdr[:]))
+	return cp.segs
 }
 
 // notify completes a request toward its SPE via the inbound mailbox. In
@@ -438,8 +451,8 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 		}
 		cp.validatePair(p, req, rd)
 		rd.xfer = req.xfer // the reader's span is the writer's transfer
-		src := cp.lsWindow(p, req)
-		dst := cp.lsWindow(p, rd)
+		cp.segs = cp.lsSegments(p, req, cp.segs[:0])
+		cp.segs2 = cp.lsSegments(p, rd, cp.segs2[:0])
 		copyStart := p.Now()
 		if cp.app.opts.Transfer.ZeroCopyType4 {
 			// B3 fast path: the Co-Pilot programs an LS→LS DMA over the EIB
@@ -449,7 +462,7 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 		} else {
 			p.Advance(cp.app.par.MemcpyTime(req.size))
 		}
-		copy(dst, src)
+		cellbe.CopySegments(cp.segs2, cp.segs)
 		cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.lbl, ch, req.size, copyStart, p.Now())
 		cp.stats.Type4Copies++
 		cp.stats.Type4Bytes += int64(req.size)
@@ -469,19 +482,20 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 		// (the payload is snapshotted): a blocking send here could form a
 		// circular wait with a PPE that is itself rendezvous-sending
 		// toward this Co-Pilot.
-		hdr := putHeader(req.sig, req.size)
-		win := cp.lsWindow(p, req)
+		copy(cp.hdr[:], putHeader(req.sig, req.size))
+		segs := cp.relaySegments(p, req)
 		relayStart := p.Now()
 		if cp.app.opts.CoPilotDirectLocal && ch.typ == Type2 {
 			// A1 ablation: hand the payload to the local reader directly —
 			// same per-byte copy as the MPI path, none of its overheads.
 			p.Advance(cp.app.par.ShmCopyTime(req.size))
-			buf := append(append([]byte(nil), hdr...), win...)
+			buf := make([]byte, hdrSize+req.size)
+			cellbe.CopySegments([][]byte{buf}, segs)
 			cp.app.directBox(ch).Put(p, dbMsg{data: buf, xfer: req.xfer})
 			cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.lbl, ch, req.size, relayStart, p.Now())
 		} else {
 			cp.rank.TagNextXfer(req.xfer)
-			cp.rank.IsendVec(p, ch.To.rank, ch.tag(), hdr, win)
+			cp.rank.IsendVec(p, ch.To.rank, ch.tag(), segs...)
 			cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.lbl, ch, req.size, relayStart, p.Now())
 		}
 		cp.stats.RelayedBytes += int64(req.size)
@@ -494,11 +508,11 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 			return cp.streamWrite(p, req, cp.app.copilotRankFor(ch.To))
 		}
 		// Peer is a remote SPE: relay to its Co-Pilot, also nonblocking.
-		hdr := putHeader(req.sig, req.size)
-		win := cp.lsWindow(p, req)
+		copy(cp.hdr[:], putHeader(req.sig, req.size))
+		segs := cp.relaySegments(p, req)
 		relayStart := p.Now()
 		cp.rank.TagNextXfer(req.xfer)
-		cp.rank.IsendVec(p, cp.app.copilotRankFor(ch.To), ch.tag(), hdr, win)
+		cp.rank.IsendVec(p, cp.app.copilotRankFor(ch.To), ch.tag(), segs...)
 		cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.lbl, ch, req.size, relayStart, p.Now())
 		cp.stats.RelayedBytes += int64(req.size)
 		cp.obsComplete(req)
@@ -539,7 +553,8 @@ func (cp *copilot) tryRead(p *sim.Proc, req *speReq) bool {
 			cp.validateIncoming(p, req, sig, size)
 			copyStart := p.Now()
 			p.Advance(cp.app.par.ShmCopyTime(req.size))
-			copy(cp.lsWindow(p, req), msg.data[hdrSize:])
+			cp.segs = cp.lsSegments(p, req, cp.segs[:0])
+			cellbe.CopySegments(cp.segs, [][]byte{msg.data[hdrSize:]})
 			cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.lbl, ch, req.size, copyStart, p.Now())
 			cp.obsComplete(req)
 			cp.notify(p, req, speStatusOK)
@@ -554,11 +569,11 @@ func (cp *copilot) tryRead(p *sim.Proc, req *speReq) bool {
 				ch, st.Count-hdrSize, req.proc, req.size))
 		}
 		req.xfer = st.Xfer
-		cp.relaySegs = [2][]byte{cp.relayHdr[:], cp.lsWindow(p, req)}
+		segs := cp.relaySegments(p, req)
 		recvStart := p.Now()
-		cp.rank.RecvIntoVec(p, src, ch.tag(), cp.relaySegs[:]...)
+		cp.rank.RecvIntoVec(p, src, ch.tag(), segs...)
 		cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.lbl, ch, req.size, recvStart, p.Now())
-		sig, size := parseHeader(cp.relayHdr[:])
+		sig, size := parseHeader(cp.hdr[:])
 		cp.validateIncoming(p, req, sig, size)
 		cp.obsComplete(req)
 		cp.notify(p, req, speStatusOK)
@@ -610,9 +625,10 @@ func (cp *copilot) streamWrite(p *sim.Proc, req *speReq, dst int) bool {
 	}
 	off := st.next * chunk
 	n := chunkLen(req.size, chunk, st.next)
-	win := cp.lsWindow(p, req)
+	cp.segs = cp.lsSegments(p, req, cp.segs[:0])
+	cp.segs2 = subSegments(cp.segs, off, n, cp.segs2[:0])
 	fb := fmtmsg.GetWireBuf(chunkIdxSize + n)
-	frame := appendChunkFrame(*fb, st.next, win[off:off+n])
+	frame := appendChunkFrame(*fb, st.next, cp.segs2...)
 	injStart := p.Now()
 	st.arrivals = append(st.arrivals, cp.rank.SendChunk(p, st.dst, req.ch.streamTag(), frame))
 	*fb = frame
@@ -639,7 +655,7 @@ func (cp *copilot) streamWrite(p *sim.Proc, req *speReq, dst int) bool {
 }
 
 // streamRead progresses a reader-side chunk stream: receive the header,
-// then drain at most one chunk per call straight into the SPE's LS window,
+// then drain at most one chunk per call straight into the SPE's LS buffer,
 // booking each chunk's EA→LS DMA on the SPE's MFC. Completion is signalled
 // only when every chunk has arrived AND the last DMA has landed — a stream
 // cut short by a fault never produces an OK, so a torn payload is never
@@ -677,8 +693,9 @@ func (cp *copilot) streamRead(p *sim.Proc, req *speReq, src int) bool {
 		}
 		drainStart := p.Now()
 		p.Advance(par.ChunkStackTime(len(payload)))
-		win := cp.lsWindow(p, req)
-		copy(win[rs.got*rs.chunk:], payload)
+		cp.segs = cp.lsSegments(p, req, cp.segs[:0])
+		cp.segs2 = subSegments(cp.segs, rs.got*rs.chunk, len(payload), cp.segs2[:0])
+		cellbe.CopySegments(cp.segs2, [][]byte{payload})
 		d := par.ChunkDMATime(len(payload))
 		rs.dmaDone = app.dmaRes(req.spe).ReserveFor(d)
 		app.spanChunk(req.xfer, trace.PhaseChunkFrame, cp.lbl, req.ch, len(payload), drainStart, p.Now(), rs.got)

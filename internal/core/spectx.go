@@ -25,6 +25,10 @@ type SPECtx struct {
 	sctx *sdk.Context
 	arg  int
 	env  any
+	// segs lists a received payload's local-store pages; gather joins a
+	// payload that spans pages, for Unpack. Both are reused across reads.
+	segs   [][]byte
+	gather []byte
 }
 
 // Arg reports the int argument passed to RunSPE — the paper's mechanism
@@ -246,11 +250,9 @@ func (c *SPECtx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft 
 		// has to cope with limited SPE memory.
 		c.fail(loc, api, "%v", err)
 	}
-	win, err := ls.Window(lsAddr, len(wire))
-	if err != nil {
+	if err := ls.CopyIn(lsAddr, wire); err != nil {
 		c.fail(loc, api, "%v", err)
 	}
-	copy(win, wire)
 	// With the SPE-deadlock extension, writes that genuinely wait for the
 	// peer (type-4 rendezvous, rendezvous-sized payloads) report to the
 	// service; eager relays complete regardless of the reader and must not
@@ -422,13 +424,25 @@ func (c *SPECtx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft b
 	}
 	waitEnd := c.P.Now()
 	xfer := c.app.speTakeDone(c.Self)
-	win, err := ls.Window(lsAddr, expected)
+	c.segs, err = ls.Segments(lsAddr, expected, c.segs[:0])
 	if err != nil {
 		c.fail(loc, api, "%v", err)
 	}
+	// A payload within one page unpacks in place; one that spans pages
+	// is gathered first.
+	var payload []byte
+	if len(c.segs) == 1 {
+		payload = c.segs[0]
+	} else {
+		c.gather = c.gather[:0]
+		for _, seg := range c.segs {
+			c.gather = append(c.gather, seg...)
+		}
+		payload = c.gather
+	}
 	c.P.Advance(c.app.par.SPEStubOverhead + c.app.par.PackTime(expected))
 	c.app.obs.host.Enter(hostprof.SubsysFmtmsg)
-	err = spec.Unpack(win, args...)
+	err = spec.Unpack(payload, args...)
 	c.app.obs.host.Exit()
 	if err != nil {
 		c.fail(loc, api, "%v", err)

@@ -147,10 +147,32 @@ func rd32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// appendChunkFrame appends one chunk frame (index prefix + payload) to buf.
-func appendChunkFrame(buf []byte, idx int, payload []byte) []byte {
+// appendChunkFrame appends one chunk frame (index prefix + the payload,
+// given as one or more segments) to buf.
+func appendChunkFrame(buf []byte, idx int, payload ...[]byte) []byte {
 	buf = append(buf, byte(idx>>24), byte(idx>>16), byte(idx>>8), byte(idx))
-	return append(buf, payload...)
+	for _, seg := range payload {
+		buf = append(buf, seg...)
+	}
+	return buf
+}
+
+// subSegments appends to dst the segments that hold bytes [off, off+n) of
+// segs' concatenation, cut short where segs end.
+func subSegments(segs [][]byte, off, n int, dst [][]byte) [][]byte {
+	for _, seg := range segs {
+		if n <= 0 {
+			break
+		}
+		if off >= len(seg) {
+			off -= len(seg)
+			continue
+		}
+		seg = seg[off:min(len(seg), off+n)]
+		dst = append(dst, seg)
+		off, n = 0, n-len(seg)
+	}
+	return dst
 }
 
 // parseChunkFrame splits a chunk frame into its index and payload.

@@ -186,7 +186,7 @@ func (rt *Runtime) RemoteMemCreate(node *cellbe.Node, ea int64, size int) (*Remo
 	if cellbe.IsLSMapped(ea) {
 		return nil, fmt.Errorf("%w: remote memory must be in main storage", ErrNotSupported)
 	}
-	if _, err := node.Mem.Window(ea, size); err != nil {
+	if err := node.Mem.Check(ea, size); err != nil {
 		return nil, err
 	}
 	return &RemoteMem{Node: node, EA: ea, Size: size}, nil

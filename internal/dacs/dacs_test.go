@@ -3,6 +3,7 @@ package dacs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"cellpilot/internal/cluster"
@@ -81,6 +82,26 @@ func TestRemoteMemRejectsLocalStore(t *testing.T) {
 	}
 }
 
+// TestRemoteMemCreateBacksNothing: publishing a region checks its bounds
+// without backing a page of the node's main memory, and an out-of-range
+// region keeps its error text.
+func TestRemoteMemCreateBacksNothing(t *testing.T) {
+	rt := newRT(t)
+	node := rt.Root.Children[0].Node
+	ea, _ := node.Mem.Alloc(4096, 128)
+	if _, err := rt.RemoteMemCreate(node, ea, 4096); err != nil {
+		t.Fatal(err)
+	}
+	end := int64(node.Mem.Size())
+	want := fmt.Sprintf("cellbe: main memory access [%#x,+32) out of range", end-16)
+	if _, err := rt.RemoteMemCreate(node, end-16, 32); err == nil || err.Error() != want {
+		t.Fatalf("out-of-range region: %v, want %q", err, want)
+	}
+	if node.Mem.Backed() != 0 {
+		t.Fatalf("RemoteMemCreate backed %d bytes of main memory", node.Mem.Backed())
+	}
+}
+
 func TestPutGetWaitRoundTrip(t *testing.T) {
 	rt := newRT(t)
 	cellHE := rt.Root.Children[0]
@@ -94,10 +115,11 @@ func TestPutGetWaitRoundTrip(t *testing.T) {
 	prog := &sdk.Program{Name: "rma", Main: func(c *sdk.Context, arg int, env any) {
 		p := c.Proc
 		lsAddr, _ := c.SPE.LS.Alloc("buf", 256, 128)
-		w, _ := c.SPE.LS.Window(lsAddr, 256)
+		w := make([]byte, 256)
 		for i := range w {
 			w[i] = byte(i ^ 0x5a)
 		}
+		c.SPE.LS.CopyIn(lsAddr, w)
 		if err := leaf.Put(p, rm, 0, lsAddr, 256, 1); err != nil {
 			p.Fatalf("put: %v", err)
 		}
@@ -110,8 +132,8 @@ func TestPutGetWaitRoundTrip(t *testing.T) {
 			p.Fatalf("get: %v", err)
 		}
 		leaf.Wait(p, 2)
-		w2, _ := c.SPE.LS.Window(ls2, 256)
-		if !bytes.Equal(w, w2) {
+		w2 := make([]byte, 256)
+		if c.SPE.LS.CopyOut(ls2, w2); !bytes.Equal(w, w2) {
 			p.Fatalf("round trip corrupted")
 		}
 		// Out-of-range put must fail.
@@ -125,8 +147,8 @@ func TestPutGetWaitRoundTrip(t *testing.T) {
 	if err := rt.K.Run(); err != nil {
 		t.Fatal(err)
 	}
-	mw, _ := node.Mem.Window(ea, 4)
-	if mw[0] != 0x5a^0 || mw[1] != 1^0x5a {
+	mw := make([]byte, 4)
+	if node.Mem.CopyOut(ea, mw); mw[0] != 0x5a^0 || mw[1] != 1^0x5a {
 		t.Fatal("put did not land in main memory")
 	}
 }

@@ -16,14 +16,22 @@ type envelope struct {
 	// data is the eager payload: a private copy made once at send time,
 	// never nil, which a receive with no buffer takes as its result.
 	data []byte
-	// senderDone runs (in scheduler context) when a rendezvous data phase
-	// lets the sender proceed: waking a parked Send, or completing an
-	// Isend request.
-	senderDone func()
-	srcBuf     []byte // rendezvous: sender's buffer, read at the data phase
-	srcNode    int
-	dstNode    int
-	xfer       int64 // observability transfer id (TagNextXfer), 0 = untagged
+	// Rendezvous state. srcBuf is the sender's buffer, read at the data
+	// phase; sender is the sending proc and sendReq its Isend request, if
+	// any; req is the matched receive. sent is set when the data phase
+	// releases the sender, landed when the receive completes. waiting
+	// marks a blocking sender that has yet to see sent: the envelope is
+	// recycled once it has landed and no sender waits on it.
+	srcBuf  []byte
+	sender  *sim.Proc
+	sendReq *Request
+	req     *recvReq
+	sent    bool
+	landed  bool
+	waiting bool
+	srcNode int
+	dstNode int
+	xfer    int64 // observability transfer id (TagNextXfer), 0 = untagged
 	// cancelled marks a rendezvous announcement whose sender abandoned the
 	// wait (SendCtl deadline/stop); deliver discards it.
 	cancelled bool
@@ -32,14 +40,17 @@ type envelope struct {
 	reliable bool
 	arrival  uint64 // unexpected-queue arrival number
 	dst      *Rank
-	// fire delivers the envelope to dst. It is built once per record, so
-	// scheduling a recycled envelope's delivery allocates nothing.
-	fire func()
+	// fire delivers the envelope to dst; move and land are the two steps
+	// of the rendezvous data phase, built the first time the record
+	// carries a rendezvous message. Each is built once per record, so
+	// scheduling a recycled envelope's callbacks allocates nothing.
+	fire, move, land func()
 }
 
 // newEnvelope returns an envelope from rank r to rank d. It reuses a
 // record from the world's free list when there is one; complete returns
-// eager records to that list once their receive has taken the payload.
+// eager records to that list once their receive has taken the payload,
+// and land or the blocking sender returns rendezvous ones.
 func (w *World) newEnvelope(r, d *Rank, tag, size int) *envelope {
 	var env *envelope
 	if n := len(w.envFree); n > 0 {
@@ -55,11 +66,14 @@ func (w *World) newEnvelope(r, d *Rank, tag, size int) *envelope {
 	return env
 }
 
-// freeEnvelope recycles an eager envelope whose payload a receive took.
-// Nothing else holds it: deliver and take have unlinked it, and the
-// rendezvous and reliable envelopes that others do hold never come here.
+// freeEnvelope recycles an envelope that nothing holds any more: an eager
+// one whose payload a receive took, or a rendezvous one whose data phase
+// has landed and whose sender no longer waits on it. deliver and take
+// have unlinked it. Reliable envelopes, which their frame holds until
+// acked, and abandoned rendezvous ones, whose announcement or data phase
+// may still be scheduled, never come here.
 func (w *World) freeEnvelope(env *envelope) {
-	*env = envelope{fire: env.fire}
+	*env = envelope{fire: env.fire, move: env.move, land: env.land}
 	w.envFree = append(w.envFree, env)
 }
 
@@ -322,16 +336,11 @@ func (r *Rank) send(p *sim.Proc, dst, tag int, data []byte, own, nonblocking boo
 	}
 	// Rendezvous: announce with an RTS; the data phase, started by the
 	// matching receive, completes q or wakes the parked sender.
-	env.srcBuf = data
-	var done *bool
-	if q != nil {
-		done = &q.done
-	} else {
-		done = new(bool)
-	}
-	env.senderDone = func() {
-		*done = true
-		w.K.ReadyIfParked(p)
+	env.srcBuf, env.sender, env.sendReq = data, p, q
+	env.waiting = !nonblocking
+	if env.move == nil {
+		env.move = func() { w.move(env) }
+		env.land = func() { w.land(env) }
 	}
 	w.K.After(w.ctrlLatency(r.node.ID, d.node.ID), env.fire)
 	if nonblocking {
@@ -341,8 +350,10 @@ func (r *Rank) send(p *sim.Proc, dst, tag int, data []byte, own, nonblocking boo
 	if ctl.Deadline > 0 {
 		tm = p.WakeAt(ctl.Deadline)
 	}
-	for !*done {
+	for !env.sent {
 		if err := ctl.check(w.K.Now()); err != nil {
+			// The abandoned envelope stays waiting, so it is never
+			// recycled under a scheduled delivery or data phase.
 			env.cancelled = true
 			d.unexpected.remove(env)
 			tm.Cancel()
@@ -351,6 +362,10 @@ func (r *Rank) send(p *sim.Proc, dst, tag int, data []byte, own, nonblocking boo
 		p.ParkFor((*sendWait)(env))
 	}
 	tm.Cancel()
+	env.waiting = false
+	if env.landed {
+		w.freeEnvelope(env)
+	}
 	return nil
 }
 
@@ -450,11 +465,31 @@ func (r *Rank) complete(env *envelope, req *recvReq) {
 		ser = w.Clu.Net.SerializationTime(env.size)
 		lat = w.Par.NetLatency
 	}
-	w.K.After(cts+ser, func() {
-		req.fill(env, env.srcBuf)
-		env.senderDone()
-	})
-	w.K.After(cts+ser+lat, func() { w.finish(req) })
+	env.req = req
+	w.K.After(cts+ser, env.move)
+	w.K.After(cts+ser+lat, env.land)
+}
+
+// move is the rendezvous data phase's first step: the payload leaves the
+// sender's buffer for the receive, and the sender proceeds — a parked Send
+// wakes, an Isend request completes.
+func (w *World) move(env *envelope) {
+	env.req.fill(env, env.srcBuf)
+	env.sent = true
+	if env.sendReq != nil {
+		env.sendReq.done = true
+	}
+	w.K.ReadyIfParked(env.sender)
+}
+
+// land completes the receive once the payload has arrived, and recycles
+// the envelope unless a blocking sender has yet to see it sent.
+func (w *World) land(env *envelope) {
+	w.finish(env.req)
+	env.landed = true
+	if !env.waiting {
+		w.freeEnvelope(env)
+	}
 }
 
 // fill moves payload into the receive's destination and records its
@@ -498,9 +533,8 @@ func (r *Rank) Recv(p *sim.Proc, src, tag int) ([]byte, Status) {
 	return r.recv(p, src, tag, nil)
 }
 
-// RecvInto receives into buf (which may alias simulated memory, e.g. an
-// SPE local-store window — the Co-Pilot's zero-copy trick). The message
-// must fit in buf.
+// RecvInto receives into buf (which may alias simulated memory, e.g. a
+// page segment of an SPE local store). The message must fit in buf.
 func (r *Rank) RecvInto(p *sim.Proc, src, tag int, buf []byte) (int, Status) {
 	out, st := r.recv(p, src, tag, buf)
 	_ = out

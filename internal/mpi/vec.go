@@ -6,8 +6,8 @@ import (
 )
 
 // SendVec sends the concatenation of segments as one message. The Co-Pilot
-// uses it to prepend a validation header to a payload that lives in an SPE
-// local-store window without staging the payload through main memory
+// uses it to prepend a validation header to a payload that lives in SPE
+// local-store pages without staging the payload through main memory
 // (the concatenation is a Go implementation detail and the message's only
 // copy; the *time* charged is the single-message cost, which is what the
 // zero-copy design buys).
@@ -42,7 +42,7 @@ func concat(segs [][]byte) []byte {
 }
 
 // RecvIntoVec receives one message scattered across the given segments in
-// order (header into scratch, payload straight into a local-store window).
+// order (header into scratch, payload straight into local-store pages).
 // The message size must exactly fill the segments. The receive keeps segs
 // until it completes, so a caller that passes a slice it owns (segs...)
 // rather than a list of segments spares the variadic slice's allocation.

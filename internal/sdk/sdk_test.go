@@ -86,9 +86,8 @@ func TestMailboxHandshakeAndDMA(t *testing.T) {
 		if err != nil {
 			p.Fatalf("%v", err)
 		}
-		w, _ := c.SPE.LS.Window(lsAddr, 1600)
-		for i := range w {
-			w[i] = byte(arg)
+		if err := c.SPE.LS.CopyIn(lsAddr, bytes.Repeat([]byte{byte(arg)}, 1600)); err != nil {
+			p.Fatalf("%v", err)
 		}
 		// DMA the buffer out, then tell the PPE where it lives.
 		if err := c.MFCPut(p, lsAddr, mainBuf, 1600, 3); err != nil {
@@ -109,17 +108,17 @@ func TestMailboxHandshakeAndDMA(t *testing.T) {
 	}
 	k.Spawn("ppe", func(p *sim.Proc) {
 		lsAddr := ctx.ReadOutMbox(p)
-		mw, _ := n.Mem.Window(mainBuf, 1600)
-		if !bytes.Equal(mw, bytes.Repeat([]byte{9}, 1600)) {
+		mw := make([]byte, 1600)
+		if n.Mem.CopyOut(mainBuf, mw); !bytes.Equal(mw, bytes.Repeat([]byte{9}, 1600)) {
 			p.Fatalf("DMA content wrong")
 		}
 		// The PPE can also see the SPE buffer through the EA map.
 		ea := ctx.LSBase() + int64(lsAddr)
-		win, err := n.EAWindow(ea, 1600)
+		segs, err := n.EASegments(ea, 1600, nil)
 		if err != nil {
 			p.Fatalf("%v", err)
 		}
-		if !bytes.Equal(win, mw) {
+		if !bytes.Equal(bytes.Join(segs, nil), mw) {
 			p.Fatalf("EA view differs from DMA copy")
 		}
 		ctx.WriteInMbox(p, 0xAC0)

@@ -319,8 +319,8 @@ func TestZeroSeriesHoldCount(t *testing.T) {
 		r.Observe(sim.Time(i) * 10)
 	}
 	r.Finish(80)
-	if s := r.series["quiet"]; s.vals != nil || s.zeros != 8 {
-		t.Fatalf("all-zero series holds %d values and %d zeros, want none and 8", len(s.vals), s.zeros)
+	if s := r.series["quiet"]; s.blocks != nil || s.n != 0 || s.zeros != 8 {
+		t.Fatalf("all-zero series holds %d values and %d zeros, want none and 8", s.n, s.zeros)
 	}
 	points := map[string][]float64{}
 	for _, p := range r.Points() {
@@ -346,6 +346,43 @@ func TestZeroSeriesHoldCount(t *testing.T) {
 		if line := fmt.Sprintf("series %s kind=gauge", name); !strings.Contains(fp, line) ||
 			!strings.Contains(fp, fmt.Sprintf("vals=%016x", valsHash(want))) {
 			t.Errorf("fingerprint does not bind %q's values:\n%s", name, fp)
+		}
+	}
+}
+
+// TestSeriesBlocksKeepEveryValue: values stored across several blocks,
+// after leading zeros, read back with their exact bits through at and
+// values, and only a block's first value allocates it.
+func TestSeriesBlocksKeepEveryValue(t *testing.T) {
+	var s series
+	const lead, n = 3, 2*blockLen + 5
+	want := make([]float64, lead, lead+n)
+	for i := 0; i < lead; i++ {
+		s.add(0)
+	}
+	for i := 0; i < n; i++ {
+		v := float64(i) + 0.5
+		switch i {
+		case 0:
+			v = math.Copysign(0, -1) // ends the leading zeros, bits kept
+		case blockLen:
+			v = 0 // a later +0 is a value, not a leading zero
+		case blockLen + 1:
+			v = math.NaN()
+		}
+		s.add(v)
+		want = append(want, v)
+	}
+	if s.zeros != lead || s.n != n || len(s.blocks) != 3 {
+		t.Fatalf("%d zeros, %d values in %d blocks", s.zeros, s.n, len(s.blocks))
+	}
+	got := s.values()
+	if len(got) != len(want) {
+		t.Fatalf("values has %d windows, want %d", len(got), len(want))
+	}
+	for w := range want {
+		if math.Float64bits(got[w]) != math.Float64bits(want[w]) || math.Float64bits(s.at(w)) != math.Float64bits(want[w]) {
+			t.Fatalf("window %d: values %v, at %v, want %v", w, got[w], s.at(w), want[w])
 		}
 	}
 }

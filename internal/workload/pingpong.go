@@ -551,9 +551,9 @@ func handType3(c *cluster.Cluster, cfg PingPongConfig) (sim.Time, error) {
 		total = p.Now() - start
 	})
 	c.K.Spawn("helper", func(p *sim.Proc) {
-		window, _ := node.Mem.Window(mainBuf, cfg.Bytes)
+		segs, _ := node.Mem.Segments(mainBuf, cfg.Bytes, nil)
 		for r := 0; r < rounds; r++ {
-			w.Rank(1).RecvInto(p, 0, 0, window)
+			w.Rank(1).RecvIntoVec(p, 0, 0, segs...)
 			if cfg.Method == MethodCopy {
 				p.Advance(par.MemcpyTime(cfg.Bytes))
 			}
@@ -562,7 +562,7 @@ func handType3(c *cluster.Cluster, cfg PingPongConfig) (sim.Time, error) {
 			if cfg.Method == MethodCopy {
 				p.Advance(par.MemcpyTime(cfg.Bytes))
 			}
-			w.Rank(1).Send(p, 0, 0, window)
+			w.Rank(1).SendVec(p, 0, 0, segs...)
 		}
 	})
 	if err := c.K.Run(); err != nil {
@@ -746,14 +746,14 @@ func handType5(c *cluster.Cluster, cfg PingPongConfig) (sim.Time, error) {
 		return 0, err
 	}
 	c.K.Spawn("h0", func(p *sim.Proc) {
-		win, _ := s0.node.Mem.Window(s0.buf, cfg.Bytes)
+		segs, _ := s0.node.Mem.Segments(s0.buf, cfg.Bytes, nil)
 		for r := 0; r < rounds; r++ {
 			s0.ctx.ReadOutMbox(p)
 			if cfg.Method == MethodCopy {
 				p.Advance(par.MemcpyTime(cfg.Bytes)) // LS -> main via mapping
 			}
-			w.Rank(0).Send(p, 1, 0, win)
-			w.Rank(0).RecvInto(p, 1, 0, win)
+			w.Rank(0).SendVec(p, 1, 0, segs...)
+			w.Rank(0).RecvIntoVec(p, 1, 0, segs...)
 			if cfg.Method == MethodCopy {
 				p.Advance(par.MemcpyTime(cfg.Bytes)) // main -> LS via mapping
 			}
@@ -761,9 +761,9 @@ func handType5(c *cluster.Cluster, cfg PingPongConfig) (sim.Time, error) {
 		}
 	})
 	c.K.Spawn("h1", func(p *sim.Proc) {
-		win, _ := s1.node.Mem.Window(s1.buf, cfg.Bytes)
+		segs, _ := s1.node.Mem.Segments(s1.buf, cfg.Bytes, nil)
 		for r := 0; r < rounds; r++ {
-			w.Rank(1).RecvInto(p, 0, 0, win)
+			w.Rank(1).RecvIntoVec(p, 0, 0, segs...)
 			if cfg.Method == MethodCopy {
 				p.Advance(par.MemcpyTime(cfg.Bytes))
 			}
@@ -772,7 +772,7 @@ func handType5(c *cluster.Cluster, cfg PingPongConfig) (sim.Time, error) {
 			if cfg.Method == MethodCopy {
 				p.Advance(par.MemcpyTime(cfg.Bytes))
 			}
-			w.Rank(1).Send(p, 0, 0, win)
+			w.Rank(1).SendVec(p, 0, 0, segs...)
 		}
 	})
 	if err := c.K.Run(); err != nil {

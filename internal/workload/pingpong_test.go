@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -93,5 +94,24 @@ func TestPingPongValidation(t *testing.T) {
 	}
 	if _, err := PingPong(PingPongConfig{Type: 6, Bytes: 1}); err == nil {
 		t.Fatal("type 6 accepted")
+	}
+}
+
+// TestHandCodedCellsBackTouchedPagesOnly: a hand-coded Table II cell backs
+// only the main-memory and local-store pages its buffers touch. Each used
+// to back both nodes' whole 64 MiB main memories, about 135 MB a run.
+func TestHandCodedCellsBackTouchedPagesOnly(t *testing.T) {
+	for _, m := range []Method{MethodDMA, MethodCopy} {
+		for typ := 1; typ <= 5; typ++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := PingPong(PingPongConfig{Type: typ, Bytes: 1600, Method: m, Reps: 10}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			if got := m1.TotalAlloc - m0.TotalAlloc; got > 2<<20 {
+				t.Errorf("%v type %d: %.1f MB allocated, want under 2 MB", m, typ, float64(got)/1e6)
+			}
+		}
 	}
 }
