@@ -5,11 +5,12 @@ import "cellpilot/internal/sim"
 // Mailbox models one direction of an SPE's 32-bit mailbox channel. The real
 // hardware provides a 4-entry inbound mailbox (PPE→SPE), a 1-entry outbound
 // mailbox (SPE→PPE) and a 1-entry interrupting outbound mailbox; writes to a
-// full mailbox and reads from an empty one stall.
+// full mailbox and reads from an empty one stall. A mailbox is part of its
+// SPE's hardware block (see NewCellNode) and creates its queue on the first
+// operation that queues, so a mailbox no program uses holds none.
 type Mailbox struct {
-	name string
-	q    *sim.Queue[uint32]
-	par  *Params
+	spe *SPE
+	q   *sim.Queue[uint32]
 	// hook, when set, is consulted on every Write with the writer's fault
 	// verdict: drop loses the word after the write cost is charged (the
 	// store to the channel faults silently), stall adds latency first.
@@ -20,14 +21,25 @@ type Mailbox struct {
 // direction. A nil hook (the default) leaves Write untouched.
 func (m *Mailbox) SetFaultHook(h func() (drop bool, stall sim.Time)) { m.hook = h }
 
-// NewMailbox creates a mailbox with the given entry capacity.
-func NewMailbox(k *sim.Kernel, name string, capacity int, par *Params) *Mailbox {
-	return &Mailbox{name: name, q: sim.NewQueue[uint32](k, name, capacity), par: par}
+// inbound reports whether m is its SPE's PPE→SPE mailbox.
+func (m *Mailbox) inbound() bool { return m == m.spe.InMbox }
+
+// queue returns the mailbox's queue, creating it on first use; it is named
+// after the SPE and direction, as in "cell0/spe3/in".
+func (m *Mailbox) queue(p *sim.Proc) *sim.Queue[uint32] {
+	if m.q == nil {
+		suffix := "/out"
+		if m.inbound() {
+			suffix = "/in"
+		}
+		m.q = sim.NewQueue[uint32](p.Kernel(), m.spe.name(suffix), m.Capacity())
+	}
+	return m.q
 }
 
 // Write pushes one entry, stalling p while the mailbox is full.
 func (m *Mailbox) Write(p *sim.Proc, v uint32) {
-	p.Advance(m.par.MailboxWrite)
+	p.Advance(m.spe.params().MailboxWrite)
 	if m.hook != nil {
 		drop, stall := m.hook()
 		if stall > 0 {
@@ -37,27 +49,30 @@ func (m *Mailbox) Write(p *sim.Proc, v uint32) {
 			return
 		}
 	}
-	m.q.Put(p, v)
+	m.queue(p).Put(p, v)
 }
 
 // Read pops one entry, stalling p while the mailbox is empty.
 func (m *Mailbox) Read(p *sim.Proc) uint32 {
-	p.Advance(m.par.MailboxRead)
-	return m.q.Get(p)
+	p.Advance(m.spe.params().MailboxRead)
+	return m.queue(p).Get(p)
 }
 
 // TryRead pops without stalling; ok reports whether an entry was present.
 // The read-status check itself costs a mailbox read (the Co-Pilot's polling
 // cost comes from here).
 func (m *Mailbox) TryRead(p *sim.Proc) (v uint32, ok bool) {
-	p.Advance(m.par.MailboxRead)
+	p.Advance(m.spe.params().MailboxRead)
+	if m.q == nil {
+		return 0, false
+	}
 	return m.q.TryGet()
 }
 
 // TryWrite pushes without stalling; ok reports whether space existed.
 func (m *Mailbox) TryWrite(p *sim.Proc, v uint32) bool {
-	p.Advance(m.par.MailboxWrite)
-	return m.q.TryPut(v)
+	p.Advance(m.spe.params().MailboxWrite)
+	return m.queue(p).TryPut(v)
 }
 
 // WriteCtl is Write bounded by an absolute deadline (0 = none) and an
@@ -65,7 +80,7 @@ func (m *Mailbox) TryWrite(p *sim.Proc, v uint32) bool {
 // full mailbox whose reader died cannot park forever. The fault hook
 // applies exactly as in Write.
 func (m *Mailbox) WriteCtl(p *sim.Proc, v uint32, deadline sim.Time, stop func() error) error {
-	p.Advance(m.par.MailboxWrite)
+	p.Advance(m.spe.params().MailboxWrite)
 	if m.hook != nil {
 		drop, stall := m.hook()
 		if stall > 0 {
@@ -75,7 +90,7 @@ func (m *Mailbox) WriteCtl(p *sim.Proc, v uint32, deadline sim.Time, stop func()
 			return nil
 		}
 	}
-	return m.q.PutCtl(p, v, deadline, stop)
+	return m.queue(p).PutCtl(p, v, deadline, stop)
 }
 
 // ReadCtl is Read bounded by an absolute deadline (0 = none) and an
@@ -83,23 +98,38 @@ func (m *Mailbox) WriteCtl(p *sim.Proc, v uint32, deadline sim.Time, stop func()
 // sim.ErrTimeout when the deadline passes first; with a zero deadline and
 // nil stop it parks at exactly the same instants as Read.
 func (m *Mailbox) ReadCtl(p *sim.Proc, deadline sim.Time, stop func() error) (uint32, error) {
-	p.Advance(m.par.MailboxRead)
-	return m.q.GetCtl(p, deadline, stop)
+	p.Advance(m.spe.params().MailboxRead)
+	return m.queue(p).GetCtl(p, deadline, stop)
 }
 
 // ReadTimeout is Read bounded by a relative timeout; ok is false when the
 // timeout expired before a word arrived.
 func (m *Mailbox) ReadTimeout(p *sim.Proc, d sim.Time) (uint32, bool) {
-	p.Advance(m.par.MailboxRead)
-	return m.q.GetTimeout(p, d)
+	p.Advance(m.spe.params().MailboxRead)
+	return m.queue(p).GetTimeout(p, d)
 }
 
 // Count reports the entries currently queued (spe_out_mbox_status).
-func (m *Mailbox) Count() int { return m.q.Len() }
+func (m *Mailbox) Count() int {
+	if m.q == nil {
+		return 0
+	}
+	return m.q.Len()
+}
 
-// Capacity reports the mailbox entry capacity.
-func (m *Mailbox) Capacity() int { return m.q.Cap() }
+// Capacity reports the mailbox entry capacity: 4 inbound, 1 outbound.
+func (m *Mailbox) Capacity() int {
+	if m.inbound() {
+		return 4
+	}
+	return 1
+}
 
 // HighWater reports the largest occupancy the mailbox ever reached — the
 // congestion watermark surfaced by the telemetry layer.
-func (m *Mailbox) HighWater() int { return m.q.HighWater() }
+func (m *Mailbox) HighWater() int {
+	if m.q == nil {
+		return 0
+	}
+	return m.q.HighWater()
+}

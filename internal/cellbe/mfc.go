@@ -14,8 +14,23 @@ import (
 // time computed from EIB occupancy.
 type MFC struct {
 	spe *SPE
-	// completion[tag] is the virtual time the last transfer on tag finishes.
-	completion [32]sim.Time
+	// completion[tag] is the virtual time the last transfer on tag
+	// finishes. The table is created by the first DMA command, so an MFC
+	// no program uses holds none.
+	completion *[numTags]sim.Time
+}
+
+// numTags is the number of MFC tag groups.
+const numTags = 32
+
+// complete records that a transfer on tag finishes at done.
+func (m *MFC) complete(tag int, done sim.Time) {
+	if m.completion == nil {
+		m.completion = new([numTags]sim.Time)
+	}
+	if done > m.completion[tag] {
+		m.completion[tag] = done
+	}
 }
 
 // MaxDMASize is the Cell's per-command DMA transfer limit.
@@ -57,7 +72,7 @@ func (m *MFC) Get(p *sim.Proc, lsAddr uint32, ea int64, size int, tag int) error
 }
 
 func (m *MFC) transfer(p *sim.Proc, lsAddr uint32, ea int64, size, tag int, put bool) error {
-	if tag < 0 || tag >= len(m.completion) {
+	if tag < 0 || tag >= numTags {
 		return fmt.Errorf("cellbe: DMA tag %d out of range", tag)
 	}
 	if err := checkDMA(lsAddr, ea, size); err != nil {
@@ -68,11 +83,8 @@ func (m *MFC) transfer(p *sim.Proc, lsAddr uint32, ea int64, size, tag int, put 
 	}
 	// Issue cost on the SPU; the transfer itself proceeds asynchronously,
 	// with EIB occupancy determining completion (observed by TagWait).
-	p.Advance(m.spe.Cell.Node.Params.DMASetup)
-	done := m.spe.Cell.EIB.Reserve(size)
-	if done > m.completion[tag] {
-		m.completion[tag] = done
-	}
+	p.Advance(m.spe.params().DMASetup)
+	m.complete(tag, m.spe.Cell.EIB.Reserve(size))
 	return nil
 }
 
@@ -128,7 +140,7 @@ func (m *MFC) GetList(p *sim.Proc, lsAddr uint32, list []ListElement, tag int) e
 const maxDMAListSize = 2048
 
 func (m *MFC) transferList(p *sim.Proc, lsAddr uint32, list []ListElement, tag int, put bool) error {
-	if tag < 0 || tag >= len(m.completion) {
+	if tag < 0 || tag >= numTags {
 		return fmt.Errorf("cellbe: DMA tag %d out of range", tag)
 	}
 	if len(list) == 0 || len(list) > maxDMAListSize {
@@ -148,6 +160,11 @@ func (m *MFC) transferList(p *sim.Proc, lsAddr uint32, list []ListElement, tag i
 	if err := m.spe.LS.check(lsAddr, total); err != nil {
 		return err
 	}
+	for _, el := range list {
+		if _, _, err := m.spe.Cell.Node.resolveEA(el.EA, el.Size); err != nil {
+			return err
+		}
+	}
 	off = lsAddr
 	for _, el := range list {
 		if err := m.copy(off, el.EA, el.Size, put); err != nil {
@@ -156,24 +173,25 @@ func (m *MFC) transferList(p *sim.Proc, lsAddr uint32, list []ListElement, tag i
 		off += uint32(el.Size)
 	}
 	// One command setup; the elements stream over the EIB back to back.
-	p.Advance(m.spe.Cell.Node.Params.DMASetup)
+	p.Advance(m.spe.params().DMASetup)
 	var done sim.Time
 	for _, el := range list {
 		done = m.spe.Cell.EIB.Reserve(el.Size)
 	}
-	if done > m.completion[tag] {
-		m.completion[tag] = done
-	}
+	m.complete(tag, done)
 	return nil
 }
 
 // TagWait blocks p until all transfers whose tags are set in mask have
 // completed (mfc_write_tag_mask + mfc_read_tag_status_all).
 func (m *MFC) TagWait(p *sim.Proc, mask uint32) {
+	if m.completion == nil {
+		return
+	}
 	var latest sim.Time
-	for tag := 0; tag < len(m.completion); tag++ {
-		if mask&(1<<tag) != 0 && m.completion[tag] > latest {
-			latest = m.completion[tag]
+	for tag, done := range m.completion {
+		if mask&(1<<tag) != 0 && done > latest {
+			latest = done
 		}
 	}
 	p.AdvanceTo(latest)

@@ -91,3 +91,58 @@ func TestDMAListValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDMAListAllOrNothing: a list whose last element's effective address
+// lies out of range fails before any element moves a byte, whether the
+// range is in main memory or in another SPE's mapped local store, and
+// backs no page; the error is the one that element's transfer reports.
+func TestDMAListAllOrNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	par := DefaultParams()
+	const memSize = 1 << 20
+	n := NewCellNode(k, 0, "c", 1, par, memSize)
+	spe, _ := n.SPE(0)
+	peer, _ := n.SPE(1)
+	snapshot := func() (ls, mem []byte, backed int) {
+		ls, mem = make([]byte, par.LSSize), make([]byte, memSize)
+		spe.LS.CopyOut(0, ls)
+		n.Mem.CopyOut(0, mem)
+		return ls, mem, spe.LS.Backed() + peer.LS.Backed() + n.Mem.Backed()
+	}
+	k.Spawn("spe", func(p *sim.Proc) {
+		lsAddr, _ := spe.LS.Alloc("buf", 256, 128)
+		spe.LS.CopyIn(lsAddr, bytes.Repeat([]byte{0x11}, 256))
+		ea, _ := n.Mem.Alloc(64, 128)
+		n.Mem.CopyIn(ea, bytes.Repeat([]byte{0xEE}, 64))
+		far := int64(8 * PageSize) // a main-memory page nothing has touched
+		for _, c := range []struct {
+			put  bool
+			last ListElement
+			want string
+		}{
+			{true, ListElement{EA: memSize - 16, Size: 32},
+				"cellbe: main memory access [0xffff0,+32) out of range"},
+			{false, ListElement{EA: peer.LSBase() + int64(par.LSSize) - 16, Size: 32},
+				"cellbe: EA range [0x30013fff0,+32) exceeds c/spe1 local store"},
+		} {
+			list := []ListElement{{EA: ea, Size: 64}, {EA: far, Size: 64}, {EA: peer.LSBase(), Size: 64}, c.last}
+			ls0, mem0, backed0 := snapshot()
+			var err error
+			if c.put {
+				err = spe.MFC.PutList(p, lsAddr, list, 0)
+			} else {
+				err = spe.MFC.GetList(p, lsAddr, list, 0)
+			}
+			if err == nil || err.Error() != c.want {
+				p.Fatalf("put=%v: error %v, want %q", c.put, err, c.want)
+			}
+			ls1, mem1, backed1 := snapshot()
+			if !bytes.Equal(ls0, ls1) || !bytes.Equal(mem0, mem1) || backed1 != backed0 {
+				p.Fatalf("put=%v: a rejected list moved bytes or backed pages (%d -> %d backed bytes)", c.put, backed0, backed1)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

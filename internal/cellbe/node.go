@@ -2,6 +2,7 @@ package cellbe
 
 import (
 	"fmt"
+	"strconv"
 
 	"cellpilot/internal/sim"
 )
@@ -14,7 +15,8 @@ const (
 	LSMapStride int64 = 0x10_0000
 )
 
-// SPE is one Synergistic Processor Element.
+// SPE is one Synergistic Processor Element. Its hardware lives in its
+// Cell's block (see NewCellNode): the pointer fields point into it.
 type SPE struct {
 	Cell        *Cell
 	Index       int // within its Cell (0..7)
@@ -33,10 +35,16 @@ type SPE struct {
 	Busy bool
 }
 
-// Name identifies the SPE in traces and errors.
-func (s *SPE) Name() string {
-	return fmt.Sprintf("%s/spe%d", s.Cell.Node.Name, s.GlobalIndex)
+// Name identifies the SPE in traces and errors, as in "cell0/spe3".
+func (s *SPE) Name() string { return s.name("") }
+
+// name is the SPE's name followed by suffix, built in one allocation.
+func (s *SPE) name(suffix string) string {
+	return s.Cell.Node.Name + "/spe" + strconv.Itoa(s.GlobalIndex) + suffix
 }
+
+// params is the node's timing calibration, which the SPE's parts charge.
+func (s *SPE) params() *Params { return s.Cell.Node.Params }
 
 // LSBase reports the effective address at which this SPE's local store is
 // mapped into the node's address space.
@@ -68,31 +76,54 @@ type Node struct {
 	Cores int
 }
 
+// cellBlock is one Cell and its eight SPEs' hardware, held by value so
+// that a Cell costs one host allocation. Each part keeps only its own
+// state and a pointer to its SPE, through which it reaches the node's
+// Params and name; the parts a used SPE needs (mailbox queues, the MFC
+// tag table, names) are created on first use.
+type cellBlock struct {
+	cell Cell
+	spes [8]*SPE
+	hw   [8]struct {
+		spe        SPE
+		ls         LocalStore
+		mfc        MFC
+		in, out    Mailbox
+		snr1, snr2 Signal
+	}
+}
+
 // NewCellNode builds a Cell blade with nCells processors (the paper's
 // nodes are dual PowerXCell 8i, so nCells=2), 8 SPEs each.
 func NewCellNode(k *sim.Kernel, id int, name string, nCells int, par *Params, memSize int) *Node {
 	n := &Node{ID: id, Name: name, Arch: ArchCell, Params: par, Mem: NewMemory(memSize), Cores: nCells}
 	for c := 0; c < nCells; c++ {
-		cell := &Cell{
+		b := new(cellBlock)
+		b.cell = Cell{
 			Node:  n,
 			Index: c,
+			SPEs:  b.spes[:],
 			EIB:   sim.NewResource(k, fmt.Sprintf("%s/eib%d", name, c), par.EIBStartup, par.EIBBytesPerSec, 0),
 		}
-		for s := 0; s < 8; s++ {
-			spe := &SPE{
-				Cell:        cell,
+		for s := range b.hw {
+			hw := &b.hw[s]
+			spe := &hw.spe
+			*spe = SPE{
+				Cell:        &b.cell,
 				Index:       s,
 				GlobalIndex: c*8 + s,
-				LS:          NewLocalStore(par.LSSize),
-				InMbox:      NewMailbox(k, fmt.Sprintf("%s/spe%d/in", name, c*8+s), 4, par),
-				OutMbox:     NewMailbox(k, fmt.Sprintf("%s/spe%d/out", name, c*8+s), 1, par),
-				SNR1:        NewSignal(k, fmt.Sprintf("%s/spe%d/snr1", name, c*8+s), SignalOR, par),
-				SNR2:        NewSignal(k, fmt.Sprintf("%s/spe%d/snr2", name, c*8+s), SignalOverwrite, par),
+				LS:          &hw.ls,
+				MFC:         &hw.mfc,
+				InMbox:      &hw.in,
+				OutMbox:     &hw.out,
+				SNR1:        &hw.snr1,
+				SNR2:        &hw.snr2,
 			}
-			spe.MFC = &MFC{spe: spe}
-			cell.SPEs = append(cell.SPEs, spe)
+			hw.ls.size = par.LSSize
+			hw.mfc.spe, hw.in.spe, hw.out.spe, hw.snr1.spe, hw.snr2.spe = spe, spe, spe, spe, spe
+			b.spes[s] = spe
 		}
-		n.Cells = append(n.Cells, cell)
+		n.Cells = append(n.Cells, &b.cell)
 	}
 	return n
 }
@@ -125,22 +156,36 @@ func (n *Node) SPE(global int) (*SPE, error) {
 // SPE local store. This is the mechanism CellPilot's Co-Pilot exploits to
 // move SPE data without DMA.
 func (n *Node) EASegments(ea int64, size int, dst [][]byte) ([][]byte, error) {
+	spe, off, err := n.resolveEA(ea, size)
+	switch {
+	case err != nil:
+		return dst, err
+	case spe == nil:
+		return n.Mem.Segments(ea, size, dst)
+	}
+	return spe.LS.Segments(uint32(off), size, dst)
+}
+
+// resolveEA checks an effective-address range without backing a page. It
+// reports the SPE whose mapped local store holds the range and the
+// range's offset there, or a nil SPE for main memory.
+func (n *Node) resolveEA(ea int64, size int) (*SPE, int64, error) {
 	if ea < 0 || size < 0 {
-		return dst, fmt.Errorf("cellbe: bad EA range [%#x,+%d)", ea, size)
+		return nil, 0, fmt.Errorf("cellbe: bad EA range [%#x,+%d)", ea, size)
 	}
 	if ea < LSMapBase {
-		return n.Mem.Segments(ea, size, dst)
+		return nil, ea, n.Mem.Check(ea, size)
 	}
 	idx := (ea - LSMapBase) / LSMapStride
 	off := (ea - LSMapBase) % LSMapStride
 	spe, err := n.SPE(int(idx))
 	if err != nil {
-		return dst, fmt.Errorf("cellbe: EA %#x maps to no SPE on %s", ea, n.Name)
+		return nil, 0, fmt.Errorf("cellbe: EA %#x maps to no SPE on %s", ea, n.Name)
 	}
 	if off+int64(size) > int64(spe.LS.Size()) {
-		return dst, fmt.Errorf("cellbe: EA range [%#x,+%d) exceeds %s local store", ea, size, spe.Name())
+		return nil, 0, fmt.Errorf("cellbe: EA range [%#x,+%d) exceeds %s local store", ea, size, spe.Name())
 	}
-	return spe.LS.Segments(uint32(off), size, dst)
+	return spe, off, nil
 }
 
 // IsLSMapped reports whether ea falls in the local-store mapping region.

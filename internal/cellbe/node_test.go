@@ -2,6 +2,7 @@ package cellbe
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -34,6 +35,77 @@ func TestNodeTopology(t *testing.T) {
 	}
 	if x.Arch.BigEndian() || !n.Arch.BigEndian() {
 		t.Fatal("endianness mapping wrong")
+	}
+}
+
+// TestUnusedSPEHoldsNothing: reading an SPE's mailboxes, signals and MFC
+// creates none of the parts a used SPE needs: no mailbox queue and no tag
+// table.
+func TestUnusedSPEHoldsNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	n := newTestNode(k)
+	k.Spawn("reader", func(p *sim.Proc) {
+		for _, spe := range n.SPEs() {
+			for _, m := range []*Mailbox{spe.InMbox, spe.OutMbox} {
+				if _, ok := m.TryRead(p); ok || m.Count() != 0 || m.HighWater() != 0 {
+					p.Fatalf("%s: unused mailbox reads as used", spe.Name())
+				}
+			}
+			if spe.InMbox.Capacity() != 4 || spe.OutMbox.Capacity() != 1 {
+				p.Fatalf("%s: mailbox capacities %d/%d, want 4/1", spe.Name(), spe.InMbox.Capacity(), spe.OutMbox.Capacity())
+			}
+			if spe.SNR1.Mode() != SignalOR || spe.SNR2.Mode() != SignalOverwrite {
+				p.Fatalf("%s: signal modes wrong", spe.Name())
+			}
+			for _, s := range []*Signal{spe.SNR1, spe.SNR2} {
+				if _, ok := s.TryRead(p); ok || s.Pending() != 0 {
+					p.Fatalf("%s: unused signal reads as written", spe.Name())
+				}
+			}
+			start := p.Now()
+			spe.MFC.TagWait(p, ^uint32(0))
+			if p.Now() != start {
+				p.Fatalf("%s: TagWait with no transfer advanced the clock", spe.Name())
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, spe := range n.SPEs() {
+		if spe.InMbox.q != nil || spe.OutMbox.q != nil || spe.MFC.completion != nil {
+			t.Fatalf("%s: reads created a queue or a tag table", spe.Name())
+		}
+	}
+}
+
+// TestSPEPartsKeepTheirNames: a wait that deadlocks on an SPE's mailbox
+// or signal, and a second reader of a signal, name the part as they always
+// have, though the names are now built on first use.
+func TestSPEPartsKeepTheirNames(t *testing.T) {
+	for _, c := range []struct {
+		body func(spe *SPE, p *sim.Proc)
+		want string
+	}{
+		{func(spe *SPE, p *sim.Proc) { spe.InMbox.Read(p) }, "get on queue node0/spe0/in"},
+		{func(spe *SPE, p *sim.Proc) { spe.OutMbox.Write(p, 1); spe.OutMbox.Write(p, 2) }, "put on queue node0/spe0/out"},
+		{func(spe *SPE, p *sim.Proc) { spe.SNR1.Read(p) }, "read signal node0/spe0/snr1"},
+		{func(spe *SPE, p *sim.Proc) { spe.SNR2.Read(p) }, "read signal node0/spe0/snr2"},
+	} {
+		k := sim.NewKernel(1)
+		spe, _ := NewCellNode(k, 0, "node0", 1, DefaultParams(), 1<<20).SPE(0)
+		k.Spawn("stuck", func(p *sim.Proc) { c.body(spe, p) })
+		var dl *sim.ErrDeadlock
+		if err := k.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0].Reason != c.want {
+			t.Errorf("deadlock %v, want one proc blocked on %q", err, c.want)
+		}
+	}
+	k := sim.NewKernel(1)
+	spe, _ := NewCellNode(k, 0, "node0", 1, DefaultParams(), 1<<20).SPE(0)
+	k.Spawn("first", func(p *sim.Proc) { spe.SNR1.Read(p) })
+	k.Spawn("second", func(p *sim.Proc) { spe.SNR1.Read(p) })
+	if err := k.Run(); err == nil || err.Error() != "cellbe: two readers on signal node0/spe0/snr1" {
+		t.Fatalf("second reader: %v", err)
 	}
 }
 

@@ -6,25 +6,54 @@ const PageSize = 1 << pageShift
 
 const pageShift = 12
 
-// pages is the host backing that LocalStore and Memory share: a page
-// table, nil until the store's first touch, whose entries stay nil until
-// their own page's first touch. A page never moves once allocated, so a
-// segment taken earlier keeps aliasing the store after later accesses.
-// The methods take ranges their store has already checked.
-type pages []*[PageSize]byte
+// leafPages is how many pages one leaf of a page table maps: 64 pages,
+// 256 KiB, so a local store's table is a single leaf.
+const (
+	leafPages = 1 << leafShift
+	leafShift = 6
+)
 
-// page returns page i of a store of size bytes, backing it (and the table)
-// on first touch.
+// leaf is one level-two block of a page table; an entry stays nil until
+// its page's first touch.
+type leaf [leafPages]*[PageSize]byte
+
+// pages is the host backing that LocalStore and Memory share: a
+// two-level page table. The directory is nil until the store's first
+// touch, a directory entry until the first touch of a page it covers, and
+// a leaf entry until its own page's first touch, so a store pays for the
+// directory, one 512-byte leaf per 256 KiB region it touches and the
+// pages themselves. A page never moves once allocated, so a segment taken
+// earlier keeps aliasing the store after later accesses. The methods take
+// ranges their store has already checked.
+type pages []*leaf
+
+// page returns page i of a store of size bytes, backing it (and the
+// directory and leaf that map it) on first touch.
 func (pt *pages) page(size, i int) *[PageSize]byte {
 	if *pt == nil {
-		*pt = make(pages, (size+PageSize-1)>>pageShift)
+		npages := (size + PageSize - 1) >> pageShift
+		*pt = make(pages, (npages+leafPages-1)>>leafShift)
 	}
-	pg := (*pt)[i]
+	lf := (*pt)[i>>leafShift]
+	if lf == nil {
+		lf = new(leaf)
+		(*pt)[i>>leafShift] = lf
+	}
+	pg := lf[i&(leafPages-1)]
 	if pg == nil {
 		pg = new([PageSize]byte)
-		(*pt)[i] = pg
+		lf[i&(leafPages-1)] = pg
 	}
 	return pg
+}
+
+// backedPage returns page i, or nil if it was never touched; it backs
+// nothing.
+func (pt pages) backedPage(i int) *[PageSize]byte {
+	if pt == nil || pt[i>>leafShift] == nil {
+		return nil
+	}
+	return pt[i>>leafShift][i&(leafPages-1)]
 }
 
 // segments appends to dst one view per page that [off, off+n) covers,
@@ -54,8 +83,8 @@ func (pt pages) copyOut(off int, dst []byte) {
 	for len(dst) > 0 {
 		in := off & (PageSize - 1)
 		k := min(len(dst), PageSize-in)
-		if pt != nil && pt[off>>pageShift] != nil {
-			copy(dst[:k], pt[off>>pageShift][in:])
+		if pg := pt.backedPage(off >> pageShift); pg != nil {
+			copy(dst[:k], pg[in:])
 		} else {
 			clear(dst[:k])
 		}
@@ -66,9 +95,14 @@ func (pt pages) copyOut(off int, dst []byte) {
 // backed reports the host bytes the pages hold.
 func (pt pages) backed() int {
 	n := 0
-	for _, pg := range pt {
-		if pg != nil {
-			n += PageSize
+	for _, lf := range pt {
+		if lf == nil {
+			continue
+		}
+		for _, pg := range lf {
+			if pg != nil {
+				n += PageSize
+			}
 		}
 	}
 	return n

@@ -67,8 +67,8 @@ func (r *pagedRef) dma(lsAddr uint32, ea int64, n int, put bool) error {
 }
 
 // dmaList is transferList's contract: every element checked against the
-// DMA rules and the whole LS range checked before a byte moves, then the
-// elements applied in order until one's EA range fails.
+// DMA rules, the whole LS range and every element's EA range checked
+// before a byte moves, then the elements applied in order.
 func (r *pagedRef) dmaList(lsAddr uint32, list []ListElement, put bool) error {
 	off, total := lsAddr, 0
 	for i, el := range list {
@@ -81,11 +81,14 @@ func (r *pagedRef) dmaList(lsAddr uint32, list []ListElement, put bool) error {
 	if err := r.lsCheck(lsAddr, total); err != nil {
 		return err
 	}
-	off = lsAddr
 	for _, el := range list {
-		if err := r.dma(off, el.EA, el.Size, put); err != nil {
+		if _, err := r.ea(el.EA, el.Size); err != nil {
 			return err
 		}
+	}
+	off = lsAddr
+	for _, el := range list {
+		r.dma(off, el.EA, el.Size, put)
 		off += uint32(el.Size)
 	}
 	return nil
@@ -105,15 +108,24 @@ func (in *fuzzInput) byte() byte {
 
 func (in *fuzzInput) u16() int { return int(in.byte())<<8 | int(in.byte()) }
 
+// below draws a number under n: from two bytes, or from three when n
+// exceeds what two can reach.
+func (in *fuzzInput) below(n int) int {
+	if n <= 1<<16 {
+		return in.u16() % n
+	}
+	return (in.u16()<<8 | int(in.byte())) % n
+}
+
 // span draws a range over a store of size bytes: anywhere (often past
 // the end), ending exactly at the end, empty, one byte too long, or of
 // negative length.
 func (in *fuzzInput) span(size int) (addr, n int) {
 	mode := in.byte()
-	addr = in.u16() % (size + 1)
+	addr = in.below(size + 1)
 	switch mode % 5 {
 	case 0:
-		return in.u16() % (size + 64), in.u16() % (3 * PageSize)
+		return in.below(size + 64), in.u16() % (3 * PageSize)
 	case 1:
 		return addr, size - addr
 	case 2:
@@ -136,20 +148,39 @@ func errText(err error) string {
 // flat byte-slice reference: Segments, CopyIn and CopyOut on both, and
 // single and list DMA between a local store and main memory or another
 // SPE's mapped store. Ranges cross pages, are empty, end at a store's
-// last byte or overrun it; both stores' sizes end mid-page. Bytes and
-// error texts must match the reference after every operation.
+// last byte or overrun it; both stores' sizes end mid-page. With wide set,
+// main memory spans three leaves of the page table, the last one partly,
+// so ranges also cross leaves. Bytes and error texts must match the
+// reference after every operation.
 func FuzzPagedStore(f *testing.F) {
 	// Seeds of a few dozen operations each, so a plain test run already
 	// covers every operation kind.
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= 12; seed++ {
 		b := make([]byte, 256)
 		rand.New(rand.NewSource(seed)).Read(b)
-		f.Add(b)
+		f.Add(seed > 8, b)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	// Operations across the boundary between main memory's first two
+	// leaves, at 256 KiB (0x40000).
+	f.Add(true, []byte{
+		0x83, 0x5A, 0, 0, 0, 0, 0x03, 0xFF, 0x9C, 0x01, 0x2C, // CopyIn [0x3ff9c,+300)
+		0x82, 0x33, 0, 0, 0, 0, 0x03, 0xFF, 0x70, 0x03, 0xE8, // Segments [0x3ff70,+1000)
+		0x03, 0x01, 0x00, 0x00, 0x00, 0xFF, 0x3F, 0x80, // DMA put of 4 KiB to 0x3f800
+		0x84, 0x00, 0, 0, 0, 0, 0x03, 0xF7, 0xA0, 0x0F, 0xA0, // CopyOut [0x3f7a0,+4000)
+		// List get: 1 KiB from 0x3ffc0 and 256 B from 0x80000, the
+		// third leaf's first byte.
+		0x04, 0x02, 0x00, 0x10, 0x00, 0x3F, 0x3F, 0xFC, 0x00, 0x0F, 0x80, 0x00,
+		// List put: 256 B to 0x3ff80, then 256 B past the end of memory,
+		// which rejects the whole list.
+		0x04, 0x03, 0x00, 0x00, 0x00, 0x0F, 0x3F, 0xF8, 0x00, 0x0F, 0x85, 0x3F,
+	})
+	f.Fuzz(func(t *testing.T, wide bool, data []byte) {
 		par := DefaultParams()
 		par.LSSize = 3*PageSize + 512
-		const memSize = 5*PageSize + 1000
+		memSize := 5*PageSize + 1000
+		if wide {
+			memSize = 2*leafPages*PageSize + 5*PageSize + 1000
+		}
 		k := sim.NewKernel(1)
 		node := NewCellNode(k, 0, "c", 1, par, memSize)
 		spe, _ := node.SPE(0)

@@ -8,9 +8,8 @@ import (
 
 func TestSignalModesDirect(t *testing.T) {
 	k := sim.NewKernel(1)
-	par := DefaultParams()
-	or := NewSignal(k, "snr1", SignalOR, par)
-	ow := NewSignal(k, "snr2", SignalOverwrite, par)
+	spe, _ := newTestNode(k).SPE(0)
+	or, ow := spe.SNR1, spe.SNR2
 	if or.Mode() != SignalOR || ow.Mode() != SignalOverwrite {
 		t.Fatal("modes wrong")
 	}
@@ -39,7 +38,8 @@ func TestSignalModesDirect(t *testing.T) {
 
 func TestSignalBlockingReadDirect(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := NewSignal(k, "s", SignalOR, DefaultParams())
+	spe, _ := newTestNode(k).SPE(0)
+	s := spe.SNR1
 	var at sim.Time
 	k.Spawn("reader", func(p *sim.Proc) {
 		if v := s.Read(p); v != 5 {

@@ -50,6 +50,40 @@ func TestPaperSpecBuildIsSmall(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
+// TestClusterBuildBudget: a build allocates each Cell's eight SPEs'
+// hardware as one 2,304-byte block and creates no mailbox queue, MFC tag
+// table or name; a used SPE creates those on first use. The eager build
+// allocated 1,341 bytes and 22.5 heap objects per SPE on the 64-blade
+// machine. On the small machine the kernel, the network and the Xeon node
+// weigh on 32 SPEs, hence its wider budget.
+func TestClusterBuildBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, c := range []struct {
+		name        string
+		spec        Spec
+		bytes, objs float64 // budget per SPE
+	}{
+		{"64 blades (imb64-exchange)", Spec{CellNodes: 64, MemPerNode: 4 << 20, Seed: 5}, 340, 1},
+		{"2 blades + 1 Xeon", Spec{CellNodes: 2, XeonNodes: 1, Seed: 7}, 580, 2},
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		clu, err := New(c.spec)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spes := float64(clu.TotalSPEs())
+		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / spes
+		objs := float64(m1.Mallocs-m0.Mallocs) / spes
+		if bytes > c.bytes || objs > c.objs {
+			t.Errorf("%s: %.1f bytes and %.2f heap objects per SPE, budget %v and %v", c.name, bytes, objs, c.bytes, c.objs)
+		}
+	}
+}
+
 func TestSpecDefaults(t *testing.T) {
 	c, err := New(Spec{CellNodes: 1})
 	if err != nil {

@@ -21,10 +21,6 @@ type Queue[T any] struct {
 	puts []*qwaiter[T]
 	gets []*qwaiter[T]
 	high int
-	// Park reasons are prebuilt at construction: blocking operations park
-	// on every handoff and must not rebuild the same string each time.
-	getReason string
-	putReason string
 	// wfree recycles qwaiter records between blocking operations on this
 	// queue (single-owner lifecycle: the blocking call that takes one
 	// returns it before completing).
@@ -43,12 +39,18 @@ func NewQueue[T any](k *Kernel, name string, capacity int) *Queue[T] {
 	if capacity < 0 {
 		panic("sim: negative queue capacity")
 	}
-	return &Queue[T]{
-		k: k, name: name, cap: capacity,
-		getReason: "get on queue " + name,
-		putReason: "put on queue " + name,
-	}
+	return &Queue[T]{k: k, name: name, cap: capacity}
 }
+
+// queueGet and queuePut are a blocked Get's and Put's park reasons,
+// formatted only if a deadlock report reads them.
+type (
+	queueGet[T any] Queue[T]
+	queuePut[T any] Queue[T]
+)
+
+func (q *queueGet[T]) String() string { return "get on queue " + q.name }
+func (q *queuePut[T]) String() string { return "put on queue " + q.name }
 
 // waiter takes a qwaiter from the queue's free list, or allocates one.
 func (q *Queue[T]) waiter() *qwaiter[T] {
@@ -112,7 +114,7 @@ func (q *Queue[T]) Put(p *Proc, v T) {
 	w.p, w.v = p, v
 	q.puts = append(q.puts, w)
 	for !w.served {
-		p.park(q.putReason)
+		p.ParkFor((*queuePut[T])(q))
 	}
 	q.recycle(w)
 }
@@ -146,7 +148,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 	w.p = p
 	q.gets = append(q.gets, w)
 	for !w.rdy {
-		p.park(q.getReason)
+		p.ParkFor((*queueGet[T])(q))
 	}
 	v := w.v
 	q.recycle(w)
@@ -221,7 +223,7 @@ func (q *Queue[T]) GetCtl(p *Proc, deadline Time, stop func() error) (T, error) 
 		tm = p.k.afterTimer(deadline-p.k.now, p.readyCB())
 	}
 	for !w.rdy {
-		p.park(q.getReason)
+		p.ParkFor((*queueGet[T])(q))
 		if w.rdy {
 			break
 		}
@@ -280,7 +282,7 @@ func (q *Queue[T]) PutCtl(p *Proc, v T, deadline Time, stop func() error) error 
 		tm = p.k.afterTimer(deadline-p.k.now, p.readyCB())
 	}
 	for !w.served {
-		p.park(q.putReason)
+		p.ParkFor((*queuePut[T])(q))
 		if w.served {
 			break
 		}

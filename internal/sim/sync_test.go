@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -103,6 +104,28 @@ func TestQueueTryOps(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestQueueParkReasons: a deadlock report names each blocked Get, GetCtl,
+// Put and PutCtl by its queue, formatting the text only when it reports.
+func TestQueueParkReasons(t *testing.T) {
+	for _, c := range []struct {
+		body func(q *Queue[int], p *Proc)
+		want string
+	}{
+		{func(q *Queue[int], p *Proc) { q.Get(p) }, "get on queue mbox"},
+		{func(q *Queue[int], p *Proc) { q.GetCtl(p, 0, nil) }, "get on queue mbox"},
+		{func(q *Queue[int], p *Proc) { q.Put(p, 1) }, "put on queue mbox"},
+		{func(q *Queue[int], p *Proc) { q.PutCtl(p, 1, 0, nil) }, "put on queue mbox"},
+	} {
+		k := NewKernel(1)
+		q := NewQueue[int](k, "mbox", 0)
+		k.Spawn("stuck", func(p *Proc) { c.body(q, p) })
+		var dl *ErrDeadlock
+		if err := k.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0].Reason != c.want {
+			t.Errorf("deadlock %v, want one proc blocked on %q", err, c.want)
+		}
+	}
 }
 
 func TestSemaphoreFIFO(t *testing.T) {
