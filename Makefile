@@ -54,15 +54,18 @@ bench-json:
 # and Apps sharing the call-site memo of diagnostics), fuzz smokes
 # of the format and scenario parsers and of the paged simulated memory
 # against a flat reference, the scenarios/ library validated
-# against its golden fingerprints, a profile-export smoke writing both
-# formats, a kernel microbenchmark smoke, and staticcheck when the host
-# has it installed.
+# against its golden fingerprints, the benchmark's four workloads at full
+# length checked against bench/golden.json (the bench module's own tests
+# in `ci` run shortened ones that never compare), a profile-export smoke
+# writing both formats, a kernel microbenchmark smoke, and staticcheck
+# when the host has it installed.
 ci-full: ci race
 	$(GO) test -race -count=10 -run 'TestKiloscaleSeqParEquivalence|TestChaosKernelArmsDeterminism|TestDiagnosticsConcurrentApps' ./internal/workload ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/fmtmsg
 	$(GO) test -run '^$$' -fuzz=FuzzPagedStore -fuzztime=5s ./internal/cellbe
 	$(GO) test -run '^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario/
 	$(GO) run ./cmd/cellpilot-bench validate
+	bash bench/run.sh -seconds 1 >/dev/null
 	$(GO) run ./cmd/cellpilot-bench -exp profile -reps 5 -trace-type 2 \
 		-folded /tmp/cellpilot-ci.folded -pprof /tmp/cellpilot-ci.pb.gz >/dev/null
 	@rm -f /tmp/cellpilot-ci.folded /tmp/cellpilot-ci.pb.gz

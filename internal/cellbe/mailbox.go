@@ -11,14 +11,14 @@ import "cellpilot/internal/sim"
 type Mailbox struct {
 	spe *SPE
 	q   *sim.Queue[uint32]
-	// hook, when set, is consulted on every Write with the writer's fault
+	// hook, when set, is consulted on every write with the writer's fault
 	// verdict: drop loses the word after the write cost is charged (the
 	// store to the channel faults silently), stall adds latency first.
 	hook func() (drop bool, stall sim.Time)
 }
 
 // SetFaultHook installs the fault-injection hook for this mailbox
-// direction. A nil hook (the default) leaves Write untouched.
+// direction. A nil hook (the default) leaves writes untouched.
 func (m *Mailbox) SetFaultHook(h func() (drop bool, stall sim.Time)) { m.hook = h }
 
 // inbound reports whether m is its SPE's PPE→SPE mailbox.
@@ -37,25 +37,17 @@ func (m *Mailbox) queue(p *sim.Proc) *sim.Queue[uint32] {
 	return m.q
 }
 
-// Write pushes one entry, stalling p while the mailbox is full.
+// Write pushes one entry, stalling p while the mailbox is full: WriteCtl
+// with no deadline and no stop, which cannot fail.
 func (m *Mailbox) Write(p *sim.Proc, v uint32) {
-	p.Advance(m.spe.params().MailboxWrite)
-	if m.hook != nil {
-		drop, stall := m.hook()
-		if stall > 0 {
-			p.Advance(stall)
-		}
-		if drop {
-			return
-		}
-	}
-	m.queue(p).Put(p, v)
+	m.WriteCtl(p, v, 0, nil)
 }
 
-// Read pops one entry, stalling p while the mailbox is empty.
+// Read pops one entry, stalling p while the mailbox is empty: ReadCtl
+// with no deadline and no stop, which cannot fail.
 func (m *Mailbox) Read(p *sim.Proc) uint32 {
-	p.Advance(m.spe.params().MailboxRead)
-	return m.queue(p).Get(p)
+	v, _ := m.ReadCtl(p, 0, nil)
+	return v
 }
 
 // TryRead pops without stalling; ok reports whether an entry was present.
@@ -75,10 +67,11 @@ func (m *Mailbox) TryWrite(p *sim.Proc, v uint32) bool {
 	return m.queue(p).TryPut(v)
 }
 
-// WriteCtl is Write bounded by an absolute deadline (0 = none) and an
-// optional stop predicate — the hardened SPE stub uses it so a write to a
-// full mailbox whose reader died cannot park forever. The fault hook
-// applies exactly as in Write.
+// WriteCtl pushes one entry, stalling p while the mailbox is full,
+// bounded by an absolute deadline (0 = none) and an optional stop
+// predicate re-checked on every wake (see sim.Queue.PutCtl), so a write to
+// a full mailbox whose reader died cannot park forever. The fault hook,
+// if set, applies first.
 func (m *Mailbox) WriteCtl(p *sim.Proc, v uint32, deadline sim.Time, stop func() error) error {
 	p.Advance(m.spe.params().MailboxWrite)
 	if m.hook != nil {
@@ -93,20 +86,14 @@ func (m *Mailbox) WriteCtl(p *sim.Proc, v uint32, deadline sim.Time, stop func()
 	return m.queue(p).PutCtl(p, v, deadline, stop)
 }
 
-// ReadCtl is Read bounded by an absolute deadline (0 = none) and an
-// optional stop predicate re-checked on every wake. It returns
-// sim.ErrTimeout when the deadline passes first; with a zero deadline and
-// nil stop it parks at exactly the same instants as Read.
+// ReadCtl pops one entry, stalling p while the mailbox is empty, bounded
+// by an absolute deadline (0 = none) and an optional stop predicate
+// re-checked on every wake. It returns sim.ErrTimeout when the deadline
+// passes first. The read cost is charged before the wait, so a deadline
+// of now+MailboxRead+d bounds the wait itself by d.
 func (m *Mailbox) ReadCtl(p *sim.Proc, deadline sim.Time, stop func() error) (uint32, error) {
 	p.Advance(m.spe.params().MailboxRead)
 	return m.queue(p).GetCtl(p, deadline, stop)
-}
-
-// ReadTimeout is Read bounded by a relative timeout; ok is false when the
-// timeout expired before a word arrived.
-func (m *Mailbox) ReadTimeout(p *sim.Proc, d sim.Time) (uint32, bool) {
-	p.Advance(m.spe.params().MailboxRead)
-	return m.queue(p).GetTimeout(p, d)
 }
 
 // Count reports the entries currently queued (spe_out_mbox_status).

@@ -97,11 +97,15 @@ type App struct {
 	copilotOrder []copilotKey
 	svc          *svcState
 
-	// Fault-layer state (see fault.go); all empty in clean runs.
-	chanWaiters        map[int][]*sim.Proc
+	// Fault-layer state (see fault.go). waiters lists the processes
+	// blocked in channel operations, in the order they blocked; faulted
+	// is set once a channel is poisoned or a process killed, and from then
+	// on the Co-Pilots sweep their queues. The rest is empty in clean runs.
+	waiters            []chanWait
 	faults             []*ChannelFault
 	killed             []string
 	opTimeouts         int64
+	faulted            bool
 	faultMetricsPushed bool
 
 	userLive int

@@ -211,6 +211,7 @@ type speReq struct {
 	lsAddr uint32
 	size   int
 	sig    uint32
+	post   uint32 // the stub's count of this request (Process.posts)
 
 	// Observability bookkeeping (zero-valued when no sink is attached).
 	xfer     int64    // correlating transfer id; 0 for unresolved reads

@@ -79,10 +79,15 @@ func (c *Ctx) Scatter(b *Bundle, format string, data any) {
 	per := item.Count * item.Type.Size()
 	hdr := putHeader(spec.Signature(), per)
 	for i, ch := range b.chans {
+		if ch.fault != nil {
+			c.app.failOp(loc, "PI_Scatter", c.Self, ch, ch.fault, false, false)
+		}
 		xfer := c.app.newXfer()
 		sendStart := c.P.Now()
 		c.rank.TagNextXfer(xfer)
-		c.rank.SendVec(c.P, c.peerRank(ch.To), ch.tag(), hdr, wire[i*per:(i+1)*per])
+		if err := c.sendOn(ch, c.peerRank(ch.To), ch.tag(), c.app.opDeadline(sendStart, 0), hdr, wire[i*per:(i+1)*per]); err != nil {
+			c.app.failOp(loc, "PI_Scatter", c.Self, ch, err, false, false)
+		}
 		c.app.reportSent(ch)
 		c.app.spanPhase(xfer, trace.PhaseMPISend, c.Self.lbl, ch, per, sendStart, c.P.Now())
 		c.Self.blocked[blockWrite] += c.P.Now() - sendStart
@@ -117,9 +122,15 @@ func (c *Ctx) Reduce(b *Bundle, format string, op ReduceOp, out any) {
 	per := item.Count * item.Type.Size()
 	var acc []byte
 	for i, ch := range b.chans {
+		if ch.fault != nil {
+			c.app.failOp(loc, "PI_Reduce", c.Self, ch, ch.fault, false, false)
+		}
 		waitStart := c.P.Now()
 		c.app.reportBlock(c.Self, ch.From, ch, deadlock.OpRead, loc)
-		data, st := c.rank.Recv(c.P, c.peerRank(ch.From), ch.tag())
+		data, st, err := c.recvOn(ch, c.peerRank(ch.From), ch.tag(), c.app.opDeadline(waitStart, 0))
+		if err != nil {
+			c.app.failOp(loc, "PI_Reduce", c.Self, ch, err, false, true)
+		}
 		c.app.reportUnblock(c.Self)
 		if len(data) < hdrSize {
 			c.fail(loc, "PI_Reduce", "malformed message on %s", ch)

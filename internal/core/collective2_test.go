@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"cellpilot/internal/fmtmsg"
+	"cellpilot/internal/sim"
 )
 
 func TestScatterDistributesChunks(t *testing.T) {
@@ -175,3 +177,36 @@ func TestScatterReduceMisuse(t *testing.T) {
 
 // LongDoubleZero builds a zero long double for the misuse test.
 func LongDoubleZero() fmtmsg.LongDoubleVal { return fmtmsg.LongDoubleVal{} }
+
+// TestReduceHonoursOpTimeout: Reduce's receives are bounded like Read's.
+// One writer never writes, so under OpTimeout the reader's Reduce times
+// out on that channel and unwinds, and Run reports the fault instead of
+// a deadlock.
+func TestReduceHonoursOpTimeout(t *testing.T) {
+	c := newTestCluster(t)
+	a := NewApp(c, Options{OpTimeout: sim.Millisecond})
+	var fromW []*Channel
+	fn := func(ctx *Ctx, index int, _ any) {
+		if index == 0 {
+			ctx.Write(fromW[0], "%2d", []int32{1, 2})
+		}
+	}
+	ws := []*Process{a.CreateProcessOn(1, "w", fn, 0, nil), a.CreateProcessOn(2, "w", fn, 1, nil)}
+	for _, w := range ws {
+		fromW = append(fromW, a.CreateChannel(w, a.Main()))
+	}
+	b := a.CreateBundle(BundleReduce, fromW)
+	err := a.Run(func(ctx *Ctx) {
+		ctx.Reduce(b, "%2d", OpSum, make([]int32, 2))
+	})
+	var sum *FaultSummary
+	if !errors.As(err, &sum) {
+		t.Fatalf("Run returned %v, want a *FaultSummary", err)
+	}
+	if len(sum.Faults) != 1 {
+		t.Fatalf("faults %v, want one", sum.Faults)
+	}
+	if f := sum.Faults[0]; f.API != "PI_Reduce" || !f.Timeout || f.ChannelID != fromW[1].id {
+		t.Fatalf("fault %+v, want PI_Reduce timing out on %s", f, fromW[1])
+	}
+}

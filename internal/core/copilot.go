@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"cellpilot/internal/cellbe"
 	"cellpilot/internal/fmtmsg"
 	"cellpilot/internal/metrics"
@@ -31,6 +33,20 @@ type copilot struct {
 	// nudge wakes the event loop; safe from any context. It is built
 	// once, so handing it to the kernel as a callback allocates nothing.
 	nudge func()
+	// descOf is the stub whose descriptor readDesc reads (or last read),
+	// descRead the words of it read so far, and descWait is set while the
+	// read waits for the next, so that the stub can wake it (cutDesc).
+	// descStop, built once, ends that wait when the stub gave the
+	// descriptor up after descRead words.
+	descOf   *Process
+	descRead uint8
+	descWait bool
+	descStop func() error
+	// notifying is the request whose completion notify writes;
+	// notifyStop, built once, withholds the word if its stub gives the
+	// request up during the write.
+	notifying  *speReq
+	notifyStop func() error
 
 	bindings   []*speBinding
 	pendWrites reqQueue
@@ -87,6 +103,19 @@ func newCopilot(a *App, key copilotKey, rank *mpi.Rank) *copilot {
 		q:      sim.NewQueue[struct{}](a.K, rank.Label()+"/events", 1<<14),
 	}
 	cp.nudge = func() { cp.q.TryPut(struct{}{}) }
+	cp.descStop = func() error {
+		if cp.descOf.cut&3 == cp.descRead {
+			return errDescCut
+		}
+		cp.descWait = true
+		return nil
+	}
+	cp.notifyStop = func() error {
+		if r := cp.notifying; r.post != r.proc.awaiting {
+			return errGaveUp
+		}
+		return nil
+	}
 	// Message arrivals for this rank nudge the event loop, so the Co-Pilot
 	// never busy-waits yet still models polling latency (see loop).
 	rank.OnArrival(cp.nudge)
@@ -160,10 +189,10 @@ func (cp *copilot) loop(p *sim.Proc) {
 // request arrives") and is what makes SPE↔SPE channels pay two full
 // Co-Pilot legs, as Table II shows.
 func (cp *copilot) step(p *sim.Proc) bool {
-	hardened := cp.app.hardened()
-	// Hardened runs: shed queued requests whose process died or whose
-	// channel was poisoned, so a dead peer cannot strand its partner.
-	if hardened && cp.sweepFaults(p) {
+	// Once a channel was poisoned or a process killed, shed queued
+	// requests whose process died or whose channel was poisoned, so a
+	// dead peer cannot strand its partner.
+	if cp.app.faulted && cp.sweepFaults(p) {
 		return true
 	}
 	// First progress pending requests, oldest first (deterministic). With
@@ -178,9 +207,10 @@ func (cp *copilot) step(p *sim.Proc) bool {
 		return true
 	}
 	// Then decode one new request from the SPE mailboxes.
+	hardened := cp.app.hardened()
 	mh := cp.app.mailboxHardened()
 	for _, b := range cp.bindings {
-		if hardened && b.proc.dead {
+		if b.proc.dead {
 			continue
 		}
 		decodeStart := p.Now()
@@ -188,6 +218,7 @@ func (cp *copilot) step(p *sim.Proc) bool {
 		if !ok {
 			continue
 		}
+		posted := b.proc.posts
 		var op speOpcode
 		var chanID int
 		var seq uint32
@@ -196,56 +227,33 @@ func (cp *copilot) step(p *sim.Proc) bool {
 		} else {
 			op, chanID = parseWord0(w0)
 		}
-		var lsAddr, size, sig uint32
-		if hardened {
-			// A fault (or a mid-descriptor death) can garble or truncate
-			// the four-word descriptor, so the remaining words are read
-			// under a timeout and the whole descriptor is validated before
-			// dispatch. Garbled descriptors are drained and NACKed
-			// (mailbox-hardened) or dropped; the stub reposts.
-			var words [3]uint32
-			bad := false
-			for i := range words {
-				v, ok := b.sctx.ReadOutMboxTimeout(p, cp.app.descTimeout())
-				if !ok {
-					bad = true
-					break
-				}
-				words[i] = v
-			}
-			if !bad && op != opWrite && op != opRead {
-				bad = true
-			}
-			if !bad && (chanID < 0 || chanID >= len(cp.app.chans)) {
-				bad = true
-			}
-			if bad {
-				cp.dropDesc(p, b, seq)
-				return true
-			}
-			lsAddr, size, sig = words[0], words[1], words[2]
-			if mh {
-				if b.lastSeq == int(seq) {
-					// Duplicate repost after a slow ACK: re-ACK, discard.
-					cp.ackDesc(p, b, speAck(seq))
-					return true
-				}
-				b.lastSeq = int(seq)
-				cp.ackDesc(p, b, speAck(seq))
-			}
-		} else {
-			lsAddr = b.sctx.ReadOutMbox(p)
-			size = b.sctx.ReadOutMbox(p)
-			sig = b.sctx.ReadOutMbox(p)
-			if chanID < 0 || chanID >= len(cp.app.chans) {
+		// A descriptor that stops short (see readDesc) or is invalid is
+		// dropped, and NACKed in mailbox-hardened runs so the stub
+		// reposts. Without fault machinery nothing can garble a complete
+		// descriptor, so an invalid one there is a bug and aborts the run.
+		words, cut, ok := cp.readDesc(p, b)
+		if !ok || (op != opWrite && op != opRead) || chanID < 0 || chanID >= len(cp.app.chans) {
+			if ok && !hardened {
 				p.Fatalf("%v", usageError("runtime", "co-pilot", "SPE %s requested unknown channel %d", b.proc, chanID))
 			}
+			cp.dropDesc(p, b, seq, cut)
+			return true
+		}
+		lsAddr, size, sig := words[0], words[1], words[2]
+		if mh {
+			if b.lastSeq == int(seq) {
+				// Duplicate repost after a slow ACK: re-ACK, discard.
+				cp.ackDesc(p, b, speAck(seq))
+				return true
+			}
+			b.lastSeq = int(seq)
+			cp.ackDesc(p, b, speAck(seq))
 		}
 		post := cp.app.speTakePost(b.proc)
 		req := cp.newReq(speReq{
 			op: op, ch: cp.app.chans[chanID],
 			spe: b.sctx.SPE, proc: b.proc,
-			lsAddr: lsAddr, size: int(size), sig: sig,
+			lsAddr: lsAddr, size: int(size), sig: sig, post: posted,
 			xfer: post.xfer, postedAt: post.postedAt, decodeAt: decodeStart,
 		})
 		p.Advance(cp.app.par.CoPilotDispatch)
@@ -340,29 +348,73 @@ func (cp *copilot) sweepFaults(p *sim.Proc) bool {
 func (cp *copilot) shedFaulted(p *sim.Proc, req *speReq) bool {
 	inj := cp.app.opts.Faults
 	if req.proc.dead {
-		if inj != nil {
-			inj.Logf(p.Now(), "%s drops queued request from dead %s on %s", cp.rank.Label(), req.proc, req.ch)
-		}
+		inj.Logf(p.Now(), "%s drops queued request from dead %s on %s", cp.rank.Label(), req.proc, req.ch)
 		return true
 	}
 	if req.ch.fault != nil {
-		if inj != nil {
-			inj.Logf(p.Now(), "%s faults queued request from %s on poisoned %s", cp.rank.Label(), req.proc, req.ch)
-		}
+		inj.Logf(p.Now(), "%s faults queued request from %s on poisoned %s", cp.rank.Label(), req.proc, req.ch)
 		cp.notify(p, req, speStatusFault)
 		return true
 	}
 	return false
 }
 
-// dropDesc discards a garbled descriptor: the mailbox is drained and, in
+// readDesc reads the last three words of a descriptor whose first word
+// it read from b's stub. ok is false when a word did not come within
+// descTimeout of the end of its read's MailboxRead charge, and cut says
+// the stub gave the descriptor up part-way (Process.cut). In hardened runs
+// a timer bounds each read, as a fault can lose a word or its stub
+// unseen. Elsewhere a word fails to come only if its stub gave up, which
+// the read learns from the stub, so it arms no timer and waits out the
+// bound itself: a cut descriptor is dropped at the same instant in every
+// App.
+func (cp *copilot) readDesc(p *sim.Proc, b *speBinding) (words [3]uint32, cut, ok bool) {
+	cp.descOf = b.proc
+	for i := range words {
+		bound := p.Now() + cp.app.par.MailboxRead + cp.app.descTimeout()
+		deadline := sim.Time(0)
+		if cp.app.hardened() {
+			deadline = bound
+		}
+		cp.descRead = uint8(i + 1)
+		v, err := b.sctx.ReadOutMboxCtl(p, deadline, cp.descStop)
+		cp.descWait = false
+		if err == errDescCut {
+			b.proc.cut >>= 2
+			p.AdvanceTo(bound)
+			return words, true, false
+		}
+		if err != nil {
+			return words, false, false
+		}
+		words[i] = v
+	}
+	return words, false, true
+}
+
+// errDescCut ends a descriptor-word read whose stub gave the descriptor
+// up before writing that word, and errGaveUp a completion write whose
+// stub gave the request up.
+var (
+	errDescCut = errors.New("co-pilot: descriptor cut short")
+	errGaveUp  = errors.New("co-pilot: the stub gave the request up")
+)
+
+// dropDesc discards a garbled descriptor: the mailbox is drained of what
+// is left of it, down to the poll that finds it empty, and, in
 // mailbox-hardened runs, the stub is NACKed so it reposts immediately
 // (otherwise it reposts on ACK timeout, or the fault surfaces as an
-// operation timeout).
-func (cp *copilot) dropDesc(p *sim.Proc, b *speBinding, seq uint32) {
-	for {
-		if _, ok := b.sctx.TryReadOutMbox(p); !ok {
-			break
+// operation timeout). A descriptor its stub cut short left nothing, and
+// the mailbox may already hold the stub's next one, so then that poll
+// only checks the mailbox's status.
+func (cp *copilot) dropDesc(p *sim.Proc, b *speBinding, seq uint32, cut bool) {
+	if cut {
+		p.Advance(cp.app.par.MailboxRead)
+	} else {
+		for {
+			if _, ok := b.sctx.TryReadOutMbox(p); !ok {
+				break
+			}
 		}
 	}
 	inj := cp.app.opts.Faults
@@ -370,7 +422,7 @@ func (cp *copilot) dropDesc(p *sim.Proc, b *speBinding, seq uint32) {
 		inj.Counts.MailboxNacks++
 		inj.Logf(p.Now(), "%s NACKs garbled descriptor seq=%d from %s", cp.rank.Label(), seq, b.proc)
 		cp.ackDesc(p, b, speNack(seq))
-	} else if inj != nil {
+	} else {
 		inj.Logf(p.Now(), "%s drops garbled descriptor from %s", cp.rank.Label(), b.proc)
 	}
 }
@@ -407,26 +459,33 @@ func (cp *copilot) relaySegments(p *sim.Proc, req *speReq) [][]byte {
 	return cp.segs
 }
 
-// notify completes a request toward its SPE via the inbound mailbox. In
-// hardened runs, completions for dead processes are discarded, OK
-// statuses on poisoned channels are suppressed (the stub's late words
-// must not be mistaken for a later operation's status), and the write is
-// deadline-bounded so a vanished stub cannot wedge the Co-Pilot.
+// notify completes a request toward its SPE via the inbound mailbox,
+// unless no stub waits for the word: the request's process died, its
+// channel was poisoned (an OK status is suppressed; its stub fails the
+// operation), or its stub gave up on it, whose word would otherwise read
+// as a later operation's status. The stub can still give up while the
+// word is being written, so the write stops then too (notifyStop). In
+// hardened runs the write is deadline-bounded so a vanished stub cannot
+// wedge the Co-Pilot.
 func (cp *copilot) notify(p *sim.Proc, req *speReq, status uint32) {
-	if cp.app.hardened() {
-		if req.proc.dead {
-			return
-		}
-		if req.ch != nil && req.ch.fault != nil && status == speStatusOK {
-			cp.app.opts.Faults.Logf(p.Now(), "%s suppresses completion for %s on poisoned %s", cp.rank.Label(), req.proc, req.ch)
-			return
-		}
-		if err := req.spe.InMbox.WriteCtl(p, status, p.Now()+cp.app.ackTimeout(), nil); err != nil {
-			cp.app.opts.Faults.Logf(p.Now(), "%s drops completion for %s (%v)", cp.rank.Label(), req.proc, err)
-		}
+	if req.proc.dead {
 		return
 	}
-	req.spe.InMbox.Write(p, status)
+	if req.ch.fault != nil && status == speStatusOK {
+		cp.app.opts.Faults.Logf(p.Now(), "%s suppresses completion for %s on poisoned %s", cp.rank.Label(), req.proc, req.ch)
+		return
+	}
+	if req.post != req.proc.awaiting {
+		return
+	}
+	deadline := sim.Time(0)
+	if cp.app.hardened() {
+		deadline = p.Now() + cp.app.ackTimeout()
+	}
+	cp.notifying = req
+	if err := req.spe.InMbox.WriteCtl(p, status, deadline, cp.notifyStop); err != nil {
+		cp.app.opts.Faults.Logf(p.Now(), "%s drops completion for %s (%v)", cp.rank.Label(), req.proc, err)
+	}
 }
 
 // tryWrite progresses a pending SPE write request; false means it must

@@ -36,6 +36,22 @@ func (c *Ctx) fail(loc, api, format string, args ...any) {
 	c.P.Fatalf("%v", usageError(loc, api, format, args...))
 }
 
+// sendOn sends segs to rank dst on tag as one message, bounded by
+// deadline and by ch's poisoning.
+func (c *Ctx) sendOn(ch *Channel, dst, tag int, deadline sim.Time, segs ...[]byte) error {
+	c.app.watch(ch, c.P)
+	defer c.app.unwatch(ch, c.P)
+	return c.rank.SendVecCtl(c.P, dst, tag, mpi.Ctl{Deadline: deadline, Stop: c.app.chanStop(ch)}, segs...)
+}
+
+// recvOn receives the next message from rank src on tag, bounded by
+// deadline and by ch's poisoning.
+func (c *Ctx) recvOn(ch *Channel, src, tag int, deadline sim.Time) ([]byte, mpi.Status, error) {
+	c.app.watch(ch, c.P)
+	defer c.app.unwatch(ch, c.P)
+	return c.rank.RecvCtl(c.P, src, tag, mpi.Ctl{Deadline: deadline, Stop: c.app.chanStop(ch)})
+}
+
 // peerRank resolves the MPI rank this process exchanges channel payloads
 // with: the peer itself when regular, or the peer's Co-Pilot when the
 // peer is an SPE process (the heart of the CellPilot design).
@@ -86,13 +102,8 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 		c.fail(loc, api, "%v", err)
 	}
 	*bp = wire
-	useCtl := timeout > 0 || c.app.hardened()
-	if useCtl && ch.fault != nil {
-		cf := c.app.opFault(loc, api, c.Self, ch, ch.fault)
-		if soft {
-			return cf
-		}
-		c.app.raiseFault(c.Self, ch, cf, false)
+	if ch.fault != nil {
+		return c.app.failOp(loc, api, c.Self, ch, ch.fault, soft, false)
 	}
 	opStart := c.P.Now()
 	deadline := c.app.opDeadline(opStart, timeout)
@@ -103,7 +114,7 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 	c.app.spanPhase(xfer, trace.PhasePack, self, ch, len(wire), opStart, c.P.Now())
 
 	if c.app.chunked(ch, len(wire)) {
-		return c.writeChunked(loc, api, ch, spec, wire, xfer, opStart, deadline, soft, useCtl)
+		return c.writeChunked(loc, api, ch, spec, wire, xfer, opStart, deadline, soft)
 	}
 
 	// A1 ablation: type-2 writes go through a direct shared-memory handoff
@@ -113,19 +124,11 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 		c.P.Advance(c.app.par.ShmCopyTime(len(wire)))
 		box := c.app.directBox(ch)
 		msg := dbMsg{data: append(append([]byte(nil), hdr...), wire...), xfer: xfer}
-		if useCtl {
-			unwatch := c.app.watchChannel(ch, c.P)
-			err := box.PutCtl(c.P, msg, deadline, c.app.chanStop(ch))
-			unwatch()
-			if err != nil {
-				cf := c.app.opFault(loc, api, c.Self, ch, err)
-				if soft {
-					return cf
-				}
-				c.app.raiseFault(c.Self, ch, cf, false)
-			}
-		} else {
-			box.Put(c.P, msg)
+		c.app.watch(ch, c.P)
+		err := box.PutCtl(c.P, msg, deadline, c.app.chanStop(ch))
+		c.app.unwatch(ch, c.P)
+		if err != nil {
+			return c.app.failOp(loc, api, c.Self, ch, err, soft, false)
 		}
 		c.app.copilotFor(ch.To).nudge()
 		c.app.reportSent(ch)
@@ -144,22 +147,8 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 	}
 	sendStart := c.P.Now()
 	c.rank.TagNextXfer(xfer)
-	if useCtl {
-		unwatch := c.app.watchChannel(ch, c.P)
-		err := c.rank.SendVecCtl(c.P, dst, ch.tag(), mpi.Ctl{Deadline: deadline, Stop: c.app.chanStop(ch)}, hdr, wire)
-		unwatch()
-		if err != nil {
-			cf := c.app.opFault(loc, api, c.Self, ch, err)
-			if soft {
-				if blocking {
-					c.app.reportUnblock(c.Self)
-				}
-				return cf
-			}
-			c.app.raiseFault(c.Self, ch, cf, blocking)
-		}
-	} else {
-		c.rank.SendVec(c.P, dst, ch.tag(), hdr, wire)
+	if err := c.sendOn(ch, dst, ch.tag(), deadline, hdr, wire); err != nil {
+		return c.app.failOp(loc, api, c.Self, ch, err, soft, blocking)
 	}
 	if blocking {
 		c.app.reportUnblock(c.Self)
@@ -207,13 +196,8 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 	if err != nil {
 		c.fail(loc, api, "%v", err)
 	}
-	useCtl := timeout > 0 || c.app.hardened()
-	if useCtl && ch.fault != nil {
-		cf := c.app.opFault(loc, api, c.Self, ch, ch.fault)
-		if soft {
-			return cf
-		}
-		c.app.raiseFault(c.Self, ch, cf, false)
+	if ch.fault != nil {
+		return c.app.failOp(loc, api, c.Self, ch, ch.fault, soft, false)
 	}
 
 	opStart := c.P.Now()
@@ -226,22 +210,11 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 		// A1 ablation: take the payload from the direct handoff box.
 		box := c.app.directBox(ch)
 		c.app.reportBlock(c.Self, ch.From, ch, deadlock.OpRead, loc)
-		var msg dbMsg
-		if useCtl {
-			unwatch := c.app.watchChannel(ch, c.P)
-			m, err := box.GetCtl(c.P, deadline, c.app.chanStop(ch))
-			unwatch()
-			if err != nil {
-				cf := c.app.opFault(loc, api, c.Self, ch, err)
-				if soft {
-					c.app.reportUnblock(c.Self)
-					return cf
-				}
-				c.app.raiseFault(c.Self, ch, cf, true)
-			}
-			msg = m
-		} else {
-			msg = box.Get(c.P)
+		c.app.watch(ch, c.P)
+		msg, err := box.GetCtl(c.P, deadline, c.app.chanStop(ch))
+		c.app.unwatch(ch, c.P)
+		if err != nil {
+			return c.app.failOp(loc, api, c.Self, ch, err, soft, true)
 		}
 		c.app.reportUnblock(c.Self)
 		data, xfer = msg.data, msg.xfer
@@ -252,26 +225,13 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 		c.app.spanPhase(xfer, trace.PhaseCopy, self, ch, len(data)-hdrSize, copyStart, c.P.Now())
 	} else {
 		if c.app.chunked(ch, expected) {
-			return c.readChunked(loc, api, ch, spec, expected, opStart, deadline, soft, useCtl, args...)
+			return c.readChunked(loc, api, ch, spec, expected, opStart, deadline, soft, args...)
 		}
-		src := c.peerRank(ch.From)
 		c.app.reportBlock(c.Self, ch.From, ch, deadlock.OpRead, loc)
 		var st mpi.Status
-		if useCtl {
-			unwatch := c.app.watchChannel(ch, c.P)
-			d, s, err := c.rank.RecvCtl(c.P, src, ch.tag(), mpi.Ctl{Deadline: deadline, Stop: c.app.chanStop(ch)})
-			unwatch()
-			if err != nil {
-				cf := c.app.opFault(loc, api, c.Self, ch, err)
-				if soft {
-					c.app.reportUnblock(c.Self)
-					return cf
-				}
-				c.app.raiseFault(c.Self, ch, cf, true)
-			}
-			data, st = d, s
-		} else {
-			data, st = c.rank.Recv(c.P, src, ch.tag())
+		data, st, err = c.recvOn(ch, c.peerRank(ch.From), ch.tag(), deadline)
+		if err != nil {
+			return c.app.failOp(loc, api, c.Self, ch, err, soft, true)
 		}
 		c.app.reportUnblock(c.Self)
 		xfer = st.Xfer
@@ -309,7 +269,7 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 // booked on the NIC asynchronously, throttled by the pipeline window.
 // Unlike the rendezvous path, the write completes as soon as the last
 // chunk is on the wire — bounded-buffered eager semantics.
-func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire []byte, xfer int64, opStart, deadline sim.Time, soft, useCtl bool) error {
+func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire []byte, xfer int64, opStart, deadline sim.Time, soft bool) error {
 	dst := c.peerRank(ch.To)
 	chunk := c.app.opts.Transfer.ChunkSize
 	nchunks := chunkCount(len(wire), chunk)
@@ -319,20 +279,11 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 	c.rank.TagNextXfer(xfer)
 	var hdr [streamHdrSize]byte
 	putStreamHeader(hdr[:], spec.Signature(), len(wire), chunk, nchunks)
-	var stop func() error
-	if useCtl {
-		unwatch := c.app.watchChannel(ch, c.P)
-		defer unwatch()
-		stop = c.app.chanStop(ch)
-		if err := c.rank.SendVecCtl(c.P, dst, stag, mpi.Ctl{Deadline: deadline, Stop: stop}, hdr[:]); err != nil {
-			cf := c.app.opFault(loc, api, c.Self, ch, err)
-			if soft {
-				return cf
-			}
-			c.app.raiseFault(c.Self, ch, cf, false)
-		}
-	} else {
-		c.rank.SendVec(c.P, dst, stag, hdr[:])
+	c.app.watch(ch, c.P)
+	defer c.app.unwatch(ch, c.P)
+	stop := c.app.chanStop(ch)
+	if err := c.rank.SendVecCtl(c.P, dst, stag, mpi.Ctl{Deadline: deadline, Stop: stop}, hdr[:]); err != nil {
+		return c.app.failOp(loc, api, c.Self, ch, err, soft, false)
 	}
 	arrivals := c.arrivals[:0]
 	for k := 0; k < nchunks; k++ {
@@ -341,25 +292,16 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 				c.P.AdvanceTo(a) // pipeline window full: wait for the oldest chunk to land
 			}
 		}
-		if useCtl {
-			// A stream abandoned mid-flight leaves the reader with a partial
-			// payload, so — like an SPE-side mid-protocol timeout — the
-			// channel is poisoned before the fault is surfaced.
-			var serr error
-			if stop != nil {
-				serr = stop()
-			}
-			if serr == nil && deadline > 0 && c.P.Now() >= deadline {
-				serr = mpi.ErrDeadline
-			}
-			if serr != nil {
-				c.app.failChannel(ch, fmt.Sprintf("%s at %s abandoned a chunked stream on %s after %d of %d chunks", api, loc, ch, k, nchunks))
-				cf := c.app.opFault(loc, api, c.Self, ch, serr)
-				if soft {
-					return cf
-				}
-				c.app.raiseFault(c.Self, ch, cf, false)
-			}
+		// A stream abandoned mid-flight leaves the reader with a partial
+		// payload, so — like an SPE-side mid-protocol timeout — the
+		// channel is poisoned before the fault is surfaced.
+		serr := stop()
+		if serr == nil && deadline > 0 && c.P.Now() >= deadline {
+			serr = mpi.ErrDeadline
+		}
+		if serr != nil {
+			c.app.failChannel(ch, fmt.Sprintf("%s at %s abandoned a chunked stream on %s after %d of %d chunks", api, loc, ch, k, nchunks))
+			return c.app.failOp(loc, api, c.Self, ch, serr, soft, false)
 		}
 		off := k * chunk
 		n := chunkLen(len(wire), chunk, k)
@@ -394,31 +336,16 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 // buffer (charging per-chunk stack extraction), then unpack in place. A
 // drain abandoned by a deadline or stop poisons the channel — the partial
 // payload is discarded, never delivered.
-func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expected int, opStart, deadline sim.Time, soft, useCtl bool, args ...any) error {
+func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expected int, opStart, deadline sim.Time, soft bool, args ...any) error {
 	src := c.peerRank(ch.From)
 	stag := ch.streamTag()
 	self := c.Self.lbl
 	par := c.app.par
-	recvOne := func() ([]byte, mpi.Status, error) {
-		if useCtl {
-			unwatch := c.app.watchChannel(ch, c.P)
-			d, s, err := c.rank.RecvCtl(c.P, src, stag, mpi.Ctl{Deadline: deadline, Stop: c.app.chanStop(ch)})
-			unwatch()
-			return d, s, err
-		}
-		d, s := c.rank.Recv(c.P, src, stag)
-		return d, s, nil
-	}
 	c.app.reportBlock(c.Self, ch.From, ch, deadlock.OpRead, loc)
 	waitStart := c.P.Now()
-	hdrData, st, err := recvOne()
+	hdrData, st, err := c.recvOn(ch, src, stag, deadline)
 	if err != nil {
-		cf := c.app.opFault(loc, api, c.Self, ch, err)
-		if soft {
-			c.app.reportUnblock(c.Self)
-			return cf
-		}
-		c.app.raiseFault(c.Self, ch, cf, true)
+		return c.app.failOp(loc, api, c.Self, ch, err, soft, true)
 	}
 	if len(hdrData) != streamHdrSize {
 		c.fail(loc, api, "malformed stream header on %s", ch)
@@ -437,15 +364,10 @@ func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expec
 	defer fmtmsg.PutWireBuf(bp)
 	buf := *bp
 	for k := 0; k < nchunks; k++ {
-		cdata, _, err := recvOne()
+		cdata, _, err := c.recvOn(ch, src, stag, deadline)
 		if err != nil {
 			c.app.failChannel(ch, fmt.Sprintf("%s at %s abandoned a chunked stream on %s after %d of %d chunks", api, loc, ch, k, nchunks))
-			cf := c.app.opFault(loc, api, c.Self, ch, err)
-			if soft {
-				c.app.reportUnblock(c.Self)
-				return cf
-			}
-			c.app.raiseFault(c.Self, ch, cf, true)
+			return c.app.failOp(loc, api, c.Self, ch, err, soft, true)
 		}
 		idx, payload, ok := parseChunkFrame(cdata)
 		if !ok || idx != k {
@@ -565,24 +487,15 @@ func (c *Ctx) Broadcast(b *Bundle, format string, args ...any) {
 	}
 	c.P.Advance(c.app.par.PilotOverhead + c.app.par.PackTime(len(wire)))
 	hdr := putHeader(spec.Signature(), len(wire))
-	useCtl := c.app.hardened()
 	for _, ch := range b.chans {
-		if useCtl && ch.fault != nil {
-			c.app.raiseFault(c.Self, ch, c.app.opFault(loc, "PI_Broadcast", c.Self, ch, ch.fault), false)
+		if ch.fault != nil {
+			c.app.failOp(loc, "PI_Broadcast", c.Self, ch, ch.fault, false, false)
 		}
 		xfer := c.app.newXfer()
 		sendStart := c.P.Now()
 		c.rank.TagNextXfer(xfer)
-		if useCtl {
-			unwatch := c.app.watchChannel(ch, c.P)
-			err := c.rank.SendVecCtl(c.P, c.peerRank(ch.To), ch.tag(),
-				mpi.Ctl{Deadline: c.app.opDeadline(sendStart, 0), Stop: c.app.chanStop(ch)}, hdr, wire)
-			unwatch()
-			if err != nil {
-				c.app.raiseFault(c.Self, ch, c.app.opFault(loc, "PI_Broadcast", c.Self, ch, err), false)
-			}
-		} else {
-			c.rank.SendVec(c.P, c.peerRank(ch.To), ch.tag(), hdr, wire)
+		if err := c.sendOn(ch, c.peerRank(ch.To), ch.tag(), c.app.opDeadline(sendStart, 0), hdr, wire); err != nil {
+			c.app.failOp(loc, "PI_Broadcast", c.Self, ch, err, false, false)
 		}
 		c.app.reportSent(ch)
 		c.app.spanPhase(xfer, trace.PhaseMPISend, c.Self.lbl, ch, len(wire), sendStart, c.P.Now())
@@ -614,26 +527,15 @@ func (c *Ctx) Gather(b *Bundle, format string, out any) {
 	item := spec.Items[0]
 	perWriter := item.Count * item.Type.Size()
 	var all []byte
-	useCtl := c.app.hardened()
 	for _, ch := range b.chans {
-		if useCtl && ch.fault != nil {
-			c.app.raiseFault(c.Self, ch, c.app.opFault(loc, "PI_Gather", c.Self, ch, ch.fault), false)
+		if ch.fault != nil {
+			c.app.failOp(loc, "PI_Gather", c.Self, ch, ch.fault, false, false)
 		}
 		waitStart := c.P.Now()
-		deadline := c.app.opDeadline(waitStart, 0)
 		c.app.reportBlock(c.Self, ch.From, ch, deadlock.OpRead, loc)
-		var data []byte
-		var st mpi.Status
-		if useCtl {
-			unwatch := c.app.watchChannel(ch, c.P)
-			d, s, err := c.rank.RecvCtl(c.P, c.peerRank(ch.From), ch.tag(), mpi.Ctl{Deadline: deadline, Stop: c.app.chanStop(ch)})
-			unwatch()
-			if err != nil {
-				c.app.raiseFault(c.Self, ch, c.app.opFault(loc, "PI_Gather", c.Self, ch, err), true)
-			}
-			data, st = d, s
-		} else {
-			data, st = c.rank.Recv(c.P, c.peerRank(ch.From), ch.tag())
+		data, st, err := c.recvOn(ch, c.peerRank(ch.From), ch.tag(), c.app.opDeadline(waitStart, 0))
+		if err != nil {
+			c.app.failOp(loc, "PI_Gather", c.Self, ch, err, false, true)
 		}
 		c.app.reportUnblock(c.Self)
 		if len(data) < hdrSize {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"cellpilot/internal/fault"
@@ -19,9 +20,16 @@ import (
 // unwinds cleanly, unaffected processes run to completion, and App.Run
 // returns a FaultSummary instead of panicking.
 //
-// Everything here is gated on App.hardened(): with no injector and no
-// OpTimeout, every operation takes the exact pre-existing code path and
-// the virtual timeline is bit-identical to an unhardened build.
+// Every channel operation runs one bounded path in every App: it waits
+// until its deadline (a Try* timeout or Options.OpTimeout; none by
+// default) and until its channel is poisoned. A poisoned channel fails
+// each operation on it, and the Co-Pilot sheds and suppresses requests on
+// it. An operation with no deadline on a channel that stays healthy parks
+// at the instants of an unbounded one, so a clean run's timeline is
+// unchanged. App.hardened() (an injector or OpTimeout is set) selects
+// only whether timers bound the Co-Pilot's own mailbox waits and what it
+// does with a garbled descriptor; App.mailboxHardened() selects the
+// sequenced ACK/NACK descriptor protocol.
 
 // ChannelFault is the structured error a channel operation fails with
 // when its channel was poisoned by a fault, or when it exceeded its
@@ -116,8 +124,9 @@ type procFault struct {
 	cf *ChannelFault
 }
 
-// hardened reports whether any fault machinery is armed. Every divergence
-// from the plain code paths is gated on it.
+// hardened reports whether any fault machinery is armed. It arms timers
+// on the Co-Pilot's descriptor reads and completion writes (readDesc,
+// notify) and makes it drop a garbled descriptor instead of aborting.
 func (a *App) hardened() bool {
 	return a.opts.Faults != nil || a.opts.OpTimeout > 0
 }
@@ -140,26 +149,26 @@ func (a *App) opDeadline(now sim.Time, soft sim.Time) sim.Time {
 	return 0
 }
 
-// watchChannel registers p as blocked on ch so failChannel can wake it;
-// the returned func unregisters.
-func (a *App) watchChannel(ch *Channel, p *sim.Proc) func() {
-	if a.chanWaiters == nil {
-		a.chanWaiters = map[int][]*sim.Proc{}
-	}
-	a.chanWaiters[ch.id] = append(a.chanWaiters[ch.id], p)
-	return func() {
-		ws := a.chanWaiters[ch.id]
-		for i, w := range ws {
-			if w == p {
-				a.chanWaiters[ch.id] = append(ws[:i], ws[i+1:]...)
-				return
-			}
-		}
+// chanWait is a process blocked in an operation on a channel.
+type chanWait struct {
+	ch *Channel
+	p  *sim.Proc
+}
+
+// watch registers p as blocked on ch so failChannel can wake it; unwatch
+// withdraws the registration.
+func (a *App) watch(ch *Channel, p *sim.Proc) {
+	a.waiters = append(a.waiters, chanWait{ch, p})
+}
+
+func (a *App) unwatch(ch *Channel, p *sim.Proc) {
+	if i := slices.Index(a.waiters, chanWait{ch, p}); i >= 0 {
+		a.waiters = slices.Delete(a.waiters, i, i+1)
 	}
 }
 
-// chanStop is the stop predicate hardened blocking operations pass down:
-// it fires as soon as the channel is poisoned.
+// chanStop is the stop predicate blocking operations pass down: it fires
+// as soon as the channel is poisoned.
 func (a *App) chanStop(ch *Channel) func() error {
 	return func() error {
 		if ch.fault != nil {
@@ -170,7 +179,8 @@ func (a *App) chanStop(ch *Channel) func() error {
 }
 
 // failChannel poisons ch (sticky; the first reason wins) and wakes every
-// process blocked on it so their stop predicates can fire.
+// process blocked on it, in the order they blocked, so their stop
+// predicates can fire.
 func (a *App) failChannel(ch *Channel, reason string) {
 	if ch.fault != nil {
 		return
@@ -179,12 +189,15 @@ func (a *App) failChannel(ch *Channel, reason string) {
 		Loc: "runtime", API: "channel",
 		Channel: ch.String(), ChannelID: ch.id, Reason: reason,
 	}
+	a.faulted = true
 	if inj := a.opts.Faults; inj != nil {
 		inj.Counts.ChannelFaults++
 		inj.Logf(a.K.Now(), "poison %s: %s", ch, reason)
 	}
-	for _, p := range a.chanWaiters[ch.id] {
-		a.K.ReadyIfParked(p)
+	for _, w := range a.waiters {
+		if w.ch == ch {
+			a.K.ReadyIfParked(w.p)
+		}
 	}
 	// Wake the Co-Pilots so they shed queued requests on this channel
 	// (and from dead processes) instead of sleeping on them.
@@ -242,6 +255,21 @@ func (a *App) timeoutDetail(proc *Process) (inCycle bool, detail string) {
 	return false, "no wait-for edge recorded for this operation; the peer is slow, dead, or the link is faulted"
 }
 
+// failOp ends proc's operation on ch, which failed with err: a blocking
+// caller unwinds (raiseFault), a Try* caller (soft) gets the ChannelFault
+// back. blocked says the operation reported itself blocked to the
+// deadlock service.
+func (a *App) failOp(loc, api string, proc *Process, ch *Channel, err error, soft, blocked bool) error {
+	cf := a.opFault(loc, api, proc, ch, err)
+	if !soft {
+		a.raiseFault(proc, ch, cf, blocked)
+	}
+	if blocked {
+		a.reportUnblock(proc)
+	}
+	return cf
+}
+
 // raiseFault ends the calling process with cf: blocking Read/Write have
 // no error return (Pilot's API), so a hard fault unwinds the process; the
 // spawn wrapper's recover records it. A hard timeout also poisons the
@@ -269,9 +297,7 @@ func (a *App) recoverFault(proc *Process) {
 		panic(r)
 	}
 	a.faults = append(a.faults, pf.cf)
-	if inj := a.opts.Faults; inj != nil {
-		inj.Logf(a.K.Now(), "process %s unwound: %v", proc, pf.cf)
-	}
+	a.opts.Faults.Logf(a.K.Now(), "process %s unwound: %v", proc, pf.cf)
 }
 
 // applyFault is the injector's OnEvent callback (scheduler context).
@@ -319,6 +345,7 @@ func (a *App) killProcess(proc *Process, reason string) {
 		return
 	}
 	proc.dead = true
+	a.faulted = true
 	a.killed = append(a.killed, fmt.Sprintf("%s: %s", proc, reason))
 	if inj := a.opts.Faults; inj != nil {
 		inj.Counts.ProcsKilled++
@@ -392,9 +419,10 @@ func (a *App) faultSummary() error {
 
 // --- mailbox protocol hardening (sequence numbers + ACK/NACK) ---
 
-// Completion statuses beyond speStatusOK, used only in hardened runs.
-// ACK/NACK words carry the descriptor's 4-bit sequence number in the low
-// bits so stubs can discard strays from reposted descriptors.
+// Completion statuses beyond speStatusOK: a fault status for a request
+// the Co-Pilot shed, and the sequenced protocol's ACK/NACK words, which
+// carry the descriptor's 4-bit sequence number in the low bits so stubs
+// can discard strays from reposted descriptors.
 const (
 	speStatusFault    uint32 = 0xF0F0F00F
 	speStatusAckBase  uint32 = 0xA5A50000

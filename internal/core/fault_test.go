@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"cellpilot/internal/cellbe"
+	"cellpilot/internal/cluster"
 	"cellpilot/internal/fault"
 	"cellpilot/internal/profile"
 	"cellpilot/internal/sim"
@@ -611,5 +613,207 @@ func TestLossyLinkType1Delivery(t *testing.T) {
 	}
 	if dump := st.Registry.Dump(); !strings.Contains(dump, "fault/retransmits") {
 		t.Errorf("metrics dump lacks fault counters:\n%s", dump)
+	}
+}
+
+// TestSPETryReadTimeoutWithoutFaultMachinery: an SPE's TryRead honours
+// its timeout in an App with no injector and no OpTimeout. The timeout
+// poisons the channel, since the stub left the mailbox protocol
+// mid-flight, so the writer's later blocking Write on it unwinds and Run
+// reports that fault.
+func TestSPETryReadTimeoutWithoutFaultMachinery(t *testing.T) {
+	c := newTestCluster(t)
+	a := NewApp(c, Options{})
+	var ch *Channel
+	var tryErr error
+	var got int32
+	spe := a.CreateSPE(&SPEProgram{Name: "reader", Body: func(c *SPECtx) {
+		tryErr = c.TryRead(ch, 50*sim.Microsecond, "%d", &got)
+	}}, a.Main(), 0)
+	ch = a.CreateChannel(a.Main(), spe) // type 2
+	wrote := false
+	err := a.Run(func(ctx *Ctx) {
+		ctx.RunSPE(spe, 0, nil)
+		ctx.P.Advance(sim.Millisecond)
+		ctx.Write(ch, "%d", int32(7))
+		wrote = true
+	})
+	var cf *ChannelFault
+	if !errors.As(tryErr, &cf) || !cf.Timeout {
+		t.Fatalf("SPE TryRead returned %v (value %d), want a timeout *ChannelFault", tryErr, got)
+	}
+	if cf.API != "PI_TryRead" {
+		t.Errorf("fault API = %q", cf.API)
+	}
+	if wrote {
+		t.Error("PI_MAIN's Write on the poisoned channel returned")
+	}
+	var sum *FaultSummary
+	if !errors.As(err, &sum) {
+		t.Fatalf("Run returned %v, want a *FaultSummary", err)
+	}
+	if len(sum.Faults) != 1 || sum.Faults[0].API != "PI_Write" || sum.Faults[0].ChannelID != ch.id {
+		t.Fatalf("summary faults %v, want PI_MAIN's PI_Write on %s", sum.Faults, ch)
+	}
+}
+
+// TestNoStaleCompletionWord: a completion its stub gave up on never
+// reaches the stub. The SPE's TryRead on ab times out and poisons ab, so
+// the Co-Pilot sheds the abandoned read request with a fault status. The
+// SPE's next operation, a TryWrite on ba, must read its own completion,
+// not that stale word.
+func TestNoStaleCompletionWord(t *testing.T) {
+	c := newTestCluster(t)
+	a := NewApp(c, Options{OpTimeout: sim.Second})
+	var ab, ba *Channel
+	var readErr, writeErr error
+	spe := a.CreateSPE(&SPEProgram{Name: "spe", Body: func(c *SPECtx) {
+		var v int32
+		readErr = c.TryRead(ab, 50*sim.Microsecond, "%d", &v)
+		writeErr = c.TryWrite(ba, 0, "%d", int32(100))
+	}}, a.Main(), 0)
+	ab, ba = a.CreateChannel(a.Main(), spe), a.CreateChannel(spe, a.Main())
+	var got int32
+	err := a.Run(func(ctx *Ctx) {
+		ctx.RunSPE(spe, 0, nil)
+		ctx.Read(ba, "%d", &got)
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var cf *ChannelFault
+	if !errors.As(readErr, &cf) || !cf.Timeout {
+		t.Fatalf("TryRead on ab returned %v, want a timeout *ChannelFault", readErr)
+	}
+	if writeErr != nil {
+		t.Fatalf("TryWrite on ba after the abandoned TryRead: %v", writeErr)
+	}
+	if got != 100 {
+		t.Fatalf("PI_MAIN read %d on ba, want 100", got)
+	}
+}
+
+// TestCutDescriptorDropped: an SPE TryRead whose timeout passes while
+// the stub is still writing its request descriptor leaves the Co-Pilot a
+// descriptor cut short. The Co-Pilot must drop it, not wait for the
+// missing words or read the stub's next descriptor as their tail, and go
+// on serving: the stub's next Write, on a healthy channel, and a second
+// SPE's Write under the same Co-Pilot both arrive, and only PI_MAIN's
+// Write on the poisoned channel faults. A 10 µs timeout passes after the
+// first descriptor word and before the last, whatever the phase of the
+// Co-Pilot's polling tick, which the SPE's start delay sweeps. The drop
+// comes at the same instant with and without fault machinery.
+func TestCutDescriptorDropped(t *testing.T) {
+	for delay := sim.Time(0); delay < 14*sim.Microsecond; delay += sim.Microsecond {
+		var end [2]sim.Time
+		for i, arm := range []struct {
+			name string
+			opts Options
+		}{{"bare", Options{}}, {"OpTimeout", Options{OpTimeout: sim.Second}}} {
+			c := newTestCluster(t)
+			a := NewApp(c, arm.opts)
+			var ab, ba, bm *Channel
+			var tryErr error
+			spe := a.CreateSPE(&SPEProgram{Name: "a", Body: func(c *SPECtx) {
+				c.P.Advance(delay)
+				var v int32
+				tryErr = c.TryRead(ab, 10*sim.Microsecond, "%d", &v)
+				c.Write(ba, "%d", int32(100))
+			}}, a.Main(), 0)
+			other := a.CreateSPE(&SPEProgram{Name: "b", Body: func(c *SPECtx) {
+				c.Write(bm, "%d", int32(200))
+			}}, a.Main(), 1)
+			ab, ba, bm = a.CreateChannel(a.Main(), spe), a.CreateChannel(spe, a.Main()), a.CreateChannel(other, a.Main())
+			var fromA, fromB int32
+			err := a.Run(func(ctx *Ctx) {
+				ctx.RunSPE(spe, 0, nil)
+				ctx.RunSPE(other, 0, nil)
+				ctx.Read(ba, "%d", &fromA)
+				ctx.Read(bm, "%d", &fromB)
+				ctx.Write(ab, "%d", int32(7))
+			})
+			var cf *ChannelFault
+			if !errors.As(tryErr, &cf) || !cf.Timeout {
+				t.Fatalf("delay %v %s: TryRead returned %v, want a timeout *ChannelFault", delay, arm.name, tryErr)
+			}
+			if fromA != 100 || fromB != 200 {
+				t.Fatalf("delay %v %s: PI_MAIN read %d and %d, want 100 and 200", delay, arm.name, fromA, fromB)
+			}
+			var sum *FaultSummary
+			if !errors.As(err, &sum) {
+				t.Fatalf("delay %v %s: Run returned %v, want a *FaultSummary", delay, arm.name, err)
+			}
+			if len(sum.Faults) != 1 || sum.Faults[0].API != "PI_Write" || sum.Faults[0].ChannelID != ab.id {
+				t.Fatalf("delay %v %s: faults %v, want PI_MAIN's PI_Write on %s", delay, arm.name, sum.Faults, ab)
+			}
+			end[i] = a.K.Now()
+		}
+		if end[0] != end[1] {
+			t.Errorf("delay %v: run ends at %v without fault machinery, %v with OpTimeout", delay, end[0], end[1])
+		}
+	}
+}
+
+// TestSecondCutDescriptorDropped: a stub can cut a second descriptor
+// before its Co-Pilot has read the words of the first, when a mailbox
+// write costs less than half a read: the stub gives up on a TryRead after
+// one word, and its next TryRead's deadline passes after that one's first
+// word while the Co-Pilot is still reading the first's. Both must be
+// dropped, and the stub's Write after them must arrive. The second
+// timeout sweeps that window.
+func TestSecondCutDescriptorDropped(t *testing.T) {
+	par := cellbe.DefaultParams()
+	par.MailboxWrite = 0
+	par.MailboxRead = 2 * sim.Microsecond
+	for second := sim.Time(250); second < 30*sim.Microsecond; second += 250 {
+		c, err := cluster.New(cluster.Spec{CellNodes: 2, XeonNodes: 1, Params: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewApp(c, Options{})
+		var ab, ac, ba *Channel
+		spe := a.CreateSPE(&SPEProgram{Name: "a", Body: func(c *SPECtx) {
+			var v int32
+			c.TryRead(ab, 5*sim.Microsecond, "%d", &v)
+			c.TryRead(ac, second, "%d", &v)
+			c.Write(ba, "%d", int32(100))
+		}}, a.Main(), 0)
+		ab, ac, ba = a.CreateChannel(a.Main(), spe), a.CreateChannel(a.Main(), spe), a.CreateChannel(spe, a.Main())
+		var got int32
+		err = a.Run(func(ctx *Ctx) {
+			ctx.RunSPE(spe, 0, nil)
+			ctx.Read(ba, "%d", &got)
+		})
+		if err != nil || got != 100 {
+			t.Fatalf("second timeout %v: PI_MAIN read %d, Run returned %v", second, got, err)
+		}
+	}
+}
+
+// TestNoStaleCompletionWordMidWrite: a stub can give up on a request
+// while the Co-Pilot is writing its completion word; the word must then
+// not be delivered either. The SPE's TryWrite timeout sweeps past the
+// instant its completion is written, and its next operation, a Read,
+// must return PI_MAIN's 300, not unpack its buffer early on the stale
+// word.
+func TestNoStaleCompletionWordMidWrite(t *testing.T) {
+	for timeout := 5 * sim.Microsecond; timeout < 120*sim.Microsecond; timeout += 250 {
+		c := newTestCluster(t)
+		a := NewApp(c, Options{})
+		var w, r *Channel
+		var v int32
+		spe := a.CreateSPE(&SPEProgram{Name: "spe", Body: func(c *SPECtx) {
+			c.TryWrite(w, timeout, "%d", int32(100))
+			c.Read(r, "%d", &v)
+		}}, a.Main(), 0)
+		w, r = a.CreateChannel(spe, a.Main()), a.CreateChannel(a.Main(), spe)
+		err := a.Run(func(ctx *Ctx) {
+			ctx.RunSPE(spe, 0, nil)
+			ctx.P.Advance(200 * sim.Microsecond)
+			ctx.Write(r, "%d", int32(300))
+		})
+		if err != nil || v != 300 {
+			t.Fatalf("TryWrite timeout %v: the SPE read %d, Run returned %v", timeout, v, err)
+		}
 	}
 }

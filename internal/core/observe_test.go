@@ -123,9 +123,11 @@ func TestObservabilityZeroCost(t *testing.T) {
 	// the worst case for any accidental coupling.
 	host := hostprof.New(1)
 	all := sinks{trace.NewRecorder(0), NewMeter(), profile.New(), hostprof.New(1), timeline.New(0), flowmap.New(0)}
-	// An armed but empty fault plan routes every operation through the
-	// hardened control paths (deadline-capable parks, sequence-free
-	// descriptors, link tap) without injecting anything.
+	// Every operation runs the same bounded path in every arm. An armed
+	// but empty fault plan switches on what a fault plan selects (the
+	// Co-Pilot's bounded descriptor reads and completion writes, the link
+	// tap) without injecting anything; an OpTimeout arms a deadline timer
+	// on every operation, and none of them fires.
 	inj := fault.NewInjector(fault.Plan{})
 	arms := []struct {
 		name string
@@ -141,6 +143,7 @@ func TestObservabilityZeroCost(t *testing.T) {
 		{"flows", sinks{flows: fl}, Options{}},
 		{"all", all, Options{}},
 		{"empty fault plan", sinks{}, Options{Faults: inj}},
+		{"armed deadline", sinks{}, Options{OpTimeout: sim.Second}},
 	}
 	apps := map[string]*App{}
 	var bare sim.Time

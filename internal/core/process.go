@@ -64,12 +64,20 @@ type Process struct {
 	sctx    *sdk.Context
 	started bool
 
-	// Fault-layer state (untouched in clean runs): the sim proc backing
-	// the process once running (so injection can kill it), whether the
-	// process was killed, and the stub's mailbox descriptor sequence.
+	// dead is set when fault injection kills the process, and simProc is
+	// the sim proc backing it once running (so injection can kill it).
+	dead bool
+	// cut lists an SPE stub's descriptors that it gave up on part-way,
+	// as the number of words it wrote of each, two bits apiece and the
+	// oldest lowest (see SPECtx.cutDesc); its Co-Pilot takes each off
+	// when it has read that many words.
+	cut     uint8
 	simProc *sim.Proc
-	dead    bool
-	mboxSeq uint32
+	// posts counts an SPE stub's request descriptors (the sequenced
+	// mailbox protocol numbers them by its low bits); awaiting is the
+	// count of the request whose completion the stub waits for, 0 once
+	// it gave up, so the Co-Pilot never hands it a stale status word.
+	posts, awaiting uint32
 
 	// str is String's text, fixed when Run leaves the configuration phase
 	// (placement can change until then: CreateProcessOn sets nodeID after

@@ -50,39 +50,19 @@ func (c *SPECtx) fail(loc, api, format string, args ...any) {
 	c.P.Fatalf("%v", usageError(loc, api, format, args...))
 }
 
-// request posts a four-word request descriptor through the outbound
-// mailbox and nudges the Co-Pilot. The 1-entry outbound mailbox makes the
-// later words stall until the Co-Pilot drains them — a real contributor
-// to the latencies in paper Table II.
-func (c *SPECtx) request(op speOpcode, ch *Channel, lsAddr uint32, size int, sig uint32) {
-	c.sctx.WriteOutMbox(c.P, reqWord0(op, ch.id))
-	c.app.copilotFor(c.Self).nudge()
-	c.sctx.WriteOutMbox(c.P, lsAddr)
-	c.sctx.WriteOutMbox(c.P, uint32(size))
-	c.sctx.WriteOutMbox(c.P, sig)
-}
-
-// postDesc posts the request descriptor in whichever mode the run
-// requires: plain (clean runs — identical to request()), deadline-bounded
-// (hardened, no mailbox faults), or the full sequence-numbered ACK/repost
-// protocol (mailbox faults in the plan). A non-nil return is the
-// operation's fault, already shaped by opFault.
-func (c *SPECtx) postDesc(loc, api string, op speOpcode, ch *Channel, lsAddr uint32, size int, sig uint32, deadline sim.Time) error {
-	if !c.app.hardened() {
-		c.request(op, ch, lsAddr, size, sig)
-		return nil
-	}
+// postDesc posts the request descriptor for the stub's next request,
+// bounded by deadline and by ch's poisoning: four words through the
+// outbound mailbox, or, when the plan injects mailbox faults, the
+// sequence-numbered ACK/repost protocol around them. A non-nil return is
+// the operation's fault, already shaped by opFault.
+func (c *SPECtx) postDesc(loc, api string, op speOpcode, ch *Channel, lsAddr uint32, size int, sig uint32, deadline sim.Time) *ChannelFault {
+	seq := c.Self.posts & speSeqMask
+	c.Self.posts++
+	c.Self.awaiting = c.Self.posts
 	stop := c.app.chanStop(ch)
 	if !c.app.mailboxHardened() {
-		// Same four words at the same instants as request(), but a write
-		// against a dead Co-Pilot's full mailbox cannot park forever.
-		for i, w := range [4]uint32{reqWord0(op, ch.id), lsAddr, uint32(size), sig} {
-			if err := c.sctx.WriteOutMboxCtl(c.P, w, deadline, stop); err != nil {
-				return c.app.opFault(loc, api, c.Self, ch, err)
-			}
-			if i == 0 {
-				c.app.copilotFor(c.Self).nudge()
-			}
+		if err := c.writeDesc([4]uint32{reqWord0(op, ch.id), lsAddr, uint32(size), sig}, deadline, stop); err != nil {
+			return c.app.opFault(loc, api, c.Self, ch, err)
 		}
 		return nil
 	}
@@ -91,8 +71,6 @@ func (c *SPECtx) postDesc(loc, api string, op speOpcode, ch *Channel, lsAddr uin
 	// stub reposts on NACK or ACK timeout; the Co-Pilot's per-SPE sequence
 	// check discards duplicates (re-ACKing them), so a repost racing a
 	// slow ACK is harmless.
-	seq := c.Self.mboxSeq & speSeqMask
-	c.Self.mboxSeq++
 	inj := c.app.opts.Faults
 	// Time spent from the first repost onward is fault-protocol backoff,
 	// not nominal posting cost; the profiler attributes it separately.
@@ -114,13 +92,8 @@ func (c *SPECtx) postDesc(loc, api string, op speOpcode, ch *Channel, lsAddr uin
 			c.app.failChannel(ch, fmt.Sprintf("%s could not hand a request descriptor to its co-pilot after %d attempts", c.Self, attempt))
 			return c.app.opFault(loc, api, c.Self, ch, ch.fault)
 		}
-		for i, w := range [4]uint32{reqWord0Seq(op, seq, ch.id), lsAddr, uint32(size), sig} {
-			if err := c.sctx.WriteOutMboxCtl(c.P, w, deadline, stop); err != nil {
-				return c.app.opFault(loc, api, c.Self, ch, err)
-			}
-			if i == 0 {
-				c.app.copilotFor(c.Self).nudge()
-			}
+		if err := c.writeDesc([4]uint32{reqWord0Seq(op, seq, ch.id), lsAddr, uint32(size), sig}, deadline, stop); err != nil {
+			return c.app.opFault(loc, api, c.Self, ch, err)
 		}
 		ackBy := c.P.Now() + c.app.ackTimeout()
 		if deadline > 0 && deadline < ackBy {
@@ -140,6 +113,45 @@ func (c *SPECtx) postDesc(loc, api string, op speOpcode, ch *Channel, lsAddr uin
 	}
 }
 
+// writeDesc writes the four descriptor words through the outbound mailbox
+// and nudges the Co-Pilot after the first. The 1-entry mailbox makes each
+// later word stall until the Co-Pilot drains the one before — a real
+// contributor to the latencies in paper Table II.
+func (c *SPECtx) writeDesc(words [4]uint32, deadline sim.Time, stop func() error) error {
+	for i, w := range words {
+		if err := c.sctx.WriteOutMboxCtl(c.P, w, deadline, stop); err != nil {
+			if i > 0 && !c.app.mailboxHardened() {
+				c.cutDesc(i)
+			}
+			return err
+		}
+		if i == 0 {
+			c.app.copilotFor(c.Self).nudge()
+		}
+	}
+	return nil
+}
+
+// cutDesc records that the stub gave its descriptor up after n words, so
+// that the Co-Pilot, once it has read them, drops the descriptor instead
+// of waiting for the rest or reading the stub's next descriptor as its
+// tail, and wakes the Co-Pilot if it already waits for word n. A second
+// descriptor can be cut before the Co-Pilot has read the first's words; a
+// third cannot, as its first word waits for the Co-Pilot to drain the
+// second's. Not with mailbox faults, which can lose a word unseen and so
+// make the count no guide: there the sequenced protocol's NACK and repost
+// recover instead.
+func (c *SPECtx) cutDesc(n int) {
+	if c.Self.cut == 0 {
+		c.Self.cut = uint8(n)
+	} else {
+		c.Self.cut |= uint8(n) << 2
+	}
+	if cp := c.app.copilotFor(c.Self); cp.descWait && cp.descOf == c.Self {
+		c.app.K.ReadyIfParked(cp.proc)
+	}
+}
+
 // awaitAck waits for the ACK/NACK of descriptor seq. Stray words
 // (suppressed completions, ACKs of earlier sequences) are discarded.
 func (c *SPECtx) awaitAck(ch *Channel, seq uint32, ackBy sim.Time, stop func() error) (acked bool, err error) {
@@ -155,37 +167,54 @@ func (c *SPECtx) awaitAck(ch *Channel, seq uint32, ackBy sim.Time, stop func() e
 	}
 }
 
-// waitStatus reads the Co-Pilot's completion status for the current
-// request. In mailbox-hardened mode, stale ACK/NACK words of reposted
-// descriptors are skipped.
-func (c *SPECtx) waitStatus(loc, api string, ch *Channel, deadline sim.Time) (uint32, error) {
-	if !c.app.hardened() {
-		return c.sctx.ReadInMbox(c.P), nil
-	}
+// waitStatus waits for the Co-Pilot's completion status of the current
+// request, bounded by deadline and by ch's poisoning. It returns the
+// operation's fault when the wait is abandoned or the Co-Pilot faulted
+// the transfer, and aborts on any other status but OK. In
+// mailbox-hardened mode, stale ACK/NACK words of reposted descriptors are
+// skipped.
+func (c *SPECtx) waitStatus(loc, api string, ch *Channel, deadline sim.Time) *ChannelFault {
 	stop := c.app.chanStop(ch)
 	mh := c.app.mailboxHardened()
 	for {
 		v, err := c.sctx.ReadInMboxCtl(c.P, deadline, stop)
-		if err != nil {
-			return 0, c.app.opFault(loc, api, c.Self, ch, err)
-		}
-		if mh && isAckNack(v) {
+		switch {
+		case err != nil:
+			return c.app.opFault(loc, api, c.Self, ch, err)
+		case mh && isAckNack(v):
 			continue // stale ACK/NACK of a reposted descriptor
+		case v == speStatusFault:
+			err := error(ch.fault)
+			if ch.fault == nil {
+				err = errors.New("the co-pilot faulted the transfer (peer dead or channel poisoned)")
+			}
+			return c.app.opFault(loc, api, c.Self, ch, err)
+		case v != speStatusOK:
+			c.fail(loc, api, "transfer failed on %s (status %d)", ch, v)
 		}
-		return v, nil
+		return nil
 	}
 }
 
-// speSoftFail finishes a Try* operation that faulted: a timeout poisons
-// the channel (the mailbox protocol is mid-flight and its late completion
-// words must be suppressed), the blocked report is cleared, and the
-// fault is returned to the caller.
-func (c *SPECtx) speSoftFail(ch *Channel, cf *ChannelFault, blocked bool) error {
+// abandon ends an operation that failed with cf once its request was
+// being posted. The stub stops awaiting the request's completion, and a
+// timeout poisons the channel: the mailbox protocol is mid-flight, and
+// its late words must be suppressed. Then a blocking caller unwinds; a
+// Try* caller gets cf back with the message buffer released. blocked
+// says the operation reported itself blocked to the deadlock service.
+func (c *SPECtx) abandon(loc, api string, ch *Channel, cf *ChannelFault, soft, blocked bool) error {
+	c.Self.awaiting = 0
+	if !soft {
+		c.app.raiseFault(c.Self, ch, cf, blocked)
+	}
 	if blocked {
 		c.app.reportUnblock(c.Self)
 	}
 	if cf.Timeout {
 		c.app.failChannel(ch, fmt.Sprintf("%s at %s timed out in %s mid-protocol", cf.API, cf.Loc, c.Self))
+	}
+	if err := c.sctx.SPE.LS.Release(); err != nil {
+		c.fail(loc, api, "%v", err)
 	}
 	return cf
 }
@@ -226,20 +255,13 @@ func (c *SPECtx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft 
 		c.fail(loc, api, "%v", err)
 	}
 	*bp = wire
-	useCtl := timeout > 0 || c.app.hardened()
-	if useCtl && ch.fault != nil {
-		cf := c.app.opFault(loc, api, c.Self, ch, ch.fault)
-		if soft {
-			return cf
-		}
-		c.app.raiseFault(c.Self, ch, cf, false)
+	if ch.fault != nil {
+		return c.app.failOp(loc, api, c.Self, ch, ch.fault, soft, false)
 	}
 	packStart := c.P.Now()
-	deadline := sim.Time(0)
-	if useCtl {
-		deadline = c.app.opDeadline(packStart, timeout)
-		defer c.app.watchChannel(ch, c.P)()
-	}
+	deadline := c.app.opDeadline(packStart, timeout)
+	c.app.watch(ch, c.P)
+	defer c.app.unwatch(ch, c.P)
 	c.P.Advance(c.app.par.SPEStubOverhead + c.app.par.PackTime(len(wire)))
 	xfer := c.app.newXfer()
 	c.app.spanPhase(xfer, trace.PhasePack, c.Self.lbl, ch, len(wire), packStart, c.P.Now())
@@ -264,47 +286,12 @@ func (c *SPECtx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft 
 	}
 	postStart := c.P.Now()
 	c.app.spePosted(c.Self, xfer, postStart)
-	if err := c.postDesc(loc, api, opWrite, ch, lsAddr, len(wire), spec.Signature(), deadline); err != nil {
-		cf := err.(*ChannelFault)
-		if soft {
-			rerr := c.speSoftFail(ch, cf, blocking)
-			if lerr := ls.Release(); lerr != nil {
-				c.fail(loc, api, "%v", lerr)
-			}
-			return rerr
-		}
-		c.app.raiseFault(c.Self, ch, cf, blocking)
+	if cf := c.postDesc(loc, api, opWrite, ch, lsAddr, len(wire), spec.Signature(), deadline); cf != nil {
+		return c.abandon(loc, api, ch, cf, soft, blocking)
 	}
 	postEnd := c.P.Now()
-	status, serr := c.waitStatus(loc, api, ch, deadline)
-	if serr != nil {
-		cf := serr.(*ChannelFault)
-		if soft {
-			rerr := c.speSoftFail(ch, cf, blocking)
-			if lerr := ls.Release(); lerr != nil {
-				c.fail(loc, api, "%v", lerr)
-			}
-			return rerr
-		}
-		c.app.raiseFault(c.Self, ch, cf, blocking)
-	}
-	if status != speStatusOK {
-		if useCtl && status == speStatusFault {
-			src := error(ch.fault)
-			if ch.fault == nil {
-				src = fmt.Errorf("the co-pilot faulted the transfer (peer dead or channel poisoned)")
-			}
-			cf := c.app.opFault(loc, api, c.Self, ch, src)
-			if soft {
-				rerr := c.speSoftFail(ch, cf, blocking)
-				if lerr := ls.Release(); lerr != nil {
-					c.fail(loc, api, "%v", lerr)
-				}
-				return rerr
-			}
-			c.app.raiseFault(c.Self, ch, cf, blocking)
-		}
-		c.fail(loc, api, "transfer failed on %s (status %d)", ch, status)
+	if cf := c.waitStatus(loc, api, ch, deadline); cf != nil {
+		return c.abandon(loc, api, ch, cf, soft, blocking)
 	}
 	if blocking {
 		c.app.reportUnblock(c.Self)
@@ -353,19 +340,12 @@ func (c *SPECtx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft b
 	if err != nil {
 		c.fail(loc, api, "%v", err)
 	}
-	useCtl := timeout > 0 || c.app.hardened()
-	if useCtl && ch.fault != nil {
-		cf := c.app.opFault(loc, api, c.Self, ch, ch.fault)
-		if soft {
-			return cf
-		}
-		c.app.raiseFault(c.Self, ch, cf, false)
+	if ch.fault != nil {
+		return c.app.failOp(loc, api, c.Self, ch, ch.fault, soft, false)
 	}
-	deadline := sim.Time(0)
-	if useCtl {
-		deadline = c.app.opDeadline(c.P.Now(), timeout)
-		defer c.app.watchChannel(ch, c.P)()
-	}
+	deadline := c.app.opDeadline(c.P.Now(), timeout)
+	c.app.watch(ch, c.P)
+	defer c.app.unwatch(ch, c.P)
 	ls := c.sctx.SPE.LS
 	lsAddr, err := ls.Alloc("PI_Read buffer", expected, 16)
 	if err != nil {
@@ -377,47 +357,12 @@ func (c *SPECtx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft b
 	}
 	postStart := c.P.Now()
 	c.app.spePosted(c.Self, 0, postStart) // reader: id arrives with the payload
-	if err := c.postDesc(loc, api, opRead, ch, lsAddr, expected, spec.Signature(), deadline); err != nil {
-		cf := err.(*ChannelFault)
-		if soft {
-			rerr := c.speSoftFail(ch, cf, blocking)
-			if lerr := ls.Release(); lerr != nil {
-				c.fail(loc, api, "%v", lerr)
-			}
-			return rerr
-		}
-		c.app.raiseFault(c.Self, ch, cf, blocking)
+	if cf := c.postDesc(loc, api, opRead, ch, lsAddr, expected, spec.Signature(), deadline); cf != nil {
+		return c.abandon(loc, api, ch, cf, soft, blocking)
 	}
 	postEnd := c.P.Now()
-	status, serr := c.waitStatus(loc, api, ch, deadline)
-	if serr != nil {
-		cf := serr.(*ChannelFault)
-		if soft {
-			rerr := c.speSoftFail(ch, cf, blocking)
-			if lerr := ls.Release(); lerr != nil {
-				c.fail(loc, api, "%v", lerr)
-			}
-			return rerr
-		}
-		c.app.raiseFault(c.Self, ch, cf, blocking)
-	}
-	if status != speStatusOK {
-		if useCtl && status == speStatusFault {
-			src := error(ch.fault)
-			if ch.fault == nil {
-				src = fmt.Errorf("the co-pilot faulted the transfer (peer dead or channel poisoned)")
-			}
-			cf := c.app.opFault(loc, api, c.Self, ch, src)
-			if soft {
-				rerr := c.speSoftFail(ch, cf, blocking)
-				if lerr := ls.Release(); lerr != nil {
-					c.fail(loc, api, "%v", lerr)
-				}
-				return rerr
-			}
-			c.app.raiseFault(c.Self, ch, cf, blocking)
-		}
-		c.fail(loc, api, "transfer failed on %s (status %d)", ch, status)
+	if cf := c.waitStatus(loc, api, ch, deadline); cf != nil {
+		return c.abandon(loc, api, ch, cf, soft, blocking)
 	}
 	if blocking {
 		c.app.reportUnblock(c.Self)

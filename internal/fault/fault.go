@@ -308,8 +308,12 @@ func (in *Injector) MailboxVerdict(proc string) (drop bool, stall sim.Time) {
 	return false, 0
 }
 
-// Logf appends one timestamped line to the fault log.
+// Logf appends one timestamped line to the fault log. A nil injector
+// keeps no log, so a run without one may call Logf freely.
 func (in *Injector) Logf(at sim.Time, format string, args ...any) {
+	if in == nil {
+		return
+	}
 	in.log = append(in.log, fmt.Sprintf("[%12s] %s", at, fmt.Sprintf(format, args...)))
 }
 

@@ -1,6 +1,9 @@
 package mpi
 
-import "cellpilot/internal/sim"
+import (
+	"cellpilot/internal/hostprof"
+	"cellpilot/internal/sim"
+)
 
 // SendChunk injects one chunk of a pipelined large-message stream toward
 // rank dst and returns the chunk's nominal arrival time at the receiver.
@@ -16,6 +19,8 @@ import "cellpilot/internal/sim"
 // discard means a mid-stream fault degrades to retransmission or a severed
 // pair — never a reordered or torn stream.
 func (r *Rank) SendChunk(p *sim.Proc, dst, tag int, data []byte) sim.Time {
+	r.w.Host.Enter(hostprof.SubsysMPI)
+	defer r.w.Host.Exit()
 	r.bind(p)
 	if dst < 0 || dst >= len(r.w.ranks) {
 		p.Fatalf("mpi: chunk send to invalid rank %d", dst)

@@ -10,10 +10,9 @@ import (
 // passes before the operation completes.
 var ErrDeadline = errors.New("mpi: operation deadline exceeded")
 
-// Ctl bounds a blocking operation. The zero Ctl imposes nothing — a
-// Ctl-variant call with a zero Ctl parks at exactly the same instants as
-// its plain counterpart, which is what keeps hardened runs bit-identical
-// to clean ones when no fault machinery is armed.
+// Ctl bounds a blocking operation. Every blocking send and receive runs
+// its bounded form; the plain Send, Recv and their variants pass the zero
+// Ctl, which imposes nothing and arms no timer.
 type Ctl struct {
 	// Deadline is an absolute virtual time after which the operation
 	// returns ErrDeadline (0 = none).
@@ -36,40 +35,11 @@ func (c Ctl) check(now sim.Time) error {
 	return nil
 }
 
-// armed reports whether the ctl can ever abandon an operation.
-func (c Ctl) armed() bool { return c.Deadline > 0 || c.Stop != nil }
-
 // RecvCtl is Recv bounded by ctl. On abandonment the posted receive is
 // withdrawn; a message that arrives later queues as unexpected for a
 // future receive.
 func (r *Rank) RecvCtl(p *sim.Proc, src, tag int, ctl Ctl) ([]byte, Status, error) {
-	r.bind(p)
-	w := r.w
-	p.Advance(w.Par.MPIRecvOverhead)
-	req := w.newRecvReq(r, p, src, tag)
-	r.post(req)
-	var tm sim.Timer
-	if ctl.Deadline > 0 && !req.done {
-		tm = p.WakeAt(ctl.Deadline)
-	}
-	for !req.done {
-		if err := ctl.check(w.K.Now()); err != nil {
-			req.abandoned = true
-			for i, q := range r.posted {
-				if q == req {
-					r.posted = append(r.posted[:i], r.posted[i+1:]...)
-					break
-				}
-			}
-			tm.Cancel()
-			return nil, Status{}, err
-		}
-		p.ParkFor((*recvWait)(req))
-	}
-	tm.Cancel()
-	out, st := req.out, req.status
-	w.freeRecvReq(req)
-	return out, st, nil
+	return r.recv(p, src, tag, nil, nil, ctl)
 }
 
 // SendCtl is Send bounded by ctl. Only the rendezvous wait (a payload

@@ -232,11 +232,10 @@ type recvReq struct {
 	// abandoned marks a receive whose ctl fired (RecvCtl deadline/stop); a
 	// data phase already in flight completes into the void.
 	abandoned bool
-	vec       bool // posted by RecvIntoVec, for the park reason
 }
 
-// newRecvReq returns an internal receive record for Recv, RecvCtl or
-// RecvIntoVec, reusing one from the world's free list when it can.
+// newRecvReq returns an internal receive record for recv, reusing one
+// from the world's free list when it can.
 func (w *World) newRecvReq(r *Rank, p *sim.Proc, src, tag int) *recvReq {
 	var req *recvReq
 	if n := len(w.reqFree); n > 0 {
@@ -262,7 +261,7 @@ type recvWait recvReq
 
 func (req *recvWait) String() string {
 	verb := "recv"
-	if req.vec {
+	if req.segs != nil {
 		verb = "recvvec"
 	}
 	return fmt.Sprintf("mpi %s rank%d src=%d tag=%d", verb, req.rank.id, req.src, req.tag)
@@ -295,8 +294,6 @@ func (w *World) ctrlLatency(a, b int) sim.Time {
 // matching receive (rendezvous), which is how real MPI large-message sends
 // behave and what makes unmatched large sends deadlock-visible.
 func (r *Rank) Send(p *sim.Proc, dst, tag int, data []byte) {
-	r.w.Host.Enter(hostprof.SubsysMPI)
-	defer r.w.Host.Exit()
 	r.send(p, dst, tag, data, false, false, nil, Ctl{})
 }
 
@@ -309,6 +306,8 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, data []byte) {
 // blocking send parks through its rendezvous until the data phase or ctl
 // ends the wait.
 func (r *Rank) send(p *sim.Proc, dst, tag int, data []byte, own, nonblocking bool, q *Request, ctl Ctl) error {
+	r.w.Host.Enter(hostprof.SubsysMPI)
+	defer r.w.Host.Exit()
 	r.bind(p)
 	op := "send"
 	if nonblocking {
@@ -530,32 +529,53 @@ func (w *World) finish(req *recvReq) {
 // Recv receives a message matching (src, tag) — wildcards allowed — into a
 // fresh buffer, blocking until it arrives.
 func (r *Rank) Recv(p *sim.Proc, src, tag int) ([]byte, Status) {
-	return r.recv(p, src, tag, nil)
+	out, st, _ := r.recv(p, src, tag, nil, nil, Ctl{})
+	return out, st
 }
 
 // RecvInto receives into buf (which may alias simulated memory, e.g. a
 // page segment of an SPE local store). The message must fit in buf.
 func (r *Rank) RecvInto(p *sim.Proc, src, tag int, buf []byte) (int, Status) {
-	out, st := r.recv(p, src, tag, buf)
-	_ = out
+	_, st, _ := r.recv(p, src, tag, buf, nil, Ctl{})
 	return st.Count, st
 }
 
-func (r *Rank) recv(p *sim.Proc, src, tag int, buf []byte) ([]byte, Status) {
-	r.w.Host.Enter(hostprof.SubsysMPI)
-	defer r.w.Host.Exit()
-	r.bind(p)
+// recv is the one receive path behind Recv, RecvInto, RecvIntoVec and
+// RecvCtl. It posts a receive into buf, or across segs, or into a fresh
+// buffer when both are nil, and parks until a message completes it or ctl
+// abandons it, which withdraws the receive. With the zero Ctl it cannot
+// fail.
+func (r *Rank) recv(p *sim.Proc, src, tag int, buf []byte, segs [][]byte, ctl Ctl) ([]byte, Status, error) {
 	w := r.w
+	w.Host.Enter(hostprof.SubsysMPI)
+	defer w.Host.Exit()
+	r.bind(p)
 	p.Advance(w.Par.MPIRecvOverhead)
 	req := w.newRecvReq(r, p, src, tag)
-	req.buf = buf
+	req.buf, req.segs = buf, segs
+	for _, seg := range segs {
+		req.segTotal += len(seg)
+	}
 	r.post(req)
+	var tm sim.Timer
+	if ctl.Deadline > 0 && !req.done {
+		tm = p.WakeAt(ctl.Deadline)
+	}
 	for !req.done {
+		if err := ctl.check(w.K.Now()); err != nil {
+			req.abandoned = true
+			if i := slices.Index(r.posted, req); i >= 0 {
+				r.posted = slices.Delete(r.posted, i, i+1)
+			}
+			tm.Cancel()
+			return nil, Status{}, err
+		}
 		p.ParkFor((*recvWait)(req))
 	}
+	tm.Cancel()
 	out, st := req.out, req.status
 	w.freeRecvReq(req)
-	return out, st
+	return out, st, nil
 }
 
 // post pairs req with the earliest matching unexpected envelope, or
@@ -608,6 +628,8 @@ func (r *Rank) Probe(p *sim.Proc, src, tag int) Status {
 // Iprobe reports whether a message matching (src, tag) is available,
 // without blocking or consuming it.
 func (r *Rank) Iprobe(p *sim.Proc, src, tag int) (Status, bool) {
+	r.w.Host.Enter(hostprof.SubsysMPI)
+	defer r.w.Host.Exit()
 	r.bind(p)
 	p.Advance(r.w.Par.MPIRecvOverhead)
 	if env, ok := r.unexpected.peek(src, tag); ok {

@@ -1,6 +1,9 @@
 package mpi
 
-import "cellpilot/internal/sim"
+import (
+	"cellpilot/internal/hostprof"
+	"cellpilot/internal/sim"
+)
 
 // Request is a nonblocking operation handle (MPI_Request). Complete it
 // with Wait, Waitall or Test on the owning rank.
@@ -37,6 +40,8 @@ func (r *Rank) IrecvInto(p *sim.Proc, src, tag int, buf []byte) *Request {
 }
 
 func (r *Rank) irecv(p *sim.Proc, src, tag int, buf []byte) *Request {
+	r.w.Host.Enter(hostprof.SubsysMPI)
+	defer r.w.Host.Exit()
 	r.bind(p)
 	p.Advance(r.w.Par.MPIRecvOverhead)
 	q := &Request{recvReq{rank: r, src: src, tag: tag, proc: p, buf: buf}}
@@ -47,6 +52,8 @@ func (r *Rank) irecv(p *sim.Proc, src, tag int, buf []byte) *Request {
 // Wait blocks until the request completes (MPI_Wait) and returns the
 // received payload (nil for sends) and status.
 func (r *Rank) Wait(p *sim.Proc, q *Request) ([]byte, Status) {
+	r.w.Host.Enter(hostprof.SubsysMPI)
+	defer r.w.Host.Exit()
 	r.bind(p)
 	if q.rank != r {
 		p.Fatalf("mpi: waiting on another rank's request")
@@ -67,6 +74,8 @@ func (r *Rank) Waitall(p *sim.Proc, qs []*Request) {
 // Test reports whether the request has completed, without blocking
 // (MPI_Test); it charges the usual per-call software cost.
 func (r *Rank) Test(p *sim.Proc, q *Request) bool {
+	r.w.Host.Enter(hostprof.SubsysMPI)
+	defer r.w.Host.Exit()
 	r.bind(p)
 	p.Advance(r.w.Par.MPIRecvOverhead)
 	return q.done

@@ -12,10 +12,7 @@ import (
 // copy; the *time* charged is the single-message cost, which is what the
 // zero-copy design buys).
 func (r *Rank) SendVec(p *sim.Proc, dst, tag int, segs ...[]byte) {
-	buf := concat(segs)
-	r.w.Host.Enter(hostprof.SubsysMPI)
-	defer r.w.Host.Exit()
-	r.send(p, dst, tag, buf, true, false, nil, Ctl{})
+	r.send(p, dst, tag, concat(segs), true, false, nil, Ctl{})
 }
 
 // IsendVec is the nonblocking SendVec: the segments are snapshotted and
@@ -47,21 +44,7 @@ func concat(segs [][]byte) []byte {
 // until it completes, so a caller that passes a slice it owns (segs...)
 // rather than a list of segments spares the variadic slice's allocation.
 func (r *Rank) RecvIntoVec(p *sim.Proc, src, tag int, segs ...[]byte) Status {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	r.bind(p)
-	w := r.w
-	p.Advance(w.Par.MPIRecvOverhead)
-	req := w.newRecvReq(r, p, src, tag)
-	req.segs, req.segTotal, req.vec = segs, total, true
-	r.post(req)
-	for !req.done {
-		p.ParkFor((*recvWait)(req))
-	}
-	st := req.status
-	w.freeRecvReq(req)
+	_, st, _ := r.recv(p, src, tag, nil, segs, Ctl{})
 	return st
 }
 
@@ -81,6 +64,8 @@ type ProbeSpec struct {
 // status; the message is not consumed. It is the primitive behind Pilot's
 // bundle select.
 func (r *Rank) ProbeMulti(p *sim.Proc, specs []ProbeSpec) (int, Status) {
+	r.w.Host.Enter(hostprof.SubsysMPI)
+	defer r.w.Host.Exit()
 	r.bind(p)
 	p.Advance(r.w.Par.MPIRecvOverhead)
 	if i, env, ok := r.unexpected.peekMulti(specs); ok {

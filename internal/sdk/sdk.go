@@ -175,12 +175,12 @@ func (c *Context) ReadOutMbox(p *sim.Proc) uint32 { return c.SPE.OutMbox.Read(p)
 // conditional read) without stalling.
 func (c *Context) TryReadOutMbox(p *sim.Proc) (uint32, bool) { return c.SPE.OutMbox.TryRead(p) }
 
-// ReadOutMboxTimeout is ReadOutMbox bounded by a relative timeout; ok is
-// false when no word arrived in time. The hardened Co-Pilot uses it to
-// bound descriptor reads so a dropped mailbox word cannot wedge the
+// ReadOutMboxCtl is ReadOutMbox bounded by an absolute deadline (0 =
+// none) and an optional stop predicate. The hardened Co-Pilot bounds its
+// descriptor reads with it, so a dropped mailbox word cannot wedge the
 // service loop.
-func (c *Context) ReadOutMboxTimeout(p *sim.Proc, d sim.Time) (uint32, bool) {
-	return c.SPE.OutMbox.ReadTimeout(p, d)
+func (c *Context) ReadOutMboxCtl(p *sim.Proc, deadline sim.Time, stop func() error) (uint32, error) {
+	return c.SPE.OutMbox.ReadCtl(p, deadline, stop)
 }
 
 // LSBase reports the effective address of the SPE's memory-mapped local

@@ -256,8 +256,8 @@ func TestKernelQueueKindsEquivalent(t *testing.T) {
 		}
 		k.Spawn("cons", func(p *Proc) {
 			for i := 0; i < 150; i++ {
-				v, ok := q.GetTimeout(p, 5*Millisecond)
-				if !ok {
+				v, err := q.GetCtl(p, p.Now()+5*Millisecond, nil)
+				if err != nil {
 					log = append(log, fmt.Sprintf("t=%d timeout", k.Now()))
 					continue
 				}

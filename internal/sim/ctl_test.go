@@ -67,9 +67,8 @@ func TestGetCtlTimeout(t *testing.T) {
 	}
 }
 
-// TestGetTimeoutZeroBehavesLikeGet is the zero-cost contract at the
-// primitive level: GetTimeout/GetCtl with deadline 0 parks exactly like
-// Get and never times out.
+// TestGetCtlZeroDeadline: GetCtl with deadline 0 and no stop, the form
+// Get runs, never times out however long it waits.
 func TestGetCtlZeroDeadline(t *testing.T) {
 	k := NewKernel(1)
 	q := NewQueue[int](k, "q", 0) // rendezvous

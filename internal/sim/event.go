@@ -214,9 +214,9 @@ func (k *Kernel) AfterTimer(d Time, fn func()) *Timer {
 	return &t
 }
 
-// afterTimer is AfterTimer by value, for internal callers (GetCtl/PutCtl)
-// that arm and cancel a deadline on every bounded operation and must not
-// allocate a Timer each time.
+// afterTimer is AfterTimer by value, for WakeAt, whose callers arm and
+// cancel a deadline on every bounded wait and must not allocate a Timer
+// each time.
 func (k *Kernel) afterTimer(d Time, fn func()) Timer {
 	ev := k.schedule(k.now+d, nil, fn)
 	return Timer{k: k, ev: ev, gen: ev.gen}

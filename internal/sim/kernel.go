@@ -86,7 +86,7 @@ func NewKernelQueue(seed int64, kind QueueKind) *Kernel {
 
 // noteCancel accounts one newly cancelled in-queue event and compacts the
 // queue once cancelled entries exceed half of the live ones (3c > len ⇔
-// c > (len-c)/2), so heavy GetTimeout churn cannot bloat the queue between
+// c > (len-c)/2), so heavy bounded-wait churn cannot bloat the queue between
 // the lazy at-the-head purges.
 func (k *Kernel) noteCancel() {
 	k.nCancelled++

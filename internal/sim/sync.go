@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrTimeout is returned by deadline-bounded primitives (Queue.GetCtl and
@@ -28,10 +29,9 @@ type Queue[T any] struct {
 }
 
 type qwaiter[T any] struct {
-	p      *Proc
-	v      T
-	rdy    bool // getter: value delivered
-	served bool // putter: value consumed or buffered
+	p    *Proc
+	v    T
+	done bool // getter: value delivered; putter: value consumed or buffered
 }
 
 // NewQueue creates a queue with the given capacity (0 = rendezvous).
@@ -80,7 +80,7 @@ func popWaiter[T any](list *[]*qwaiter[T]) {
 // they die with their owner's stack.
 func (q *Queue[T]) recycle(w *qwaiter[T]) {
 	var zero T
-	w.p, w.v, w.rdy, w.served = nil, zero, false, false
+	w.p, w.v, w.done = nil, zero, false
 	if len(q.wfree) < 16 {
 		q.wfree = append(q.wfree, w)
 	}
@@ -105,18 +105,10 @@ func (q *Queue[T]) bufAppend(v T) {
 }
 
 // Put enqueues v, blocking p while the queue is full (or, for a rendezvous
-// queue, until a receiver arrives). Spurious wakes re-park.
+// queue, until a receiver arrives): PutCtl with no deadline and no stop,
+// which cannot fail.
 func (q *Queue[T]) Put(p *Proc, v T) {
-	if q.TryPut(v) {
-		return
-	}
-	w := q.waiter()
-	w.p, w.v = p, v
-	q.puts = append(q.puts, w)
-	for !w.served {
-		p.ParkFor((*queuePut[T])(q))
-	}
-	q.recycle(w)
+	q.PutCtl(p, v, 0, nil)
 }
 
 // TryPut enqueues v without blocking; it reports false if the queue is full
@@ -128,7 +120,7 @@ func (q *Queue[T]) TryPut(v T) bool {
 		if g.p.Gone() {
 			continue // killed mid-wait; never hand it a value
 		}
-		g.v, g.rdy = v, true
+		g.v, g.done = v, true
 		q.k.ReadyIfParked(g.p)
 		return true
 	}
@@ -139,19 +131,10 @@ func (q *Queue[T]) TryPut(v T) bool {
 	return false
 }
 
-// Get dequeues an item, blocking p while the queue is empty.
+// Get dequeues an item, blocking p while the queue is empty: GetCtl with
+// no deadline and no stop, which cannot fail.
 func (q *Queue[T]) Get(p *Proc) T {
-	if v, ok := q.TryGet(); ok {
-		return v
-	}
-	w := q.waiter()
-	w.p = p
-	q.gets = append(q.gets, w)
-	for !w.rdy {
-		p.ParkFor((*queueGet[T])(q))
-	}
-	v := w.v
-	q.recycle(w)
+	v, _ := q.GetCtl(p, 0, nil)
 	return v
 }
 
@@ -170,7 +153,7 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 		if w.p.Gone() {
 			continue // a killed putter's value dies with it
 		}
-		w.served = true
+		w.done = true
 		q.k.ReadyIfParked(w.p)
 		return w.v, true
 	}
@@ -186,30 +169,35 @@ func (q *Queue[T]) refill() {
 			continue
 		}
 		q.bufAppend(w.v)
-		w.served = true
+		w.done = true
 		q.k.ReadyIfParked(w.p)
 	}
 }
 
-// GetCtl is Get bounded by an optional virtual deadline (0 = none) and an
-// optional stop check re-evaluated on every wake: a non-nil error from stop
-// abandons the wait and is returned verbatim. With deadline 0 and stop nil
-// it behaves exactly like Get — the same parks at the same instants — so
-// hardened callers pay nothing when no fault machinery is armed.
+// ctlErr is the check that abandons a bounded wait: stop's error, if
+// stop is set and reports one, else ErrTimeout once the deadline (0 =
+// none) has passed.
+func ctlErr(p *Proc, deadline Time, stop func() error) error {
+	if stop != nil {
+		if err := stop(); err != nil {
+			return err
+		}
+	}
+	if deadline > 0 && p.k.now >= deadline {
+		return ErrTimeout
+	}
+	return nil
+}
+
+// GetCtl dequeues an item, blocking p while the queue is empty, bounded by
+// a virtual deadline (0 = none) and a stop check (nil = none) evaluated on
+// entry and on every wake: a non-nil error from stop abandons the wait and
+// is returned verbatim, and a passed deadline returns ErrTimeout. It is
+// the one blocking dequeue: Get runs it with neither bound, which arms no
+// timer and waits until a value arrives.
 func (q *Queue[T]) GetCtl(p *Proc, deadline Time, stop func() error) (T, error) {
 	var zero T
-	check := func() error {
-		if stop != nil {
-			if err := stop(); err != nil {
-				return err
-			}
-		}
-		if deadline > 0 && p.k.now >= deadline {
-			return ErrTimeout
-		}
-		return nil
-	}
-	if err := check(); err != nil {
+	if err := ctlErr(p, deadline, stop); err != nil {
 		return zero, err
 	}
 	if v, ok := q.TryGet(); ok {
@@ -218,57 +206,18 @@ func (q *Queue[T]) GetCtl(p *Proc, deadline Time, stop func() error) (T, error) 
 	w := q.waiter()
 	w.p = p
 	q.gets = append(q.gets, w)
-	var tm Timer
-	if deadline > 0 {
-		tm = p.k.afterTimer(deadline-p.k.now, p.readyCB())
+	if err := q.await(p, w, &q.gets, (*queueGet[T])(q), deadline, stop); err != nil {
+		return zero, err
 	}
-	for !w.rdy {
-		p.ParkFor((*queueGet[T])(q))
-		if w.rdy {
-			break
-		}
-		if err := check(); err != nil {
-			for i, g := range q.gets {
-				if g == w {
-					q.gets = append(q.gets[:i], q.gets[i+1:]...)
-					break
-				}
-			}
-			tm.Cancel()
-			q.recycle(w)
-			return zero, err
-		}
-	}
-	tm.Cancel()
 	v := w.v
 	q.recycle(w)
 	return v, nil
 }
 
-// GetTimeout is GetCtl with only a relative timeout; ok reports whether a
-// value arrived in time.
-func (q *Queue[T]) GetTimeout(p *Proc, d Time) (T, bool) {
-	v, err := q.GetCtl(p, p.k.now+d, nil)
-	return v, err == nil
-}
-
-// PutCtl is Put bounded by an optional virtual deadline (0 = none) and an
-// optional stop check, mirroring GetCtl. On abandonment the value is
-// withdrawn (never delivered). With deadline 0 and stop nil it parks at
-// exactly the same instants as Put.
+// PutCtl enqueues v, blocking p while the queue is full, bounded like
+// GetCtl. An abandoned put withdraws its value, which is never delivered.
 func (q *Queue[T]) PutCtl(p *Proc, v T, deadline Time, stop func() error) error {
-	check := func() error {
-		if stop != nil {
-			if err := stop(); err != nil {
-				return err
-			}
-		}
-		if deadline > 0 && p.k.now >= deadline {
-			return ErrTimeout
-		}
-		return nil
-	}
-	if err := check(); err != nil {
+	if err := ctlErr(p, deadline, stop); err != nil {
 		return err
 	}
 	if q.TryPut(v) {
@@ -277,21 +226,30 @@ func (q *Queue[T]) PutCtl(p *Proc, v T, deadline Time, stop func() error) error 
 	w := q.waiter()
 	w.p, w.v = p, v
 	q.puts = append(q.puts, w)
+	if err := q.await(p, w, &q.puts, (*queuePut[T])(q), deadline, stop); err != nil {
+		return err
+	}
+	q.recycle(w)
+	return nil
+}
+
+// await is the park loop of every blocking Get and Put: it parks p, which
+// waits as w on list, until w is done, re-parking on spurious wakes. A
+// wake that finds the wait abandoned (see ctlErr) withdraws w from list,
+// recycles it and returns the error.
+func (q *Queue[T]) await(p *Proc, w *qwaiter[T], list *[]*qwaiter[T], why fmt.Stringer, deadline Time, stop func() error) error {
 	var tm Timer
 	if deadline > 0 {
-		tm = p.k.afterTimer(deadline-p.k.now, p.readyCB())
+		tm = p.WakeAt(deadline)
 	}
-	for !w.served {
-		p.ParkFor((*queuePut[T])(q))
-		if w.served {
+	for !w.done {
+		p.ParkFor(why)
+		if w.done {
 			break
 		}
-		if err := check(); err != nil {
-			for i, u := range q.puts {
-				if u == w {
-					q.puts = append(q.puts[:i], q.puts[i+1:]...)
-					break
-				}
+		if err := ctlErr(p, deadline, stop); err != nil {
+			if i := slices.Index(*list, w); i >= 0 {
+				*list = slices.Delete(*list, i, i+1)
 			}
 			tm.Cancel()
 			q.recycle(w)
@@ -299,7 +257,6 @@ func (q *Queue[T]) PutCtl(p *Proc, v T, deadline Time, stop func() error) error 
 		}
 	}
 	tm.Cancel()
-	q.recycle(w)
 	return nil
 }
 
