@@ -29,13 +29,13 @@ ci: build vet test
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Kernel microbenchmarks, both event-queue implementations side by side:
-# push/pop, steady-state churn, the cancel/purge path and Try*-style
+# push/pop, steady-state churn, timer arm+cancel and Try*-style
 # deadline churn on the calendar queue vs the retained heap, plus the
 # allocation-free dispatch/handoff paths (-benchmem makes a pooling
 # regression visible as allocs/op; DeadlineChurn also reports the
 # fractional mallocs/op that resizing churn costs).
 bench-kernel:
-	$(GO) test -run '^$$' -bench 'HeapPushPop|QueueChurn|TimerCancelPurge|DeadlineChurn|EventThroughput|QueueHandoff' -benchmem ./internal/sim/
+	$(GO) test -run '^$$' -bench 'HeapPushPop|QueueChurn|TimerCancel|DeadlineChurn|EventThroughput|QueueHandoff' -benchmem ./internal/sim/
 .PHONY: bench-kernel
 
 # Machine-readable benchmark results (BENCH_<exp>.json) under results/.
@@ -69,7 +69,7 @@ ci-full: ci race
 	$(GO) run ./cmd/cellpilot-bench -exp profile -reps 5 -trace-type 2 \
 		-folded /tmp/cellpilot-ci.folded -pprof /tmp/cellpilot-ci.pb.gz >/dev/null
 	@rm -f /tmp/cellpilot-ci.folded /tmp/cellpilot-ci.pb.gz
-	$(GO) test -run '^$$' -bench 'HeapPushPop|TimerCancelPurge|DeadlineChurn|EventDispatch' -benchtime 100000x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'HeapPushPop|TimerCancel|DeadlineChurn|EventDispatch' -benchtime 100000x ./internal/sim/
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -14,7 +14,7 @@ func TestEIBContention(t *testing.T) {
 	k := sim.NewKernel(1)
 	par := DefaultParams()
 	par.EIBBytesPerSec = 1e9 // slow the bus so serialization is visible
-	n := NewCellNode(k, 0, "c", 1, par, 8<<20)
+	n := NewCellNode(0, "c", 1, par, 8<<20)
 	const size = 16 * 1024 // one max-size DMA each
 	completions := make([]sim.Time, 8)
 	for s := 0; s < 8; s++ {

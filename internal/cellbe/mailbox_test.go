@@ -9,7 +9,7 @@ import (
 
 func TestMailboxCapacityMatchesHardware(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := NewCellNode(k, 0, "c", 1, DefaultParams(), 1<<20)
+	n := NewCellNode(0, "c", 1, DefaultParams(), 1<<20)
 	spe, _ := n.SPE(0)
 	k.Spawn("probe", func(p *sim.Proc) {
 		// Inbound mailbox: 4 entries before writes stall.
@@ -37,7 +37,7 @@ func TestMailboxCapacityMatchesHardware(t *testing.T) {
 func TestMailboxChargesTime(t *testing.T) {
 	k := sim.NewKernel(1)
 	par := DefaultParams()
-	n := NewCellNode(k, 0, "c", 1, par, 1<<20)
+	n := NewCellNode(0, "c", 1, par, 1<<20)
 	spe, _ := n.SPE(0)
 	k.Spawn("timer", func(p *sim.Proc) {
 		start := p.Now()
@@ -64,7 +64,7 @@ func TestMailboxFIFOProperty(t *testing.T) {
 			vals = vals[:50]
 		}
 		k := sim.NewKernel(3)
-		n := NewCellNode(k, 0, "c", 1, DefaultParams(), 1<<20)
+		n := NewCellNode(0, "c", 1, DefaultParams(), 1<<20)
 		spe, _ := n.SPE(0)
 		var got []uint32
 		k.Spawn("writer", func(p *sim.Proc) {
@@ -95,8 +95,7 @@ func TestMailboxFIFOProperty(t *testing.T) {
 // Property: the EA map is a bijection between (SPE, offset) and EA for
 // in-range addresses, and its segments alias the same storage.
 func TestEAMapProperty(t *testing.T) {
-	k := sim.NewKernel(1)
-	n := NewCellNode(k, 0, "c", 2, DefaultParams(), 1<<20)
+	n := NewCellNode(0, "c", 2, DefaultParams(), 1<<20)
 	prop := func(speIdx uint8, off uint32, val byte) bool {
 		spe, err := n.SPE(int(speIdx) % 16)
 		if err != nil {

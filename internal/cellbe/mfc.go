@@ -84,7 +84,7 @@ func (m *MFC) transfer(p *sim.Proc, lsAddr uint32, ea int64, size, tag int, put 
 	// Issue cost on the SPU; the transfer itself proceeds asynchronously,
 	// with EIB occupancy determining completion (observed by TagWait).
 	p.Advance(m.spe.params().DMASetup)
-	m.complete(tag, m.spe.Cell.EIB.Reserve(size))
+	m.complete(tag, m.spe.Cell.EIB(p).Reserve(size))
 	return nil
 }
 
@@ -175,8 +175,9 @@ func (m *MFC) transferList(p *sim.Proc, lsAddr uint32, list []ListElement, tag i
 	// One command setup; the elements stream over the EIB back to back.
 	p.Advance(m.spe.params().DMASetup)
 	var done sim.Time
+	eib := m.spe.Cell.EIB(p)
 	for _, el := range list {
-		done = m.spe.Cell.EIB.Reserve(el.Size)
+		done = eib.Reserve(el.Size)
 	}
 	m.complete(tag, done)
 	return nil

@@ -9,7 +9,7 @@ import (
 
 func TestDMAListScatterGather(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := NewCellNode(k, 0, "c", 1, DefaultParams(), 1<<20)
+	n := NewCellNode(0, "c", 1, DefaultParams(), 1<<20)
 	spe, _ := n.SPE(0)
 	// Three scattered main-memory regions.
 	ea1, _ := n.Mem.Alloc(256, 128)
@@ -56,7 +56,7 @@ func TestDMAListScatterGather(t *testing.T) {
 
 func TestDMAListValidation(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := NewCellNode(k, 0, "c", 1, DefaultParams(), 1<<20)
+	n := NewCellNode(0, "c", 1, DefaultParams(), 1<<20)
 	spe, _ := n.SPE(0)
 	ea, _ := n.Mem.Alloc(4096, 128)
 	k.Spawn("spe", func(p *sim.Proc) {
@@ -100,7 +100,7 @@ func TestDMAListAllOrNothing(t *testing.T) {
 	k := sim.NewKernel(1)
 	par := DefaultParams()
 	const memSize = 1 << 20
-	n := NewCellNode(k, 0, "c", 1, par, memSize)
+	n := NewCellNode(0, "c", 1, par, memSize)
 	spe, _ := n.SPE(0)
 	peer, _ := n.SPE(1)
 	snapshot := func() (ls, mem []byte, backed int) {

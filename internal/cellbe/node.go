@@ -58,8 +58,18 @@ type Cell struct {
 	Node  *Node
 	Index int
 	SPEs  []*SPE
-	// EIB is the on-chip interconnect all LS↔memory traffic crosses.
-	EIB *sim.Resource
+	eib   *sim.Resource // see EIB
+}
+
+// EIB is the on-chip interconnect all LS↔memory traffic crosses. It is
+// built on the Cell's first DMA, on the kernel of the proc issuing it, so
+// a Cell that never moves data by DMA holds no bus.
+func (c *Cell) EIB(p *sim.Proc) *sim.Resource {
+	if c.eib == nil {
+		par := c.Node.Params
+		c.eib = sim.NewResource(p.Kernel(), c.Node.Name+"/eib"+strconv.Itoa(c.Index), par.EIBStartup, par.EIBBytesPerSec, 0)
+	}
+	return c.eib
 }
 
 // Node is one cluster machine: a Cell blade (Cells populated) or an x86
@@ -95,16 +105,11 @@ type cellBlock struct {
 
 // NewCellNode builds a Cell blade with nCells processors (the paper's
 // nodes are dual PowerXCell 8i, so nCells=2), 8 SPEs each.
-func NewCellNode(k *sim.Kernel, id int, name string, nCells int, par *Params, memSize int) *Node {
+func NewCellNode(id int, name string, nCells int, par *Params, memSize int) *Node {
 	n := &Node{ID: id, Name: name, Arch: ArchCell, Params: par, Mem: NewMemory(memSize), Cores: nCells}
 	for c := 0; c < nCells; c++ {
 		b := new(cellBlock)
-		b.cell = Cell{
-			Node:  n,
-			Index: c,
-			SPEs:  b.spes[:],
-			EIB:   sim.NewResource(k, fmt.Sprintf("%s/eib%d", name, c), par.EIBStartup, par.EIBBytesPerSec, 0),
-		}
+		b.cell = Cell{Node: n, Index: c, SPEs: b.spes[:]}
 		for s := range b.hw {
 			hw := &b.hw[s]
 			spe := &hw.spe

@@ -10,7 +10,7 @@ import (
 )
 
 func newTestNode(k *sim.Kernel) *Node {
-	return NewCellNode(k, 0, "cell0", 2, DefaultParams(), 1<<20)
+	return NewCellNode(0, "cell0", 2, DefaultParams(), 1<<20)
 }
 
 func TestNodeTopology(t *testing.T) {
@@ -93,7 +93,7 @@ func TestSPEPartsKeepTheirNames(t *testing.T) {
 		{func(spe *SPE, p *sim.Proc) { spe.SNR2.Read(p) }, "read signal node0/spe0/snr2"},
 	} {
 		k := sim.NewKernel(1)
-		spe, _ := NewCellNode(k, 0, "node0", 1, DefaultParams(), 1<<20).SPE(0)
+		spe, _ := NewCellNode(0, "node0", 1, DefaultParams(), 1<<20).SPE(0)
 		k.Spawn("stuck", func(p *sim.Proc) { c.body(spe, p) })
 		var dl *sim.ErrDeadlock
 		if err := k.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0].Reason != c.want {
@@ -101,7 +101,7 @@ func TestSPEPartsKeepTheirNames(t *testing.T) {
 		}
 	}
 	k := sim.NewKernel(1)
-	spe, _ := NewCellNode(k, 0, "node0", 1, DefaultParams(), 1<<20).SPE(0)
+	spe, _ := NewCellNode(0, "node0", 1, DefaultParams(), 1<<20).SPE(0)
 	k.Spawn("first", func(p *sim.Proc) { spe.SNR1.Read(p) })
 	k.Spawn("second", func(p *sim.Proc) { spe.SNR1.Read(p) })
 	if err := k.Run(); err == nil || err.Error() != "cellbe: two readers on signal node0/spe0/snr1" {
@@ -248,7 +248,7 @@ func TestMFCTransfersAndAlignment(t *testing.T) {
 func TestMFCTimingChargesSetup(t *testing.T) {
 	k := sim.NewKernel(1)
 	par := DefaultParams()
-	n := NewCellNode(k, 0, "cell0", 1, par, 1<<20)
+	n := NewCellNode(0, "cell0", 1, par, 1<<20)
 	spe, _ := n.SPE(0)
 	mainAddr, _ := n.Mem.Alloc(4096, 128)
 	var elapsed sim.Time

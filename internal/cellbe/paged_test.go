@@ -182,7 +182,7 @@ func FuzzPagedStore(f *testing.F) {
 			memSize = 2*leafPages*PageSize + 5*PageSize + 1000
 		}
 		k := sim.NewKernel(1)
-		node := NewCellNode(k, 0, "c", 1, par, memSize)
+		node := NewCellNode(0, "c", 1, par, memSize)
 		spe, _ := node.SPE(0)
 		peer, _ := node.SPE(1)
 		ref := &pagedRef{

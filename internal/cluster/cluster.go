@@ -77,7 +77,7 @@ func New(spec Spec) (*Cluster, error) {
 	id := 0
 	for i := 0; i < spec.CellNodes; i++ {
 		c.Nodes = append(c.Nodes, cellbe.NewCellNode(
-			k, id, fmt.Sprintf("cell%d", i), spec.CellsPerNode, spec.Params, spec.MemPerNode))
+			id, fmt.Sprintf("cell%d", i), spec.CellsPerNode, spec.Params, spec.MemPerNode))
 		id++
 	}
 	for i := 0; i < spec.XeonNodes; i++ {

@@ -7,6 +7,7 @@ import (
 
 	"cellpilot/internal/cellbe"
 	"cellpilot/internal/cluster"
+	"cellpilot/internal/fault"
 	"cellpilot/internal/fmtmsg"
 	"cellpilot/internal/mpi"
 	"cellpilot/internal/sim"
@@ -154,9 +155,13 @@ func mpiRoundTrips(t *testing.T, rounds, size int) uint64 {
 // pages at each end; what it allocates is one private copy per chunk frame
 // on the wire, and the segment lists and gather buffers it needs are
 // reused. A raw-MPI rendezvous message allocates only the receive's
-// result buffer. Running R and then 2R round trips and taking the
-// difference cancels the cluster and App build, which allocate the same
-// either way; the slack absorbs the runtime's own occasional allocations.
+// result buffer. The per-type budget holds as well when every operation
+// arms a deadline (OpTimeout), which it cancels on completion, and when
+// drop-nothing link policies on node0<->node1 send every remote eager
+// frame (types 1, 3 and 5) through the reliability layer. Running R and
+// then 2R round trips and taking the difference cancels the cluster and
+// App build, which allocate the same either way; the slack absorbs the
+// runtime's own occasional allocations.
 func TestMessagePathAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -169,10 +174,22 @@ func TestMessagePathAllocationBudget(t *testing.T) {
 		return (float64(long) - float64(short)) / (2 * rounds)
 	}
 	budget := map[ChannelType]float64{Type1: 1, Type2: 1, Type3: 1, Type4: 0, Type5: 1}
-	for typ := Type1; typ <= Type5; typ++ {
-		got := perMsg(func(n int) uint64 { return roundTrips(t, typ, n, 100, Options{}) })
-		if got > budget[typ]+slack {
-			t.Errorf("type %d: %.2f heap allocations per message, budget %v", typ, got, budget[typ])
+	for _, arm := range []struct {
+		name string
+		opts func() Options // called per App: an injector serves one run
+	}{
+		{"unbounded", func() Options { return Options{} }},
+		{"OpTimeout", func() Options { return Options{OpTimeout: sim.Second} }},
+		{"lossless link policies", func() Options {
+			return Options{Faults: fault.NewInjector(fault.Plan{Links: []fault.LinkPolicy{{From: 0, To: 1}, {From: 1, To: 0}}})}
+		}},
+	} {
+		for typ := Type1; typ <= Type5; typ++ {
+			got := perMsg(func(n int) uint64 { return roundTrips(t, typ, n, 100, arm.opts()) })
+			t.Logf("%s, type %d: %.2f heap allocations per message", arm.name, typ, got)
+			if got > budget[typ]+slack {
+				t.Errorf("%s, type %d: %.2f heap allocations per message, budget %v", arm.name, typ, got, budget[typ])
+			}
 		}
 	}
 	// Eight 8 KiB chunk frames and the stream header. The wider slack

@@ -14,10 +14,11 @@
 // Two instrumentation layers feed a Profiler:
 //
 //   - Kernel counters (sim.HostProbe): events dispatched, heap push/pop
-//     counts, max heap depth, cancelled timers purged. Counting is always
-//     on while attached; wall-clock timing of execution slices is sampled
-//     every Stride-th slice so the hot event loop pays two time.Now calls
-//     only occasionally (<2% overhead at the default stride).
+//     counts, max heap depth, cancelled timers purged (each removed from
+//     the queue at once by Timer.Cancel). Counting is always on while
+//     attached; wall-clock timing of execution slices is sampled every
+//     Stride-th slice so the hot event loop pays two time.Now calls only
+//     occasionally (<2% overhead at the default stride).
 //
 //   - Subsystem frames (Enter/Exit): lightweight hooks at the existing
 //     span-phase boundaries of the Co-Pilot service loop, the MPI stack,
@@ -167,7 +168,8 @@ func (p *Profiler) HeapPush(depth int) {
 	}
 }
 
-// HeapPop counts one event-heap pop.
+// HeapPop counts one event leaving the queue: popped to run, or removed
+// by a timer's Cancel.
 func (p *Profiler) HeapPop() {
 	if p == nil {
 		return
@@ -175,7 +177,8 @@ func (p *Profiler) HeapPop() {
 	p.pops++
 }
 
-// CancelPurge counts one cancelled timer discarded unexecuted.
+// CancelPurge counts one cancelled timer removed from the queue
+// unexecuted.
 func (p *Profiler) CancelPurge() {
 	if p == nil {
 		return

@@ -50,6 +50,7 @@ type World struct {
 
 	envFree []*envelope // recycled envelope records (see newEnvelope)
 	reqFree []*recvReq  // recycled internal receive records (see newRecvReq)
+	hopFree []*relHop   // recycled reliability-layer hops (see relHopAfter)
 
 	// Flow, when non-nil, observes every delivered message as (source
 	// node, destination node, bytes) — the node×node traffic matrix feed.

@@ -35,11 +35,8 @@ type envelope struct {
 	// cancelled marks a rendezvous announcement whose sender abandoned the
 	// wait (SendCtl deadline/stop); deliver discards it.
 	cancelled bool
-	// reliable marks an envelope sent through the reliability layer, whose
-	// frame keeps it until acked, so no receive may recycle it.
-	reliable bool
-	arrival  uint64 // unexpected-queue arrival number
-	dst      *Rank
+	arrival   uint64 // unexpected-queue arrival number
+	dst       *Rank
 	// fire delivers the envelope to dst; move and land are the two steps
 	// of the rendezvous data phase, built the first time the record
 	// carries a rendezvous message. Each is built once per record, so
@@ -67,11 +64,13 @@ func (w *World) newEnvelope(r, d *Rank, tag, size int) *envelope {
 }
 
 // freeEnvelope recycles an envelope that nothing holds any more: an eager
-// one whose payload a receive took, or a rendezvous one whose data phase
-// has landed and whose sender no longer waits on it. deliver and take
-// have unlinked it. Reliable envelopes, which their frame holds until
-// acked, and abandoned rendezvous ones, whose announcement or data phase
-// may still be scheduled, never come here.
+// one whose payload a receive took or that a severed reliable pair
+// dropped, or a rendezvous one whose data phase has landed and whose
+// sender no longer waits on it. deliver and take have unlinked it. A
+// reliable frame hands its envelope to the receiver at its first delivery
+// and never reads it again (see relFrame), so the receive may recycle it.
+// Abandoned rendezvous envelopes, whose announcement or data phase may
+// still be scheduled, never come here.
 func (w *World) freeEnvelope(env *envelope) {
 	*env = envelope{fire: env.fire, move: env.move, land: env.land}
 	w.envFree = append(w.envFree, env)
@@ -446,9 +445,7 @@ func (r *Rank) complete(env *envelope, req *recvReq) {
 	if env.eager {
 		req.fill(env, env.data)
 		w.finish(req)
-		if !env.reliable {
-			w.freeEnvelope(env)
-		}
+		w.freeEnvelope(env)
 		return
 	}
 	// Rendezvous data phase: CTS travels back, then the payload. The bytes

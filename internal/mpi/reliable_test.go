@@ -197,3 +197,97 @@ func TestReliableUnaffectedPairs(t *testing.T) {
 		t.Fatal("unaffected pair engaged the retransmit path")
 	}
 }
+
+// TestReliableDuplicateAfterRecycle: with every ack lost, the sender keeps
+// retransmitting a frame whose first copy was delivered and received. The
+// receive recycles the frame's envelope and the receiver's next send, a
+// node-local one, takes the record over, so the later copies arrive while
+// that message holds it: each is counted as a duplicate without being
+// read, and the message arrives intact.
+func TestReliableDuplicateAfterRecycle(t *testing.T) {
+	c, w := newWorld(t)
+	w.Faults = fault.NewInjector(fault.Plan{
+		Seed:  1,
+		Links: []fault.LinkPolicy{{From: 1, To: 0, DropProb: 1.0}},
+	})
+	first := []byte("first frame")
+	next := []byte("the next message, which is longer than the first")
+	var got []byte
+	var gotAt sim.Time
+	c.K.Spawn("r0", func(p *sim.Proc) {
+		w.Rank(0).Send(p, 2, 1, first)
+	})
+	c.K.Spawn("r2", func(p *sim.Proc) {
+		if data, _ := w.Rank(2).Recv(p, 0, 1); !bytes.Equal(data, first) {
+			p.Fatalf("first frame: got %q", data)
+		}
+		w.Rank(2).Send(p, 3, 2, next)
+	})
+	c.K.Spawn("r3", func(p *sim.Proc) {
+		// The retransmissions arrive, and the sender gives up, meanwhile.
+		p.Advance(sim.Second)
+		var st Status
+		got, st = w.Rank(3).Recv(p, 2, 2)
+		if st.Count != len(next) {
+			p.Fatalf("next message: count %d, want %d", st.Count, len(next))
+		}
+		gotAt = p.Now()
+	})
+	run(t, c)
+	if !bytes.Equal(got, next) {
+		t.Fatalf("next message: got %q, want %q", got, next)
+	}
+	n := w.Faults.Counts
+	if n.DupFrames != relMaxAttempts-1 || n.Retransmits != relMaxAttempts-1 || n.GiveUps != 1 {
+		t.Fatalf("counts %+v: want %d duplicates and retransmits, one give-up", n, relMaxAttempts-1)
+	}
+	if gotAt != sim.Second+w.Par.MPIRecvOverhead {
+		t.Fatalf("next message received at %s", gotAt)
+	}
+	// Every transmission books the first frame's own size on the NIC,
+	// although its envelope now carries the longer message.
+	if msgs, n := c.Net.Stats(); msgs != relMaxAttempts || n != int64(relMaxAttempts*len(first)) {
+		t.Fatalf("NIC carried %d frames, %d bytes; want %d of %d bytes", msgs, n, relMaxAttempts, len(first))
+	}
+}
+
+// TestReliableInFlightAfterSeverance: every copy of a frame is delayed
+// past its retransmission timeout, so the sender severs the pair while
+// copies are still in flight. The first copy to arrive is delivered all
+// the same, the later ones count as duplicates, and a send after the
+// severance is dropped.
+func TestReliableInFlightAfterSeverance(t *testing.T) {
+	c, w := newWorld(t)
+	w.Faults = fault.NewInjector(fault.Plan{
+		Seed:  3,
+		Links: []fault.LinkPolicy{{From: 0, To: 1, DelayProb: 1.0, MaxDelay: sim.Second}},
+	})
+	msg := bytes.Repeat([]byte{0xa5}, 700)
+	var severedAt, gotAt sim.Time
+	c.K.Spawn("r0", func(p *sim.Proc) {
+		w.Rank(0).Send(p, 2, 4, msg)
+		for i := 0; i < 1000 && !w.RelDead(0, 2); i++ {
+			p.Advance(100 * sim.Microsecond)
+		}
+		severedAt = p.Now()
+		w.Rank(0).Send(p, 2, 4, []byte("dropped"))
+	})
+	c.K.Spawn("r2", func(p *sim.Proc) {
+		data, _ := w.Rank(2).Recv(p, 0, 4)
+		if !bytes.Equal(data, msg) {
+			p.Fatalf("got %d bytes %.8x, want the first message", len(data), data)
+		}
+		gotAt = p.Now()
+	})
+	run(t, c)
+	if gotAt <= severedAt {
+		t.Fatalf("received at %s, before the pair was severed (by %s): no copy was in flight", gotAt, severedAt)
+	}
+	// The outcome the transport had when frames held their envelopes
+	// until acked, pinned to the nanosecond.
+	want := fault.Counts{LinkDelays: 12, Retransmits: 11, DupFrames: 11, GiveUps: 1, GiveUpDrops: 2}
+	if gotAt != 37280506 || c.K.Now() != 985317630 || w.Faults.Counts != want {
+		t.Fatalf("received at %d, run ended at %d, counts %+v; want 37280506, 985317630, %+v",
+			gotAt, c.K.Now(), w.Faults.Counts, want)
+	}
+}

@@ -225,7 +225,7 @@ func (c *Context) LoadOverlay(p *sim.Proc, name string, size int) error {
 	}
 	par := c.SPE.Cell.Node.Params
 	p.Advance(par.DMASetup)
-	done := c.SPE.Cell.EIB.Reserve(size)
+	done := c.SPE.Cell.EIB(p).Reserve(size)
 	p.AdvanceTo(done)
 	return nil
 }

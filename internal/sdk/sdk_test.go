@@ -12,7 +12,7 @@ import (
 func newNode(t *testing.T) (*sim.Kernel, *cellbe.Node) {
 	t.Helper()
 	k := sim.NewKernel(1)
-	return k, cellbe.NewCellNode(k, 0, "cell0", 1, cellbe.DefaultParams(), 1<<20)
+	return k, cellbe.NewCellNode(0, "cell0", 1, cellbe.DefaultParams(), 1<<20)
 }
 
 func TestContextLifecycle(t *testing.T) {

@@ -115,32 +115,34 @@ func benchChurn(b *testing.B, kind QueueKind) {
 	}
 }
 
-// BenchmarkTimerCancelPurge measures the cancelled-timer path: every
-// timer is armed and cancelled before it fires, so the run is pure
-// schedule + purge/compact with no callback ever executing.
-func BenchmarkTimerCancelPurge(b *testing.B) {
-	b.Run("calendar", func(b *testing.B) { benchCancelPurge(b, QueueCalendar) })
-	b.Run("heap", func(b *testing.B) { benchCancelPurge(b, QueueHeap) })
+// BenchmarkTimerCancel measures the cancelled-timer path: each op arms
+// a timer and cancels it before it fires, which takes its event out of
+// the queue at once, so no callback ever runs.
+func BenchmarkTimerCancel(b *testing.B) {
+	b.Run("calendar", func(b *testing.B) { benchCancel(b, QueueCalendar) })
+	b.Run("heap", func(b *testing.B) { benchCancel(b, QueueHeap) })
 }
 
-func benchCancelPurge(b *testing.B, kind QueueKind) {
+func benchCancel(b *testing.B, kind QueueKind) {
 	k := NewKernelQueue(1, kind)
-	for i := 0; i < b.N; i++ {
-		k.AfterTimer(Time(i)*Microsecond, func() { b.Error("cancelled timer fired") }).Cancel()
-	}
+	fn := func() { b.Error("cancelled timer fired") }
 	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
+	for i := 0; i < b.N; i++ {
+		tm := k.AfterTimer(Time(i)*Microsecond, fn)
+		tm.Cancel()
+	}
+	b.StopTimer()
+	if n := k.pq.Len(); n != 0 {
+		b.Fatalf("%d events queued after every timer was cancelled", n)
 	}
 }
 
 // BenchmarkDeadlineChurn measures the queue shape Try* ops give it: one
 // proc arms a deadline per op and cancels it when the op completes, while
-// liveTimers long timers stay queued. Cancelled deadlines pile up until
-// the kernel compacts them in bulk, so the population swings between the
-// live events and that pile; mallocs/op shows whether the calendar
-// resizes (and so allocates) on every swing. BenchmarkTimerCancelPurge
-// cancels every timer with none live, which never swings.
+// liveTimers long timers stay queued. Each cancel takes its deadline out
+// of the queue at once, so the population moves by one or two per op;
+// mallocs/op shows whether the calendar resizes (and so allocates) as it
+// does. BenchmarkTimerCancel arms and cancels with nothing else queued.
 func BenchmarkDeadlineChurn(b *testing.B) {
 	b.Run("calendar", func(b *testing.B) { benchDeadlineChurn(b, QueueCalendar) })
 	b.Run("heap", func(b *testing.B) { benchDeadlineChurn(b, QueueHeap) })
@@ -167,8 +169,8 @@ func benchDeadlineChurn(b *testing.B, kind QueueKind) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
-	// Resizing churn costs under one allocation per op, which -benchmem's
-	// whole-number allocs/op prints as 0.
+	// Resizing churn would cost under one allocation per op, which
+	// -benchmem's whole-number allocs/op prints as 0.
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "mallocs/op")
 }
 

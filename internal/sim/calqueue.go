@@ -42,12 +42,12 @@ const (
 	calMinBuckets = 1 << 4
 	calMaxBuckets = 1 << 18
 	// calShrinkDiv sets the shrink threshold: population below
-	// buckets/calShrinkDiv. Deadline-bounded (Try*) ops cancel most timers
-	// they arm, and cancelled timers stay queued until Kernel.noteCancel
-	// compacts them in bulk, so the population swings about 3x between
-	// compactions. A threshold of a half would shrink the calendar at
-	// every compaction and regrow it on the refill, reallocating the
-	// bucket array and every bucket each cycle.
+	// buckets/calShrinkDiv. A resize leaves the population between half
+	// and all of the bucket count, so a threshold of a half would rebuild
+	// the calendar as soon as the population dipped below its level at
+	// the last resize, and again when it recovered, reallocating the
+	// bucket array and every bucket each time. An eighth leaves a 16x band
+	// (buckets/8 to 2*buckets) in which it moves without a rebuild.
 	calShrinkDiv = 8
 	// calInitWidth is the starting bucket width. Resizes re-derive it
 	// from the live event spread, so this only matters until the first
@@ -228,26 +228,26 @@ func (q *calQueue) resize() {
 	q.scratch = evs[:0]
 }
 
-func (q *calQueue) Compact(onPurge func(*event)) {
-	for bi, b := range q.buckets {
-		kept := b[:0]
-		for _, ev := range b {
-			if ev.cancelled {
-				onPurge(ev)
-				q.size--
-			} else {
-				kept = append(kept, ev)
-			}
-		}
-		for i := len(kept); i < len(b); i++ {
-			b[i] = nil
-		}
-		q.buckets[bi] = kept
+// Remove finds ev by binary search in its bucket, which is sorted in
+// eventLess order, and takes it out.
+func (q *calQueue) Remove(ev *event) bool {
+	b := q.bucketOf(ev.at)
+	s := q.buckets[b]
+	i := sort.Search(len(s), func(i int) bool { return !eventLess(s[i], ev) })
+	if i == len(s) || s[i] != ev {
+		return false
 	}
-	q.pk = nil
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = nil
+	q.buckets[b] = s[:len(s)-1]
+	q.size--
+	if q.pk == ev {
+		q.pk = nil
+	}
 	if n := q.mask + 1; n > calMinBuckets && q.size < n/calShrinkDiv {
 		q.resize()
 	}
+	return true
 }
 
 func (q *calQueue) Clear() {

@@ -8,7 +8,8 @@ import (
 
 // queueHarness drives a raw eventQueue through the kernel's usage
 // contract: pushes never go below the last popped timestamp (the kernel
-// clamps at < now), cancels mark queued events, and Compact purges them.
+// clamps at < now), and a cancel removes its event, which may already
+// have been popped or removed.
 type queueHarness struct {
 	q     eventQueue
 	floor Time
@@ -38,16 +39,17 @@ func evKey(ev *event) string {
 }
 
 // runDifferential feeds the identical operation stream to a calendar
-// queue and a heap queue and asserts every pop (and compaction survivor
-// set) matches. Each queue gets its own event objects (they are mutated
-// in place by compaction) built from the same specs.
+// queue and a heap queue and asserts every pop, every removal's outcome
+// and every length matches. Each queue gets its own event objects built
+// from the same specs.
 func runDifferential(t *testing.T, rng *rand.Rand, ops int) {
 	t.Helper()
 	cal := &queueHarness{q: newCalQueue()}
 	hp := &queueHarness{q: &heapQueue{}}
 	var seq uint64
-	// Parallel live sets, index-aligned, for cancel targeting.
-	var calLive, hpLive []*event
+	// Every pushed event, index-aligned, for cancel targeting: a target
+	// may be queued, popped or already removed.
+	var calPushed, hpPushed []*event
 	for i := 0; i < ops; i++ {
 		switch op := rng.Intn(10); {
 		case op < 5: // push
@@ -70,33 +72,20 @@ func runDifferential(t *testing.T, rng *rand.Rand, ops int) {
 			he := &event{at: at, seq: seq}
 			cal.push(ce)
 			hp.push(he)
-			calLive = append(calLive, ce)
-			hpLive = append(hpLive, he)
-		case op < 8: // pop (and purge cancelled heads, like the kernel)
-			for {
-				pc, ph := cal.pop(), hp.pop()
-				if evKey(pc) != evKey(ph) {
-					t.Fatalf("op %d: pop mismatch: cal=%s heap=%s", i, evKey(pc), evKey(ph))
+			calPushed = append(calPushed, ce)
+			hpPushed = append(hpPushed, he)
+		case op < 8: // pop
+			pc, ph := cal.pop(), hp.pop()
+			if evKey(pc) != evKey(ph) {
+				t.Fatalf("op %d: pop mismatch: cal=%s heap=%s", i, evKey(pc), evKey(ph))
+			}
+		default: // cancel a random pushed event (both copies)
+			if len(calPushed) > 0 {
+				j := rng.Intn(len(calPushed))
+				rc, rh := cal.q.Remove(calPushed[j]), hp.q.Remove(hpPushed[j])
+				if rc != rh {
+					t.Fatalf("op %d: remove %s: cal=%v heap=%v", i, evKey(calPushed[j]), rc, rh)
 				}
-				if pc == nil || !pc.cancelled {
-					break
-				}
-			}
-		case op < 9: // cancel a random live event (both copies)
-			if len(calLive) > 0 {
-				j := rng.Intn(len(calLive))
-				calLive[j].cancelled = true
-				hpLive[j].cancelled = true
-			}
-		default: // compact
-			var pc, ph []string
-			cal.q.Compact(func(ev *event) { pc = append(pc, evKey(ev)) })
-			hp.q.Compact(func(ev *event) { ph = append(ph, evKey(ev)) })
-			if len(pc) != len(ph) {
-				t.Fatalf("op %d: compact purged %d vs %d", i, len(pc), len(ph))
-			}
-			if cal.q.Len() != hp.q.Len() {
-				t.Fatalf("op %d: post-compact len %d vs %d", i, cal.q.Len(), hp.q.Len())
 			}
 		}
 		if cal.q.Len() != hp.q.Len() {
@@ -117,7 +106,7 @@ func runDifferential(t *testing.T, rng *rand.Rand, ops int) {
 	}
 }
 
-// TestQueueDifferentialProperty runs randomized schedule/cancel/compact
+// TestQueueDifferentialProperty runs randomized schedule/pop/cancel
 // streams against both queue implementations; identical pop orders are
 // the determinism foundation the bit-for-bit guarantees sit on.
 func TestQueueDifferentialProperty(t *testing.T) {
@@ -182,7 +171,7 @@ func FuzzQueueDifferential(f *testing.F) {
 		cal := &queueHarness{q: newCalQueue()}
 		hp := &queueHarness{q: &heapQueue{}}
 		var seq uint64
-		var calLive, hpLive []*event
+		var calPushed, hpPushed []*event
 		for _, b := range data {
 			switch b >> 6 {
 			case 0, 1: // push; low bits scale the horizon
@@ -192,28 +181,23 @@ func FuzzQueueDifferential(f *testing.F) {
 				he := &event{at: at, seq: seq}
 				cal.push(ce)
 				hp.push(he)
-				calLive = append(calLive, ce)
-				hpLive = append(hpLive, he)
+				calPushed = append(calPushed, ce)
+				hpPushed = append(hpPushed, he)
 			case 2: // pop
 				pc, ph := cal.pop(), hp.pop()
 				if evKey(pc) != evKey(ph) {
 					t.Fatalf("pop mismatch: cal=%s heap=%s", evKey(pc), evKey(ph))
 				}
-			case 3: // cancel + occasionally compact
-				if len(calLive) > 0 {
-					j := int(b&0x3f) % len(calLive)
-					calLive[j].cancelled = true
-					hpLive[j].cancelled = true
-				}
-				if b&0x20 != 0 {
-					n := 0
-					cal.q.Compact(func(*event) { n++ })
-					m := 0
-					hp.q.Compact(func(*event) { m++ })
-					if n != m {
-						t.Fatalf("compact purged %d vs %d", n, m)
+			case 3: // cancel: the target may be queued, popped or removed
+				if len(calPushed) > 0 {
+					j := int(b&0x3f) % len(calPushed)
+					if rc, rh := cal.q.Remove(calPushed[j]), hp.q.Remove(hpPushed[j]); rc != rh {
+						t.Fatalf("remove %s: cal=%v heap=%v", evKey(calPushed[j]), rc, rh)
 					}
 				}
+			}
+			if cal.q.Len() != hp.q.Len() {
+				t.Fatalf("len mismatch %d vs %d", cal.q.Len(), hp.q.Len())
 			}
 		}
 		for cal.q.Len() > 0 {
@@ -291,20 +275,23 @@ func (t *tallyProbe) CancelPurge()   { t.cancelPurge++ }
 func (t *tallyProbe) SliceStart(int) {}
 func (t *tallyProbe) SliceEnd(int)   {}
 
-// TestCancelCompaction verifies heavy cancel churn triggers bulk
-// compaction instead of letting cancelled entries accumulate.
-func TestCancelCompaction(t *testing.T) {
+// TestCancelLeavesQueue: every Cancel takes its timer out of the queue
+// at once, so 500 cancelled hour-away timers leave only the live events
+// queued, and each is reported to the probe exactly once.
+func TestCancelLeavesQueue(t *testing.T) {
 	k := NewKernel(1)
 	probe := &tallyProbe{}
 	k.SetHostProbe(probe)
+	const live = 3
+	for i := 0; i < live; i++ {
+		k.After(Time(i+1)*Second, func() {})
+	}
 	k.Spawn("churn", func(p *Proc) {
 		for i := 0; i < 500; i++ {
-			tm := k.AfterTimer(3600*Second, func() {})
+			tm := k.AfterTimer(3600*Second, func() { t.Error("cancelled timer fired") })
 			tm.Cancel()
-			if k.pq.Len() > 260 {
-				// 500 cancelled Hour-away timers + a handful of live wake
-				// events: without compaction the queue grows past 500.
-				t.Errorf("queue grew to %d despite cancel compaction", k.pq.Len())
+			if n := k.pq.Len(); n != live {
+				t.Errorf("cancel %d: %d events queued, want the %d live ones", i, n, live)
 				return
 			}
 			p.Yield()
@@ -314,9 +301,12 @@ func TestCancelCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if probe.cancelPurge != 500 {
-		t.Fatalf("cancelPurge = %d, want 500 (every cancelled timer purged exactly once)", probe.cancelPurge)
+		t.Fatalf("cancelPurge = %d, want 500 (every cancelled timer removed exactly once)", probe.cancelPurge)
 	}
 	if probe.heapPush != probe.heapPop {
 		t.Fatalf("pushes %d != pops %d after drain", probe.heapPush, probe.heapPop)
+	}
+	if k.Now() != live*Second {
+		t.Fatalf("run ended at %s, want %s (cancelled timers must not extend it)", k.Now(), live*Second)
 	}
 }

@@ -169,6 +169,50 @@ func TestTimerCancelNoClockExtension(t *testing.T) {
 	}
 }
 
+// TestStaleTimerCancelIsNoOp: cancelling a timer that already fired, or
+// one whose queue shutdown cleared, touches nothing — not the event its
+// object was recycled into, not the free list, not the probe — on both
+// queue kinds.
+func TestStaleTimerCancelIsNoOp(t *testing.T) {
+	for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
+		k := NewKernelQueue(1, kind)
+		probe := &tallyProbe{}
+		k.SetHostProbe(probe)
+		fired := 0
+		var first, second, late Timer
+		first = k.AfterTimer(Microsecond, func() {
+			fired++
+			// first's event went back to the free list before this ran;
+			// second takes the object over, and first's handle is stale.
+			reused := first.ev
+			second = k.AfterTimer(Microsecond, func() { fired++ })
+			if second.ev != reused {
+				t.Error("the fired event was not reused; nothing stale to cancel")
+			}
+			first.Cancel()
+		})
+		k.Spawn("p", func(p *Proc) {
+			p.Advance(5 * Microsecond)
+			late = k.AfterTimer(3600*Second, func() { t.Error("timer fired after shutdown") })
+			k.Abort(errors.New("stop"))
+			p.Advance(Microsecond)
+		})
+		if err := k.Run(); err == nil || err.Error() != "stop" {
+			t.Fatalf("kind %d: Run = %v, want the abort error", kind, err)
+		}
+		if fired != 2 {
+			t.Fatalf("kind %d: %d timers fired, want 2 (a stale Cancel removed a live timer)", kind, fired)
+		}
+		free := len(k.free)
+		late.Cancel()
+		second.Cancel()
+		if len(k.free) != free || probe.cancelPurge != 0 || k.pq.Len() != 0 {
+			t.Fatalf("kind %d: stale cancels changed the kernel: free %d -> %d, %d purges, %d queued",
+				kind, free, len(k.free), probe.cancelPurge, k.pq.Len())
+		}
+	}
+}
+
 // TestKillUnwindsParkedProc: Kill wakes a parked proc, unwinds its stack
 // through its deferred cleanup, and the rest of the simulation continues.
 func TestKillUnwindsParkedProc(t *testing.T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"slices"
 	"sync/atomic"
 )
 
@@ -15,16 +16,10 @@ type event struct {
 	// object is recycled, so a stale Timer handle (cancelled after its
 	// timer fired and the event was reused) can detect it points at a
 	// different logical event and turn into a no-op.
-	gen uint32
-	// cancelled events are discarded without running and without
-	// advancing the clock — a cancelled timeout must not extend a run's
-	// final virtual time. They are purged lazily when they surface at the
-	// head of the queue, or in bulk when they outnumber half of the live
-	// entries (Kernel.noteCancel).
-	cancelled bool
-	p         *Proc  // proc to wake, or nil
-	epoch     uint64 // p's wake epoch at scheduling; stale events are skipped
-	fn        func() // callback to run in the scheduler, or nil
+	gen   uint32
+	p     *Proc  // proc to wake, or nil
+	epoch uint64 // p's wake epoch at scheduling; stale events are skipped
+	fn    func() // callback to run in the scheduler, or nil
 }
 
 // eventLess is the kernel's total order: timestamp, then insertion
@@ -48,8 +43,8 @@ type eventQueue interface {
 	Pop() *event
 	Peek() *event
 	Len() int
-	// Compact removes every cancelled event, calling onPurge for each.
-	Compact(onPurge func(*event))
+	// Remove takes ev out of the queue and reports whether it was queued.
+	Remove(ev *event) bool
 	// Clear drops all events (kernel shutdown).
 	Clear()
 }
@@ -125,20 +120,13 @@ func (q *heapQueue) Peek() *event {
 	return q.h[0]
 }
 
-func (q *heapQueue) Compact(onPurge func(*event)) {
-	kept := q.h[:0]
-	for _, ev := range q.h {
-		if ev.cancelled {
-			onPurge(ev)
-		} else {
-			kept = append(kept, ev)
-		}
+func (q *heapQueue) Remove(ev *event) bool {
+	i := slices.Index(q.h, ev)
+	if i < 0 {
+		return false
 	}
-	for i := len(kept); i < len(q.h); i++ {
-		q.h[i] = nil
-	}
-	q.h = kept
-	heap.Init(&q.h)
+	heap.Remove(&q.h, i)
+	return true
 }
 
 func (q *heapQueue) Clear() { q.h = nil }
@@ -170,7 +158,6 @@ func (k *Kernel) freeEvent(ev *event) {
 	ev.p = nil
 	ev.fn = nil
 	ev.epoch = 0
-	ev.cancelled = false
 	if len(k.free) < maxFreeEvents {
 		k.free = append(k.free, ev)
 	}
@@ -209,35 +196,31 @@ type Timer struct {
 }
 
 // AfterTimer is After returning a handle that can cancel the callback.
-func (k *Kernel) AfterTimer(d Time, fn func()) *Timer {
-	t := k.afterTimer(d, fn)
-	return &t
-}
-
-// afterTimer is AfterTimer by value, for WakeAt, whose callers arm and
-// cancel a deadline on every bounded wait and must not allocate a Timer
-// each time.
-func (k *Kernel) afterTimer(d Time, fn func()) Timer {
+// The handle is a value, so a bounded wait that arms and cancels a
+// deadline allocates nothing.
+func (k *Kernel) AfterTimer(d Time, fn func()) Timer {
 	ev := k.schedule(k.now+d, nil, fn)
 	return Timer{k: k, ev: ev, gen: ev.gen}
 }
 
-// Cancel discards the timer. The event stays queued but is purged without
-// running or advancing the clock — lazily when it reaches the head, or in
-// bulk once cancelled entries outnumber half the live ones. Safe to call
-// more than once and after the timer fired.
+// Cancel takes the timer's event out of the queue and recycles it, so a
+// cancelled timer neither runs nor advances the clock. It is a no-op once
+// the timer has fired, after a second Cancel, and after shutdown cleared
+// the queue.
 func (t *Timer) Cancel() {
-	if t == nil || t.ev == nil {
-		return
-	}
 	ev := t.ev
-	t.ev = nil
-	if ev.gen != t.gen || ev.cancelled {
-		// The timer already fired (the event was recycled, possibly into
-		// a new role) or was already cancelled.
+	if ev == nil {
 		return
 	}
-	ev.cancelled = true
-	ev.fn = nil
-	t.k.noteCancel()
+	t.ev = nil
+	// A fired timer's event was recycled (its gen bumped), possibly into
+	// a new role; a cleared queue no longer holds it.
+	if ev.gen != t.gen || !t.k.pq.Remove(ev) {
+		return
+	}
+	if t.k.host != nil {
+		t.k.host.HeapPop()
+		t.k.host.CancelPurge()
+	}
+	t.k.freeEvent(ev)
 }

@@ -22,11 +22,6 @@ type Kernel struct {
 	host  HostProbe // wall-clock instrumentation; nil disables
 	clock ClockHook // observes virtual-clock advances; nil disables
 
-	// nCancelled counts cancelled events still sitting in the queue; when
-	// they outnumber half the live entries the queue is compacted.
-	nCancelled int
-	purge      func(*event) // compact's per-event callback, built once
-
 	procs    []*Proc
 	live     int // procs spawned and not yet finished
 	running  *Proc
@@ -56,9 +51,11 @@ type HostProbe interface {
 	Event()
 	// HeapPush fires after an event is pushed; depth is the new heap size.
 	HeapPush(depth int)
-	// HeapPop fires after any event is popped (including cancelled ones).
+	// HeapPop fires after any event leaves the queue: popped to run, or
+	// removed by Timer.Cancel.
 	HeapPop()
-	// CancelPurge fires when a cancelled timer is discarded unexecuted.
+	// CancelPurge fires when Timer.Cancel removes a queued timer, which
+	// then never runs.
 	CancelPurge()
 	// SliceStart/SliceEnd bracket one host execution slice; proc is the
 	// running proc's id, or -1 for a scheduler callback.
@@ -82,31 +79,6 @@ func NewKernelQueue(seed int64, kind QueueKind) *Kernel {
 		ctl: make(chan struct{}),
 		rng: rand.New(rand.NewSource(seed)),
 	}
-}
-
-// noteCancel accounts one newly cancelled in-queue event and compacts the
-// queue once cancelled entries exceed half of the live ones (3c > len ⇔
-// c > (len-c)/2), so heavy bounded-wait churn cannot bloat the queue between
-// the lazy at-the-head purges.
-func (k *Kernel) noteCancel() {
-	k.nCancelled++
-	if n := k.pq.Len(); n >= 64 && 3*k.nCancelled > n {
-		k.compact()
-	}
-}
-
-func (k *Kernel) compact() {
-	if k.purge == nil {
-		k.purge = func(ev *event) {
-			if k.host != nil {
-				k.host.HeapPop()
-				k.host.CancelPurge()
-			}
-			k.freeEvent(ev)
-		}
-	}
-	k.pq.Compact(k.purge)
-	k.nCancelled = 0
 }
 
 // Now reports the current virtual time.
@@ -216,20 +188,6 @@ func (k *Kernel) RunUntil(deadline Time) error {
 		if ev == nil {
 			break
 		}
-		if ev.cancelled {
-			// Purged before the deadline check and before the clock moves:
-			// a cancelled timer must not stretch the run's final time.
-			k.pq.Pop()
-			if k.nCancelled > 0 {
-				k.nCancelled--
-			}
-			if k.host != nil {
-				k.host.HeapPop()
-				k.host.CancelPurge()
-			}
-			k.freeEvent(ev)
-			continue
-		}
 		if ev.at > deadline {
 			k.now = deadline
 			if k.clock != nil {
@@ -250,8 +208,7 @@ func (k *Kernel) RunUntil(deadline Time) error {
 		case ev.fn != nil:
 			fn := ev.fn
 			// Recycle before running: if fn cancels its own (already
-			// fired) timer, the bumped generation makes that a no-op
-			// instead of a miscount.
+			// fired) timer, the bumped generation makes that a no-op.
 			k.freeEvent(ev)
 			if k.host != nil {
 				k.host.SliceStart(-1)
@@ -319,7 +276,6 @@ func (k *Kernel) drain() {
 		}
 	}
 	k.pq.Clear()
-	k.nCancelled = 0
 }
 
 // ErrDeadlock is wrapped by the error Run returns when the simulation

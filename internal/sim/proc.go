@@ -113,7 +113,7 @@ func (p *Proc) readyCB() func() {
 // handle is a value, so a bounded operation that arms and cancels one
 // allocates nothing.
 func (p *Proc) WakeAt(at Time) Timer {
-	return p.k.afterTimer(at-p.k.now, p.readyCB())
+	return p.k.AfterTimer(at-p.k.now, p.readyCB())
 }
 
 // checkRunning panics if a kernel primitive is invoked from a goroutine
