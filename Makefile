@@ -52,8 +52,9 @@ bench-json:
 # `go test ./...` does not already run: ten race-checked repeats of the
 # tests that run simulations on concurrent goroutines (kiloscale replicas,
 # and Apps sharing the call-site memo of diagnostics), fuzz smokes
-# of the format and scenario parsers and of the paged simulated memory
-# against a flat reference, the scenarios/ library validated
+# of the format and scenario parsers, of the paged simulated memory
+# against a flat reference, and of the span log and timeline series
+# encodings against whole-value references, the scenarios/ library validated
 # against its golden fingerprints, the benchmark's four workloads at full
 # length checked against bench/golden.json (the bench module's own tests
 # in `ci` run shortened ones that never compare), a profile-export smoke
@@ -63,6 +64,8 @@ ci-full: ci race
 	$(GO) test -race -count=10 -run 'TestKiloscaleSeqParEquivalence|TestChaosKernelArmsDeterminism|TestDiagnosticsConcurrentApps' ./internal/workload ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/fmtmsg
 	$(GO) test -run '^$$' -fuzz=FuzzPagedStore -fuzztime=5s ./internal/cellbe
+	$(GO) test -run '^$$' -fuzz=FuzzSpanLogRoundTrip -fuzztime=5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzSeriesRoundTrip -fuzztime=5s ./internal/timeline
 	$(GO) test -run '^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario/
 	$(GO) run ./cmd/cellpilot-bench validate
 	bash bench/run.sh -seconds 1 >/dev/null

@@ -72,33 +72,76 @@ func TestTraceDoesNotPerturbTiming(t *testing.T) {
 // Time aliases sim.Time for the helper above without another import.
 type Time int64
 
+// runRelayApp runs an App recording into rec: PI_MAIN writes to an SPE
+// named name, which relays the payload to a peer process on node 1.
+func runRelayApp(t *testing.T, name string, rec *trace.Recorder) {
+	t.Helper()
+	a := NewApp(newTestCluster(t), Options{})
+	a.Trace = rec
+	var down, up *Channel
+	spe := a.CreateSPE(&SPEProgram{Name: name, Body: func(ctx *SPECtx) {
+		buf := make([]byte, 64)
+		ctx.Read(down, "%64b", buf)
+		ctx.Write(up, "%64b", buf)
+	}}, a.Main(), 0)
+	peer := a.CreateProcessOn(1, name, func(ctx *Ctx, _ int, _ any) {
+		buf := make([]byte, 64)
+		ctx.Read(up, "%64b", buf)
+	}, 0, nil)
+	down = a.CreateChannel(a.Main(), spe)
+	up = a.CreateChannel(spe, peer)
+	if err := a.Run(func(ctx *Ctx) {
+		ctx.RunSPE(spe, 0, nil)
+		ctx.Write(down, "%64b", make([]byte, 64))
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecorderSharedUnderLimit: with a limit, Apps recording into one
+// Recorder in turn number their transfers after the highest id it stored,
+// which is what a scan of the records it reads back finds: records
+// dropped past the limit do not count.
+func TestRecorderSharedUnderLimit(t *testing.T) {
+	scan := func(rec *trace.Recorder) int64 {
+		var id int64
+		for _, pe := range rec.Phases() {
+			id = max(id, pe.Xfer)
+		}
+		for _, ev := range rec.Events() {
+			id = max(id, ev.Xfer)
+		}
+		return id
+	}
+	alone := trace.NewRecorder(0)
+	runRelayApp(t, "alpha", alone)
+	all := len(alone.Phases())
+	for _, limit := range []int{1, 3, all / 2, all - 1, all + 5} {
+		shared := trace.NewRecorder(limit)
+		for _, name := range []string{"alpha", "beta"} {
+			before := shared.MaxXfer()
+			runRelayApp(t, name, shared)
+			if got, want := shared.MaxXfer(), scan(shared); got != want {
+				t.Fatalf("limit %d, after %s: MaxXfer %d, a scan of the stored records %d", limit, name, got, want)
+			}
+			for _, pe := range shared.Phases() {
+				if pe.Xfer != 0 && pe.Proc == name+"#0(spe@node0)" && pe.Xfer <= before {
+					t.Fatalf("limit %d: %s numbered transfer %d, not after %d", limit, name, pe.Xfer, before)
+				}
+			}
+		}
+		if limit < all && shared.PhasesDropped() == 0 {
+			t.Fatalf("limit %d below alpha's %d phases dropped none", limit, all)
+		}
+	}
+}
+
 // TestRecorderSharedAcrossApps: Apps that record into one Recorder in turn
 // read back the phases and events each would have recorded alone, under
 // their own track names, with the second App's transfers numbered after
 // the first's, so Spans keeps every App's transfers apart.
 func TestRecorderSharedAcrossApps(t *testing.T) {
-	run := func(name string, rec *trace.Recorder) {
-		a := NewApp(newTestCluster(t), Options{})
-		a.Trace = rec
-		var down, up *Channel
-		spe := a.CreateSPE(&SPEProgram{Name: name, Body: func(ctx *SPECtx) {
-			buf := make([]byte, 64)
-			ctx.Read(down, "%64b", buf)
-			ctx.Write(up, "%64b", buf)
-		}}, a.Main(), 0)
-		peer := a.CreateProcessOn(1, name, func(ctx *Ctx, _ int, _ any) {
-			buf := make([]byte, 64)
-			ctx.Read(up, "%64b", buf)
-		}, 0, nil)
-		down = a.CreateChannel(a.Main(), spe)
-		up = a.CreateChannel(spe, peer)
-		if err := a.Run(func(ctx *Ctx) {
-			ctx.RunSPE(spe, 0, nil)
-			ctx.Write(down, "%64b", make([]byte, 64))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	run := func(name string, rec *trace.Recorder) { runRelayApp(t, name, rec) }
 	alpha, beta, shared := trace.NewRecorder(0), trace.NewRecorder(0), trace.NewRecorder(0)
 	run("alpha", alpha)
 	run("beta", beta)

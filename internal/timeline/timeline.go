@@ -23,6 +23,7 @@
 package timeline
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -104,66 +105,96 @@ type FaultMark struct {
 	Label string
 }
 
-// blockShift sizes the value blocks: 1024 values, 8 KiB, an exact
-// allocation size class. A series of n values costs about n/1024 block
-// allocations and a few for the block list: 16 over chaos-observed's
-// 10,817 windows, where an append-grown slice regrew 19 times.
-const (
-	blockShift = 10
-	blockLen   = 1 << blockShift
-)
-
-// series holds one series' window values. Until a window reads other
-// than zero it keeps only their count: a series that is zero throughout a
-// run, or that appears mid-run, holds no run of zeros. The values after
-// them sit in fixed blocks, each allocated by the first value it holds
-// and never copied, so a long run grows without an append-grown slice's
-// regrowth copies and spare capacity.
+// series holds one series' window values as runs of equal bits: the
+// closed runs encoded in byte chunks, and the open run, the latest
+// value's bits and how many windows in a row have read them. A series that
+// is zero throughout a run holds one open run, and one that appears
+// mid-run starts with a run of zeros for the windows before it.
+//
+// A closed run is a varint, its length doubled plus one when the value
+// follows as its 8 raw bytes, then the value. An integer-valued value
+// below 2^53 in magnitude, other than −0, follows as a zigzag varint
+// instead: every count and most gauges take a byte or two. Chunks start at
+// 64 bytes and double up to 4 KiB; one is allocated when the last might
+// not hold the next run, and none is ever copied.
 type series struct {
 	name   string
 	kind   Kind
 	last   float64 // previous cumulative raw (Counter/Busy differentiation)
 	gen    int     // last window generation this series was sampled in
-	zeros  int     // leading windows that read zero
-	blocks []*[blockLen]float64
-	n      int // values held in blocks
+	n      int     // windows held
+	bits   uint64  // the open run's value
+	run    int     // the open run's length
+	chunks [][]byte
 }
 
-// add appends one window's value. Only +0 counts as a leading zero, so
-// every value keeps its exact bits.
+// maxRunLen is the longest encoded run: a length of up to MaxWindows,
+// doubled, in 3 bytes, and 8 raw bytes.
+const maxRunLen = 3 + 8
+
+// add appends one window's value.
 func (s *series) add(v float64) {
-	if s.n == 0 && math.Float64bits(v) == 0 {
-		s.zeros++
-		return
+	if b := math.Float64bits(v); b != s.bits {
+		if s.run > 0 {
+			s.closeRun()
+		}
+		s.bits, s.run = b, 0
 	}
-	if s.n&(blockLen-1) == 0 {
-		s.blocks = append(s.blocks, new([blockLen]float64))
-	}
-	s.blocks[s.n>>blockShift][s.n&(blockLen-1)] = v
+	s.run++
 	s.n++
 }
+
+// closeRun encodes the open run into the last chunk.
+func (s *series) closeRun() {
+	k := len(s.chunks)
+	if k == 0 || cap(s.chunks[k-1])-len(s.chunks[k-1]) < maxRunLen {
+		s.chunks = append(s.chunks, make([]byte, 0, 64<<min(k, 6)))
+		k++
+	}
+	b := s.chunks[k-1]
+	if v := math.Float64frombits(s.bits); math.Abs(v) < 1<<53 && v == math.Trunc(v) && s.bits != negZero {
+		b = binary.AppendUvarint(b, uint64(s.run)<<1)
+		b = binary.AppendVarint(b, int64(v))
+	} else {
+		b = binary.AppendUvarint(b, uint64(s.run)<<1|1)
+		b = binary.LittleEndian.AppendUint64(b, s.bits)
+	}
+	s.chunks[k-1] = b
+}
+
+// negZero is −0's bits.
+const negZero = 1 << 63
 
 // values returns every window's value, in a new slice (nil before the
 // first window).
 func (s *series) values() []float64 {
-	if s.zeros+s.n == 0 {
+	if s.n == 0 {
 		return nil
 	}
-	out := make([]float64, s.zeros+s.n)
-	rest := out[s.zeros:]
-	for _, b := range s.blocks {
-		rest = rest[copy(rest, b[:]):]
+	out := make([]float64, 0, s.n)
+	for _, b := range s.chunks {
+		for len(b) > 0 {
+			head, k := binary.Uvarint(b)
+			b = b[k:]
+			var v float64
+			if head&1 == 1 {
+				v = math.Float64frombits(binary.LittleEndian.Uint64(b))
+				b = b[8:]
+			} else {
+				i, k := binary.Varint(b)
+				v, b = float64(i), b[k:]
+			}
+			out = appendRun(out, v, int(head>>1))
+		}
 	}
-	return out
+	return appendRun(out, math.Float64frombits(s.bits), s.run)
 }
 
-// at returns window w's value.
-func (s *series) at(w int) float64 {
-	if w < s.zeros {
-		return 0
+func appendRun(out []float64, v float64, n int) []float64 {
+	for ; n > 0; n-- {
+		out = append(out, v)
 	}
-	i := w - s.zeros
-	return s.blocks[i>>blockShift][i&(blockLen-1)]
+	return out
 }
 
 // Recorder accumulates windowed series. The zero value is not usable; use
@@ -249,7 +280,7 @@ func (r *Recorder) closeWindow(width sim.Time) {
 		if s == nil {
 			// Series appearing mid-run read zero for every window closed
 			// before their first sample.
-			s = &series{name: name, kind: r.scratch.kinds[i], zeros: r.closed}
+			s = &series{name: name, kind: r.scratch.kinds[i], n: r.closed, run: r.closed}
 			r.series[name] = s
 			at := sort.SearchStrings(r.names, name)
 			r.names = append(r.names, "")
@@ -525,13 +556,20 @@ type Point struct {
 }
 
 // Points flattens the timeline for the Chrome-trace counter-event
-// exporter, sorted by (time, series).
+// exporter, sorted by (time, series). Each series is decoded once.
 func (r *Recorder) Points() []Point {
-	var out []Point
+	if r.closed == 0 || len(r.names) == 0 {
+		return nil
+	}
+	vals := make([][]float64, len(r.names))
+	for i, name := range r.names {
+		vals[i] = r.series[name].values()
+	}
+	out := make([]Point, 0, r.closed*len(r.names))
 	for w := 0; w < r.closed; w++ {
 		at := r.windowEnd(w)
-		for _, name := range r.names {
-			out = append(out, Point{At: at, Series: name, Value: r.series[name].at(w)})
+		for i, name := range r.names {
+			out = append(out, Point{At: at, Series: name, Value: vals[i][w]})
 		}
 	}
 	return out

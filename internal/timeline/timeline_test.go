@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -294,9 +296,10 @@ func TestBusyClamp(t *testing.T) {
 	checkVals(t, r, "net/bytes", []float64{150, 50})
 }
 
-// TestZeroSeriesHoldCount: a series holds only a count of its leading zero
-// windows — none of the values of a series that never leaves zero — and
-// every reader still sees each window's value with its exact bits.
+// TestZeroSeriesHoldCount: a series that never leaves zero holds only a
+// count, its one open run, and one that appears mid-run starts with a run
+// of zeros; every reader still sees each window's value with its exact
+// bits.
 func TestZeroSeriesHoldCount(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	script := map[string][]float64{
@@ -319,8 +322,8 @@ func TestZeroSeriesHoldCount(t *testing.T) {
 		r.Observe(sim.Time(i) * 10)
 	}
 	r.Finish(80)
-	if s := r.series["quiet"]; s.blocks != nil || s.n != 0 || s.zeros != 8 {
-		t.Fatalf("all-zero series holds %d values and %d zeros, want none and 8", s.n, s.zeros)
+	if s := r.series["quiet"]; s.chunks != nil || s.bits != 0 || s.run != 8 {
+		t.Fatalf("all-zero series holds %d chunks and an open run of %d × %#x, want none and 8 × 0", len(s.chunks), s.run, s.bits)
 	}
 	points := map[string][]float64{}
 	for _, p := range r.Points() {
@@ -334,14 +337,7 @@ func TestZeroSeriesHoldCount(t *testing.T) {
 	for name, want := range script {
 		got, _ := r.Range(name, 0, 0)
 		for reader, vals := range map[string][]float64{"Range": got, "Points": points[name], "Report": report[name]} {
-			if len(vals) != len(want) {
-				t.Fatalf("%s(%q) has %d windows, want %d", reader, name, len(vals), len(want))
-			}
-			for i := range want {
-				if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
-					t.Errorf("%s(%q) window %d = %v, want %v", reader, name, i, vals[i], want[i])
-				}
-			}
+			checkBits(t, reader+"("+name+")", vals, want)
 		}
 		if line := fmt.Sprintf("series %s kind=gauge", name); !strings.Contains(fp, line) ||
 			!strings.Contains(fp, fmt.Sprintf("vals=%016x", valsHash(want))) {
@@ -350,39 +346,156 @@ func TestZeroSeriesHoldCount(t *testing.T) {
 	}
 }
 
-// TestSeriesBlocksKeepEveryValue: values stored across several blocks,
-// after leading zeros, read back with their exact bits through at and
-// values, and only a block's first value allocates it.
-func TestSeriesBlocksKeepEveryValue(t *testing.T) {
-	var s series
-	const lead, n = 3, 2*blockLen + 5
-	want := make([]float64, lead, lead+n)
-	for i := 0; i < lead; i++ {
-		s.add(0)
-	}
-	for i := 0; i < n; i++ {
-		v := float64(i) + 0.5
-		switch i {
-		case 0:
-			v = math.Copysign(0, -1) // ends the leading zeros, bits kept
-		case blockLen:
-			v = 0 // a later +0 is a value, not a leading zero
-		case blockLen + 1:
-			v = math.NaN()
-		}
-		s.add(v)
-		want = append(want, v)
-	}
-	if s.zeros != lead || s.n != n || len(s.blocks) != 3 {
-		t.Fatalf("%d zeros, %d values in %d blocks", s.zeros, s.n, len(s.blocks))
-	}
-	got := s.values()
+// checkBits fails unless got holds want's values with their exact bits.
+func checkBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("values has %d windows, want %d", len(got), len(want))
+		t.Fatalf("%s has %d windows, want %d", what, len(got), len(want))
 	}
-	for w := range want {
-		if math.Float64bits(got[w]) != math.Float64bits(want[w]) || math.Float64bits(s.at(w)) != math.Float64bits(want[w]) {
-			t.Fatalf("window %d: values %v, at %v, want %v", w, got[w], s.at(w), want[w])
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s window %d = %v (%#x), want %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
+}
+
+// TestSeriesBlocksKeepEveryValue: runs stored across several chunks, after
+// leading zeros, read back with their exact bits, whether kept as varints
+// or raw, and no chunk is ever regrown: each keeps the capacity it was
+// allocated with.
+func TestSeriesBlocksKeepEveryValue(t *testing.T) {
+	s := series{n: 3, run: 3} // three leading zeros, as for a series first sampled in window 3
+	want := make([]float64, 3, 3000)
+	odd := []float64{
+		math.Copysign(0, -1), 0, math.NaN(), math.Float64frombits(0x7ff8_0000_dead_beef), math.Inf(1), math.Inf(-1),
+		1 << 53, 1<<53 + 2, -(1 << 53), 1<<53 - 1, -(1<<53 - 1), math.SmallestNonzeroFloat64, 0.5, -3, 1e300,
+	}
+	for i := 0; len(want) < 2900; i++ {
+		v := float64(i%7) + float64(i/7%3)*0.25
+		if i%5 == 0 {
+			v = odd[i/5%len(odd)]
+		}
+		for k := 0; k <= i%4*(i%11); k++ {
+			s.add(v)
+			want = append(want, v)
+		}
+	}
+	if len(s.chunks) < 4 {
+		t.Fatalf("runs fit in %d chunks; want a test across several", len(s.chunks))
+	}
+	for i, c := range s.chunks {
+		if want := 64 << min(i, 6); cap(c) != want {
+			t.Fatalf("chunk %d has capacity %d, allocated with %d", i, cap(c), want)
+		}
+	}
+	checkBits(t, "values", s.values(), want)
+}
+
+// TestSeriesStorageBudget: small-integer counters and gauges, as the
+// runtime's backlog, mailbox and fault series read, cost at most 2 bytes
+// per window-value over 10,000 windows, everything the recording
+// allocates included; stored as float64s they took 8.
+func TestSeriesStorageBudget(t *testing.T) {
+	const windows = 10_000
+	rng := rand.New(rand.NewSource(5))
+	var faults, msgs, backlog, inflight float64
+	r := New(10)
+	r.SetSampler(func(s *Sample) {
+		if rng.Intn(50) == 0 {
+			faults++
+		}
+		msgs += float64(rng.Intn(4))
+		if rng.Intn(2) == 0 {
+			backlog = max(0, min(40, backlog+float64(2*rng.Intn(2)-1)))
+		}
+		inflight = float64(rng.Intn(8))
+		s.Add("fault/total", Counter, faults)
+		s.Add("net/msgs", Counter, msgs)
+		s.Add("backlog/total", Gauge, backlog)
+		s.Add("copilot/inflight", Gauge, inflight)
+	})
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	r.Observe(windows * 10)
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(windows*len(r.names))
+	if r.Windows() != windows || len(r.names) != 4 {
+		t.Fatalf("%d windows of %d series, want %d of 4", r.Windows(), len(r.names), windows)
+	}
+	if per > 2 {
+		t.Errorf("series cost %.2f bytes per window-value, want at most 2", per)
+	}
+}
+
+// FuzzSeriesRoundTrip feeds a gauge arbitrary float64 bits, in runs, and
+// requires values and Points to return every bit.
+func FuzzSeriesRoundTrip(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 3, 1, 5, 2, 9, 3, 250, 4, 200, 5, 7})
+	f.Add([]byte{1, 0xef, 0xbe, 0xad, 0xde, 0, 0, 0xf8, 0x7f, 2, 6, 255, 7, 1, 8, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		take := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		raw := func() uint64 {
+			var v uint64
+			for i := 0; i < 8; i++ {
+				v |= uint64(take()) << (8 * i)
+			}
+			return v
+		}
+		var want []float64
+		for len(data) > 0 && len(want) < 4000 {
+			var v float64
+			switch sel := take(); sel % 10 {
+			case 0:
+				v = math.Float64frombits(raw())
+			case 1:
+				v = math.Float64frombits(0x7ff0_0000_0000_0000 | raw()) // NaN payloads, ±Inf
+			case 2:
+				v = math.Copysign(0, -1)
+			case 3:
+				v = float64(int8(take()))
+			case 4:
+				v = 1<<53 + float64(int8(take())) // integers around 2^53
+			case 5:
+				v = -(1 << 53) - float64(int8(take()))
+			case 6:
+				v = math.Float64frombits(raw() & 0x800f_ffff_ffff_ffff) // subnormals
+			case 7:
+				v = float64(int64(raw()) >> (take() % 64))
+			default:
+				v = math.Inf(int(sel%2)*2 - 1)
+			}
+			n := 1 + int(take()%8)
+			if n == 8 {
+				n = 1 + int(take())*3 // long runs
+			}
+			for ; n > 0; n-- {
+				want = append(want, v)
+			}
+		}
+		if len(want) == 0 {
+			return
+		}
+		w := 0
+		r := New(10)
+		r.SetSampler(func(s *Sample) {
+			s.Add("s", Gauge, want[w])
+			w++
+		})
+		r.Finish(sim.Time(len(want)) * 10)
+		checkBits(t, "values", r.series["s"].values(), want)
+		pts := r.Points()
+		got := make([]float64, len(pts))
+		for i, p := range pts {
+			got[i] = p.Value
+		}
+		checkBits(t, "Points", got, want)
+	})
 }

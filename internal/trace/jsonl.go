@@ -20,8 +20,8 @@ type eventJSON struct {
 // timeline.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for i := 0; i < r.events.n; i++ {
-		ev := r.events.at(i).expand(&r.labels)
+	for d := r.events.reader(); d.more(); {
+		ev := d.event(&r.labels)
 		if err := enc.Encode(eventJSON{
 			AtNs: int64(ev.At), Kind: ev.Kind.String(), Proc: ev.Proc,
 			Channel: ev.Channel, Bytes: ev.Bytes, Xfer: ev.Xfer,

@@ -153,7 +153,9 @@ func (r *Recorder) AddPhase(lbl Label, pe PhaseEvent) {
 		r.phasesDropped++
 		return
 	}
-	r.phases.add(packPhase(lbl, &pe))
+	p := packPhase(lbl, &pe)
+	r.phases.addPhase(&p)
+	r.maxXfer = max(r.maxXfer, pe.Xfer)
 }
 
 // Phases returns the recorded phase events in recording order, in a new
@@ -162,15 +164,13 @@ func (r *Recorder) Phases() []PhaseEvent {
 	if r == nil || r.phases.n == 0 {
 		return nil
 	}
-	out := make([]PhaseEvent, r.phases.n)
-	for i := range out {
-		out[i] = r.phase(i)
+	out := make([]PhaseEvent, 0, r.phases.n)
+	for d := r.phases.reader(); d.more(); {
+		p := d.phase()
+		out = append(out, p.expand(&r.labels))
 	}
 	return out
 }
-
-// phase expands the i-th recorded phase event.
-func (r *Recorder) phase(i int) PhaseEvent { return r.phases.at(i).expand(&r.labels) }
 
 // PhasesDropped reports phase events discarded past the limit.
 func (r *Recorder) PhasesDropped() int { return r.phasesDropped }
@@ -203,17 +203,20 @@ func (s Span) PhaseTotal(k PhaseKind) sim.Time {
 // Spans groups the recorded phase events by transfer id, ordered by start
 // time (id as tie-break); each span's phases are ordered by start time,
 // then phase kind. Phases recorded without an id (0) are not part of any
-// transfer and are skipped. The spans' phase slices share one backing
-// array, each capped at its own length.
+// transfer and are skipped. The log is decoded once, and a stable sort by
+// id groups the phases, in recording order within an id, in one backing
+// array that the spans' phase slices share, each capped at its own length.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	order := r.byXfer()
-	backing := make([]PhaseEvent, len(order))
-	for j, i := range order {
-		backing[j] = r.phase(int(i))
+	backing := make([]PhaseEvent, 0, r.phases.n)
+	for d := r.phases.reader(); d.more(); {
+		if p := d.phase(); p.xfer != 0 {
+			backing = append(backing, p.expand(&r.labels))
+		}
 	}
+	slices.SortStableFunc(backing, func(a, b PhaseEvent) int { return cmp.Compare(a.Xfer, b.Xfer) })
 	out := []Span{}
 	for lo := 0; lo < len(backing); {
 		hi := lo + 1
@@ -248,19 +251,4 @@ func (r *Recorder) Spans() []Span {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// byXfer returns the indices of the phases that carry a transfer id,
-// sorted by id, in recording order within an id.
-func (r *Recorder) byXfer() []int32 {
-	var order []int32
-	for i := 0; i < r.phases.n; i++ {
-		if r.phases.at(i).xfer != 0 {
-			order = append(order, int32(i))
-		}
-	}
-	slices.SortStableFunc(order, func(a, b int32) int {
-		return cmp.Compare(r.phases.at(int(a)).xfer, r.phases.at(int(b)).xfer)
-	})
-	return order
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -37,6 +38,18 @@ func (o *oracleLog) RecordPhase(pe PhaseEvent) {
 		return
 	}
 	o.phases = append(o.phases, pe)
+}
+
+// MaxXfer scans every stored event and phase for the highest transfer id.
+func (o *oracleLog) MaxXfer() int64 {
+	var id int64
+	for _, ev := range o.events {
+		id = max(id, ev.Xfer)
+	}
+	for _, pe := range o.phases {
+		id = max(id, pe.Xfer)
+	}
+	return id
 }
 
 func (o *oracleLog) Spans() []Span {
@@ -105,6 +118,11 @@ func genLog(t *testing.T, seed int64, sh logShape, r *Recorder, o *oracleLog) {
 	rng := rand.New(rand.NewSource(seed))
 	grid := func() sim.Time { return sim.Time(rng.Intn(40)) * sim.Microsecond }
 	for app := 0; app < sh.apps; app++ {
+		// Each App reads MaxXfer when it starts, as core does to number
+		// its transfers.
+		if got, want := r.MaxXfer(), o.MaxXfer(); got != want {
+			t.Fatalf("App %d starts at MaxXfer %d, oracle's scan %d", app, got, want)
+		}
 		// Apps share some track names and differ in others.
 		names := []string{"PI_MAIN(rank0@node0)", fmt.Sprintf("w%d(rank1@node1)", app),
 			"copilot@cell0", fmt.Sprintf("spe%d#0(spe@node0)", app%2)}
@@ -191,6 +209,9 @@ func checkAgainstOracle(t *testing.T, r *Recorder, o *oracleLog) {
 	if r.PhasesDropped() != o.phasesDropped || r.Dropped() != o.dropped {
 		t.Fatalf("dropped phases %d events %d, oracle %d and %d",
 			r.PhasesDropped(), r.Dropped(), o.phasesDropped, o.dropped)
+	}
+	if got, want := r.MaxXfer(), o.MaxXfer(); got != want {
+		t.Fatalf("MaxXfer %d, oracle's scan %d", got, want)
 	}
 	got, want := r.Spans(), o.Spans()
 	if len(got) != len(want) {
@@ -279,10 +300,7 @@ func TestFlightTailMatchesRecordingAcrossWrap(t *testing.T) {
 
 func TestRecordSizes(t *testing.T) {
 	if s := unsafe.Sizeof(phaseRec{}); s > 40 {
-		t.Errorf("phase record is %d bytes, want at most 40", s)
-	}
-	if s := unsafe.Sizeof(eventRec{}); s > 32 {
-		t.Errorf("event record is %d bytes, want at most 32", s)
+		t.Errorf("the flight ring's phase slot is %d bytes, want at most 40", s)
 	}
 }
 
@@ -300,13 +318,15 @@ var sinkRecorder *Recorder
 var sinkFlight *Flight
 
 func TestSpanLogAllocation(t *testing.T) {
-	// NewRecorder allocates the Recorder and nothing else: no block and
-	// no label table until the first record.
+	// NewRecorder allocates the Recorder and nothing else: no chunk and
+	// no label table until the first record. The Recorder's own bytes are
+	// its size rounded up to the allocator's size class.
 	if n := testing.AllocsPerRun(100, func() { sinkRecorder = NewRecorder(0) }); n != 1 {
 		t.Errorf("NewRecorder makes %v allocations, want 1 (the Recorder itself)", n)
 	}
-	if b := allocBytes(func() { sinkRecorder = NewRecorder(0) }); b > uint64(unsafe.Sizeof(Recorder{})) {
-		t.Errorf("NewRecorder allocates %d bytes, more than the %d-byte Recorder", b, unsafe.Sizeof(Recorder{}))
+	own := allocBytes(func() { sinkRecorder = new(Recorder) })
+	if b := allocBytes(func() { sinkRecorder = NewRecorder(0) }); b > own {
+		t.Errorf("NewRecorder allocates %d bytes, more than the %d a Recorder takes", b, own)
 	}
 	// 256 records of 40 bytes and the Flight itself; a ring of whole
 	// PhaseEvents took 22.5 KB.
@@ -322,12 +342,120 @@ func TestSpanLogAllocation(t *testing.T) {
 				Start: sim.Time(i), End: sim.Time(i + 1)})
 		}
 	})
-	if per := float64(b) / n; per > 41 {
-		t.Errorf("recording %d phases allocates %.1f bytes each, want at most 41", n, per)
+	if per := float64(b) / n; per > 16 {
+		t.Errorf("recording %d phases allocates %.1f bytes each, want at most 16", n, per)
 	}
 	if got := len(r.Phases()); got != n {
 		t.Fatalf("kept %d phases, want %d", got, n)
 	}
+	b = allocBytes(func() {
+		for i := 0; i < n; i++ {
+			r.AddEvent(lbl, Event{At: sim.Time(i), Kind: KindRead, Channel: 3, Bytes: 1600, Xfer: int64(i + 1)})
+		}
+	})
+	if per := float64(b) / n; per > 12 {
+		t.Errorf("recording %d events allocates %.1f bytes each, want at most 12", n, per)
+	}
+	if got := len(r.Events()); got != n {
+		t.Fatalf("kept %d events, want %d", got, n)
+	}
+}
+
+// fuzzFields hands out record fields from fuzz input: each takes a
+// selector byte that picks 0, ±1, a type extreme or the next raw bytes.
+type fuzzFields []byte
+
+func (f *fuzzFields) next() uint8 {
+	if len(*f) == 0 {
+		return 0
+	}
+	v := (*f)[0]
+	*f = (*f)[1:]
+	return v
+}
+
+func (f *fuzzFields) raw(n int) uint64 {
+	var v uint64
+	for i := 0; i < n; i++ {
+		v = v<<8 | uint64(f.next())
+	}
+	return v
+}
+
+func (f *fuzzFields) i64() int64 {
+	switch f.next() % 6 {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 2:
+		return -1
+	case 3:
+		return math.MinInt64
+	case 4:
+		return math.MaxInt64
+	}
+	return int64(f.raw(8))
+}
+
+func (f *fuzzFields) i32() int {
+	switch f.next() % 5 {
+	case 0:
+		return 0
+	case 1:
+		return math.MinInt32
+	case 2:
+		return math.MaxInt32
+	case 3:
+		return int(int8(f.next()))
+	}
+	return int(int32(f.raw(4)))
+}
+
+// FuzzSpanLogRoundTrip writes arbitrary field values, within their stored
+// widths, through AddPhase, RecordPhase, AddEvent and Record, and holds
+// what the Recorder reads back to the oracle.
+func FuzzSpanLogRoundTrip(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(0), []byte{0, 3, 7, 9, 4, 1, 2, 3, 4, 0, 3, 4, 1, 2, 1, 3, 4, 1, 0, 2})
+	f.Add(uint8(3), []byte{1, 4, 3, 3, 2, 5, 1, 3, 4, 0, 4, 3, 2, 0, 1, 2, 2, 4, 3, 3, 0, 2, 0, 0})
+	f.Add(uint8(0), []byte{2, 5, 1, 2, 3, 4, 5, 6, 7, 8, 1, 4, 9, 9, 9, 9, 3, 200, 1, 4, 0, 2, 1, 3})
+	f.Fuzz(func(t *testing.T, limit uint8, data []byte) {
+		names := []string{"PI_MAIN(rank0@node0)", "copilot@cell0", "spe0#0(spe@node0)"}
+		r, o := NewRecorder(int(limit%32)), &oracleLog{limit: int(limit % 32)}
+		lbls := make([]Label, len(names))
+		for i, n := range names {
+			lbls[i] = r.Intern(n)
+		}
+		in := fuzzFields(data)
+		for len(in) > 0 {
+			op, who := in.next(), int(in.next())%len(names)
+			if op%2 == 0 {
+				pe := PhaseEvent{Xfer: in.i64(), Phase: PhaseKind(in.next()), Proc: names[who],
+					Channel: in.i32(), ChanType: int(in.next()), Bytes: in.i32(),
+					Start: sim.Time(in.i64()), End: sim.Time(in.i64()), Chunk: in.i32()}
+				if pe.Chunk > 0 {
+					pe.Stream = pe.Xfer
+				}
+				o.RecordPhase(pe)
+				if op%4 == 0 {
+					r.RecordPhase(pe)
+				} else {
+					r.AddPhase(lbls[who], pe)
+				}
+				continue
+			}
+			ev := Event{At: sim.Time(in.i64()), Kind: Kind(in.next()), Proc: names[who],
+				Channel: in.i32(), Bytes: in.i32(), Xfer: in.i64()}
+			o.Record(ev)
+			if op%4 == 1 {
+				r.Record(ev)
+			} else {
+				r.AddEvent(lbls[who], ev)
+			}
+		}
+		checkAgainstOracle(t, r, o)
+	})
 }
 
 func panics(fn func()) (did bool) {

@@ -54,7 +54,7 @@ type Event struct {
 }
 
 // Recorder accumulates events and phase events up to a limit each
-// (0 = unlimited), storing them as compact records in fixed-size blocks
+// (0 = unlimited), storing them as delta-varint records in byte chunks
 // with each track's name numbered once in the recorder's label table (see
 // spanlog.go). Several Apps may record into one Recorder in turn; each
 // interns its names into the same table, so Phases and Events read back
@@ -66,16 +66,17 @@ type Recorder struct {
 	labels  labels
 	limit   int
 	dropped int
-	events  blocks[eventRec]
+	events  spanLog
 
-	phases        blocks[phaseRec]
+	phases        spanLog
 	phasesDropped int
 
+	maxXfer  int64
 	counters []CounterPoint
 }
 
 // NewRecorder creates a recorder keeping at most limit events and limit
-// phase events (0 = unlimited). It allocates no record storage: a block is
+// phase events (0 = unlimited). It allocates no record storage: a chunk is
 // allocated by the first record it holds.
 func NewRecorder(limit int) *Recorder {
 	return &Recorder{limit: limit}
@@ -105,7 +106,8 @@ func (r *Recorder) AddEvent(lbl Label, ev Event) {
 		r.dropped++
 		return
 	}
-	r.events.add(packEvent(lbl, &ev))
+	r.events.addEvent(lbl, &ev)
+	r.maxXfer = max(r.maxXfer, ev.Xfer)
 }
 
 // Events returns the recorded events in order, in a new slice.
@@ -113,9 +115,9 @@ func (r *Recorder) Events() []Event {
 	if r == nil || r.events.n == 0 {
 		return nil
 	}
-	out := make([]Event, r.events.n)
-	for i := range out {
-		out[i] = r.events.at(i).expand(&r.labels)
+	out := make([]Event, 0, r.events.n)
+	for d := r.events.reader(); d.more(); {
+		out = append(out, d.event(&r.labels))
 	}
 	return out
 }
@@ -124,19 +126,10 @@ func (r *Recorder) Events() []Event {
 func (r *Recorder) Dropped() int { return r.dropped }
 
 // MaxXfer returns the highest transfer id among the stored events and
-// phase events, or 0 when none carries one. It scans every record, so an
-// App calls it once, when its Run starts, to number its own transfers
-// after those already stored.
-func (r *Recorder) MaxXfer() int64 {
-	var id int64
-	for i := 0; i < r.events.n; i++ {
-		id = max(id, r.events.at(i).xfer)
-	}
-	for i := 0; i < r.phases.n; i++ {
-		id = max(id, r.phases.at(i).xfer)
-	}
-	return id
-}
+// phase events, or 0 when none carries one. Records dropped past the
+// limit do not count. An App numbers its own transfers after it, so Apps
+// recording into one Recorder in turn never share a transfer id.
+func (r *Recorder) MaxXfer() int64 { return r.maxXfer }
 
 // ChannelStats aggregates one channel's traffic.
 type ChannelStats struct {
@@ -157,10 +150,15 @@ func (st ChannelStats) Span() sim.Time {
 	return st.Last - st.First
 }
 
-// ByChannel aggregates events per channel id.
+// ByChannel aggregates events per channel id, decoding the log once.
 func (r *Recorder) ByChannel() []ChannelStats {
 	agg := map[int]*ChannelStats{}
-	for _, ev := range r.Events() {
+	var d logReader
+	if r != nil {
+		d = r.events.reader()
+	}
+	for d.more() {
+		ev := d.event(&r.labels)
 		if ev.Kind == KindCoPilot {
 			continue
 		}
