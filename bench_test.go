@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cellpilot/internal/cellbe"
 	"cellpilot/internal/sim"
 	"cellpilot/internal/workload"
 )
@@ -134,8 +135,10 @@ func BenchmarkAblationPollInterval(b *testing.B) {
 		40 * sim.Microsecond, 80 * sim.Microsecond,
 	} {
 		b.Run(iv.String(), func(b *testing.B) {
+			par := cellbe.DefaultParams()
+			par.CoPilotPoll = iv
 			runPingPong(b, workload.PingPongConfig{
-				Type: 4, Bytes: 1, Method: workload.MethodCellPilot, PollInterval: iv,
+				Type: 4, Bytes: 1, Method: workload.MethodCellPilot, Params: par,
 			})
 		})
 	}
@@ -147,8 +150,10 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 	for _, th := range []int{1, 4096, 1 << 20} {
 		for _, bytes := range []int{64, 1600, 65536} {
 			b.Run(fmt.Sprintf("thr%d/%dB", th, bytes), func(b *testing.B) {
+				par := cellbe.DefaultParams()
+				par.EagerThreshold = th
 				runPingPong(b, workload.PingPongConfig{
-					Type: 1, Bytes: bytes, Method: workload.MethodCellPilot, EagerThreshold: th,
+					Type: 1, Bytes: bytes, Method: workload.MethodCellPilot, Params: par,
 				})
 			})
 		}

@@ -232,7 +232,7 @@ func runPingPongGrid(reps int, pub *metrics.Publisher, outDir string) {
 			}
 			cfg := workload.PingPongConfig{
 				Type: typ, Bytes: 1600, Method: workload.MethodCellPilot, Reps: n,
-				Metrics: meter,
+				Sinks: core.Sinks{Metrics: meter},
 			}
 			var st core.Stats
 			var tl *timeline.Recorder
@@ -434,7 +434,7 @@ func runProfile(reps, traceType int, foldedPath, pprofPath string) {
 		prof := profile.New()
 		if _, err := workload.PingPong(workload.PingPongConfig{
 			Type: typ, Bytes: 1600, Method: workload.MethodCellPilot, Reps: reps,
-			Profile: prof,
+			Sinks: core.Sinks{Profile: prof},
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -517,7 +517,7 @@ func runPhases(reps, traceType int, chromePath, metricsPath string) {
 		meter := core.NewMeter()
 		res, err := workload.PingPong(workload.PingPongConfig{
 			Type: typ, Bytes: 1600, Method: workload.MethodCellPilot, Reps: reps,
-			Trace: rec, Metrics: meter,
+			Sinks: core.Sinks{Trace: rec, Metrics: meter},
 		})
 		if err != nil {
 			log.Fatal(err)

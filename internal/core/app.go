@@ -25,10 +25,6 @@ type Options struct {
 	// DeadlockDetection enables the Pilot deadlock service (the paper's
 	// "-pisvc=d"), which consumes one extra MPI rank.
 	DeadlockDetection bool
-	// Placement overrides the default round-robin node assignment for
-	// regular processes: it receives the process id and node count and
-	// returns a node index. PI_MAIN (id 0) is also consulted.
-	Placement func(procID, nodes int) int
 	// CoPilotDirectLocal is the A1 ablation: route the PPE↔Co-Pilot leg of
 	// type-2 channels through a direct shared-memory copy instead of local
 	// MPI (the speed-up the paper's Section V analysis suggests).
@@ -128,9 +124,9 @@ type App struct {
 	// noteStream), kept whatever sinks are attached.
 	streams [2]streamLevel
 
-	// obs is the sink set snapshotted from the public fields when Run
+	// obs is the sink set snapshotted from the embedded Sinks when Run
 	// starts; recording goes through it, so late attachment is inert.
-	obs obsSinks
+	obs Sinks
 	// flight is the always-on bounded ring of recent phase events; its
 	// tail is stitched into fault diagnostics.
 	flight *trace.Flight
@@ -139,47 +135,15 @@ type App struct {
 	// each label to the span recorder's.
 	tracks   []string
 	traceLbl []trace.Label
-	// backoff accumulates per-process fault-repost time pending profiler
-	// attribution (see noteBackoff).
-	backoff map[trace.Label]sim.Time
+	// sums are the phase totals Run keeps for the profiler and the flow
+	// map; nil when neither is attached.
+	sums *phaseSums
 
 	// Logf, when set, receives trace lines from Ctx.Log and SPECtx.Log
 	// prefixed with virtual time and process identity.
 	Logf func(format string, args ...any)
-	// Trace, when set, records every completed channel operation and the
-	// phases inside it (at zero virtual-time cost, so traced runs keep
-	// calibrated timings). Attach before Run (or via SetTrace, which
-	// reports misuse): Run snapshots the sinks, so a later write to this
-	// field records nothing.
-	Trace *trace.Recorder
-	// Metrics, when set, aggregates per-channel-type histograms and
-	// Co-Pilot queue statistics, receives core's per-type counters when
-	// Run ends, and turns on Stats' per-type and per-process sections.
-	// Also free of virtual-time cost. Attach before Run.
-	Metrics *Meter
-	// Profile, when set, folds every process's virtual timeline into
-	// exclusive attribution buckets (internal/profile) exportable as
-	// folded stacks or pprof. Also free of virtual-time cost. Attach
-	// before Run.
-	Profile *profile.Profiler
-	// HostProf, when set, measures what the run costs on the host:
-	// wall-clock kernel counters (events, heap traffic) and per-subsystem
-	// host-time attribution (internal/hostprof). It rides strictly outside
-	// the virtual timeline — virtual results and chaos fingerprints stay
-	// bit-for-bit identical with it attached. Attach before Run.
-	HostProf *hostprof.Profiler
-	// Timeline, when set, buckets live telemetry (Co-Pilot utilization,
-	// link saturation, per-type backlog, fault counters, ...) into fixed
-	// virtual-time windows via the kernel's clock hook
-	// (internal/timeline), surfaced through Stats().Timeline. Also free
-	// of virtual-time cost. Attach before Run.
-	Timeline *timeline.Recorder
-	// Flows, when set, classifies every delivered message into a flow
-	// (src proc, dst proc, channel type, route) and aggregates the
-	// node×node traffic matrix, per-hop attribution, and heavy-hitter
-	// table (internal/flowmap), surfaced through Stats().Flows. Also free
-	// of virtual-time cost. Attach before Run.
-	Flows *flowmap.Map
+	// Sinks are the optional observation sinks; attach them before Run.
+	Sinks
 }
 
 // NewApp starts the configuration phase on a cluster. The PI_MAIN process
@@ -207,16 +171,8 @@ func NewApp(c *cluster.Cluster, opts Options) *App {
 	return a
 }
 
-func (a *App) placeRegular(procID int) int {
-	if a.opts.Placement != nil {
-		n := a.opts.Placement(procID, len(a.Clu.Nodes))
-		if n < 0 || n >= len(a.Clu.Nodes) {
-			panic(fmt.Sprintf("core: Placement returned node %d of %d", n, len(a.Clu.Nodes)))
-		}
-		return n
-	}
-	return procID % len(a.Clu.Nodes)
-}
+// placeRegular is a regular process's default node: round-robin by id.
+func (a *App) placeRegular(procID int) int { return procID % len(a.Clu.Nodes) }
 
 // Main returns the PI_MAIN process.
 func (a *App) Main() *Process { return a.procs[0] }
@@ -461,7 +417,7 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 	// Freeze the observability sinks: everything recorded during the run
 	// goes through this snapshot, so writing the public fields after this
 	// point cannot race with recording (see SetTrace et al.).
-	a.obs = obsSinks{trace: a.Trace, meter: a.Metrics, prof: a.Profile, flight: a.flight, host: a.HostProf, tline: a.Timeline, flow: a.Flows}
+	a.obs = a.Sinks
 	a.tracks = make([]string, 0, len(a.procs)+len(a.Clu.Nodes))
 	for _, p := range a.procs {
 		p.str = p.format()
@@ -471,9 +427,9 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 	// Wire the host-cost profiler into the kernel's probe hooks. Guarded:
 	// a typed-nil assigned into the HostProbe interface would defeat the
 	// kernel's `host != nil` fast path.
-	if a.obs.host != nil {
-		a.K.SetHostProbe(a.obs.host)
-		a.Clu.Net.SetHostProf(a.obs.host)
+	if a.obs.HostProf != nil {
+		a.K.SetHostProbe(a.obs.HostProf)
+		a.Clu.Net.SetHostProf(a.obs.HostProf)
 	}
 	// Rank layout: regular processes first (PI_MAIN = 0), then Co-Pilots,
 	// then the deadlock service.
@@ -506,6 +462,15 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 			len(a.tracks), trace.MaxLabels)
 	}
 	a.numberTracks()
+	if prof, flows := a.obs.Profile != nil, a.obs.Flows != nil; prof || flows {
+		a.sums = &phaseSums{}
+		if prof {
+			a.sums.track = make([]trackTime, len(a.tracks))
+		}
+		if flows {
+			a.sums.hop = make([][2]hopTime, len(a.chans))
+		}
+	}
 	svcRank := -1
 	if a.opts.DeadlockDetection {
 		svcRank = len(placements)
@@ -517,11 +482,11 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 	}
 	a.world = world
 	world.Faults = a.opts.Faults
-	world.Host = a.obs.host
+	world.Host = a.obs.HostProf
 	// Wire the flow observatory into the layers that see node→node and
 	// wire-level traffic: every delivered MPI message fills the matrix,
 	// every frame the interconnect carries is tallied per link.
-	if f := a.obs.flow; f != nil {
+	if f := a.obs.Flows; f != nil {
 		f.SetNodes(len(a.Clu.Nodes))
 		world.Flow = f.Node
 		a.Clu.Net.SetFlowHook(f.Wire)
@@ -540,8 +505,8 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 			// The whole service loop runs under one host-attribution frame:
 			// the per-proc tag persists across parks, so only the Co-Pilot's
 			// own execution slices are charged to it.
-			a.obs.host.Enter(hostprof.SubsysCoPilot)
-			defer a.obs.host.Exit()
+			a.obs.HostProf.Enter(hostprof.SubsysCoPilot)
+			defer a.obs.HostProf.Exit()
 			cp.loop(sp)
 		})
 	}
@@ -586,7 +551,7 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 	a.phase = phaseDone
 	a.publishAccounting()
 	// Close the timeline's trailing partial window at the final clock.
-	a.obs.tline.Finish(a.K.Now())
+	a.obs.Timeline.Finish(a.K.Now())
 	if err == nil {
 		err = a.faultSummary()
 	}
@@ -674,11 +639,11 @@ func (a *App) record(p *sim.Proc, kind trace.Kind, proc *Process, ch *Channel, b
 	case trace.KindRead:
 		ch.backlog--
 	}
-	if m := a.obs.meter; m != nil {
+	if m := a.obs.Metrics; m != nil {
 		m.observeOp(ch.typ, bytes, dur)
 	}
-	if a.obs.trace != nil {
-		a.obs.trace.AddEvent(a.traceLbl[proc.lbl], trace.Event{At: p.Now(), Kind: kind, Channel: ch.id, Bytes: bytes, Xfer: xfer})
+	if a.obs.Trace != nil {
+		a.obs.Trace.AddEvent(a.traceLbl[proc.lbl], trace.Event{At: p.Now(), Kind: kind, Channel: ch.id, Bytes: bytes, Xfer: xfer})
 	}
 	if kind == trace.KindRead {
 		a.flowDeliver(ch, bytes, dur)
@@ -710,12 +675,13 @@ func (a *App) noteStream(dir, n int) {
 // publishAccounting hands core's accounting to the sinks that report it,
 // once, when Run ends: the profiler gets every Co-Pilot's and process's
 // lifetime, with unfinished ones (killed processes, service loops) closed
-// at the final clock; the Meter gets the per-type operation and byte
-// counters and the stream in-flight gauges. Counters are added, so a
-// Meter shared across Apps accumulates.
+// at the final clock, and each track's time by phase kind; the flow map
+// gets each Co-Pilot's copy and relay time per channel; the Meter gets
+// the per-type operation and byte counters and the stream in-flight
+// gauges. Sums are added, so a sink shared across Apps accumulates.
 func (a *App) publishAccounting() {
 	now := a.K.Now()
-	if prof := a.obs.prof; prof != nil {
+	if prof := a.obs.Profile; prof != nil {
 		for _, key := range a.copilotOrder {
 			if cp := a.copilots[key]; cp.life.ran {
 				start, end := cp.life.span(now)
@@ -728,8 +694,28 @@ func (a *App) publishAccounting() {
 				prof.SetLifetime(p.String(), start, end)
 			}
 		}
+		for lbl, t := range a.sums.track {
+			name := a.tracks[lbl]
+			for k, d := range t.phase {
+				// Co-Pilot wait spans a request's posting and queueing,
+				// already the requester's time, not the Co-Pilot's.
+				if kind := trace.PhaseKind(k); kind != trace.PhaseCoPilotWait {
+					prof.Attribute(name, kind.String(), d)
+				}
+			}
+			prof.Attribute(name, profile.BucketFaultBackoff, t.backoff)
+		}
 	}
-	m := a.obs.meter
+	if f := a.obs.Flows; f != nil {
+		for id, hops := range a.sums.hop {
+			for _, h := range hops {
+				if h.busy > 0 {
+					f.HopBusy(a.tracks[h.lbl], a.flowInfo(a.chans[id]).key, h.busy)
+				}
+			}
+		}
+	}
+	m := a.obs.Metrics
 	if m == nil {
 		return
 	}

@@ -26,7 +26,7 @@ func TestChunkSpansSelfDescribing(t *testing.T) {
 	opts := Options{Transfer: TransferOptions{ChunkSize: 8 << 10}}
 
 	full := trace.NewRecorder(0)
-	runType1Bounce(t, payload, opts, sinks{trace: full}, 0)
+	runType1Bounce(t, payload, opts, Sinks{Trace: full}, 0)
 	all := chunkEvents(full)
 	if len(all) < 2 {
 		t.Fatalf("chunked bounce produced %d streams with chunk events, want 2 (request + reply)", len(all))
@@ -44,7 +44,7 @@ func TestChunkSpansSelfDescribing(t *testing.T) {
 // stream backlog gauges, live value plus high-water, for both directions.
 func TestStreamInflightGauges(t *testing.T) {
 	meter := NewMeter()
-	runType1Bounce(t, 64<<10, Options{Transfer: TransferOptions{ChunkSize: 8 << 10}}, sinks{meter: meter}, 0)
+	runType1Bounce(t, 64<<10, Options{Transfer: TransferOptions{ChunkSize: 8 << 10}}, Sinks{Metrics: meter}, 0)
 	names := map[string]bool{}
 	for _, g := range meter.Registry().GaugeNames() {
 		if strings.HasPrefix(g, "copilot/stream/") {

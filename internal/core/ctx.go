@@ -86,10 +86,10 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 	if ch.From != c.Self {
 		c.fail(loc, api, "%s is not the writer of %s", c.Self, ch)
 	}
-	c.app.obs.host.Enter(hostprof.SubsysFmtmsg)
+	c.app.obs.HostProf.Enter(hostprof.SubsysFmtmsg)
 	spec, err := fmtmsg.Parse(format)
 	if err != nil {
-		c.app.obs.host.Exit()
+		c.app.obs.HostProf.Exit()
 		c.fail(loc, api, "%v", err)
 	}
 	// Pack into a pooled wire buffer: every transport below snapshots or
@@ -97,7 +97,7 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 	bp := fmtmsg.GetWireBuf(0)
 	defer fmtmsg.PutWireBuf(bp)
 	wire, err := spec.PackInto(*bp, args...)
-	c.app.obs.host.Exit()
+	c.app.obs.HostProf.Exit()
 	if err != nil {
 		c.fail(loc, api, "%v", err)
 	}
@@ -251,9 +251,9 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 	}
 	unpackStart := c.P.Now()
 	c.P.Advance(c.app.par.PilotOverhead + c.app.par.PackTime(size))
-	c.app.obs.host.Enter(hostprof.SubsysFmtmsg)
+	c.app.obs.HostProf.Enter(hostprof.SubsysFmtmsg)
 	err = spec.Unpack(data[hdrSize:], args...)
-	c.app.obs.host.Exit()
+	c.app.obs.HostProf.Exit()
 	if err != nil {
 		c.fail(loc, api, "%v", err)
 	}
@@ -388,9 +388,9 @@ func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expec
 	}
 	unpackStart := c.P.Now()
 	c.P.Advance(par.PilotOverhead + par.PackTime(size))
-	c.app.obs.host.Enter(hostprof.SubsysFmtmsg)
+	c.app.obs.HostProf.Enter(hostprof.SubsysFmtmsg)
 	_, uerr := spec.UnpackFrom(buf, args...)
-	c.app.obs.host.Exit()
+	c.app.obs.HostProf.Exit()
 	if uerr != nil {
 		c.fail(loc, api, "%v", uerr)
 	}

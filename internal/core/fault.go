@@ -302,7 +302,7 @@ func (a *App) recoverFault(proc *Process) {
 
 // applyFault is the injector's OnEvent callback (scheduler context).
 func (a *App) applyFault(e fault.Event) {
-	if tl := a.obs.tline; tl != nil {
+	if tl := a.obs.Timeline; tl != nil {
 		target := e.Proc
 		if e.Kind != fault.KillSPE {
 			target = fmt.Sprintf("node%d", e.Node)

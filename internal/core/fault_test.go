@@ -269,7 +269,7 @@ func TestKilledRunLifetimes(t *testing.T) {
 		if end <= start || end > final {
 			t.Errorf("%s: lifetime %v..%v not closed within the run (final clock %v)", name, start, end, final)
 		}
-		if strings.HasPrefix(name, copilotLabelPrefix) {
+		if strings.HasPrefix(name, "copilot@") {
 			copilots++
 		}
 	}

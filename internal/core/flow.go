@@ -7,11 +7,6 @@ import (
 	"cellpilot/internal/sim"
 )
 
-// copilotLabelPrefix prefixes every Co-Pilot rank label ("copilot@cell0",
-// "copilot@cell1/cell1" under the per-cell ablation). The flow layer uses
-// it to recognize relay occupancy spans without per-site hooks.
-const copilotLabelPrefix = "copilot@"
-
 // chanFlow is a channel's flow classification: the flow key every
 // delivery on it maps to, plus the resources each delivered byte
 // traversed. Computed once per channel at first delivery (the Co-Pilot
@@ -98,10 +93,11 @@ func (a *App) flowInfo(ch *Channel) *chanFlow {
 // flowDeliver classifies one delivered message into its flow: the flow
 // table and route aggregates take the payload size and latency sample,
 // and every hop on the route is attributed the delivered bytes (NICs
-// additionally their serialization occupancy; Co-Pilot occupancy comes
-// from the relay spans via spanPhase, which measures queueing too).
+// additionally their serialization occupancy; Co-Pilot occupancy is the
+// copy and relay phases' time, which publishAccounting hands over when
+// Run ends).
 func (a *App) flowDeliver(ch *Channel, bytes int, dur sim.Time) {
-	f := a.obs.flow
+	f := a.obs.Flows
 	if f == nil {
 		return
 	}

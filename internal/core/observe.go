@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"cellpilot/internal/fault"
 	"cellpilot/internal/flowmap"
 	"cellpilot/internal/hostprof"
@@ -81,19 +79,68 @@ func NewMeter() *Meter {
 // Registry exposes the raw metric registry (for dumps and exports).
 func (m *Meter) Registry() *metrics.Registry { return m.reg }
 
-// obsSinks is the set of observability sinks a Run records into. It is
-// snapshotted from the public fields when Run starts, so attaching a
-// recorder or meter after the simulation began is inert (the checked
-// SetTrace/SetMetrics/SetProfile methods additionally report the misuse
-// as a configuration error) instead of racing with recording.
-type obsSinks struct {
-	trace  *trace.Recorder
-	meter  *Meter
-	prof   *profile.Profiler
-	flight *trace.Flight
-	host   *hostprof.Profiler
-	tline  *timeline.Recorder
-	flow   *flowmap.Map
+// Sinks are the optional observation sinks an App records into, each
+// free of virtual-time cost, so an observed run keeps the calibrated
+// timings of a bare one; a nil field stays detached. App embeds them:
+// attach by assigning a field (or the whole set) before Run, or through
+// the Set* methods, which also report a late attach. Run snapshots the
+// set when it starts and records through the snapshot, so a later write
+// records nothing.
+type Sinks struct {
+	// Trace records every completed channel operation and the phases
+	// inside it.
+	Trace *trace.Recorder
+	// Metrics aggregates per-channel-type histograms and Co-Pilot queue
+	// statistics, receives core's per-type counters when Run ends, and
+	// turns on Stats' per-type and per-process sections.
+	Metrics *Meter
+	// Profile gets every process's lifetime and its virtual time by phase
+	// kind when Run ends, and folds them into exclusive attribution
+	// buckets (internal/profile) exportable as folded stacks or pprof.
+	Profile *profile.Profiler
+	// HostProf measures what the run costs on the host: wall-clock kernel
+	// counters (events, heap traffic) and per-subsystem host-time
+	// attribution (internal/hostprof). It rides strictly outside the
+	// virtual timeline, so virtual results and chaos fingerprints stay
+	// bit-for-bit identical with it attached.
+	HostProf *hostprof.Profiler
+	// Timeline buckets live telemetry (Co-Pilot utilization, link
+	// saturation, per-type backlog, fault counters, ...) into fixed
+	// virtual-time windows via the kernel's clock hook
+	// (internal/timeline), surfaced through Stats().Timeline.
+	Timeline *timeline.Recorder
+	// Flows classifies every delivered message into a flow (src proc, dst
+	// proc, channel type, route) and aggregates the node×node traffic
+	// matrix, per-hop attribution and heavy-hitter table
+	// (internal/flowmap), surfaced through Stats().Flows. Co-Pilot hop
+	// occupancy arrives when Run ends.
+	Flows *flowmap.Map
+}
+
+// phaseSums are the phase totals Run keeps while a profiler or a flow map
+// is attached, and hands over when it ends (see publishAccounting): track,
+// by track label, for the profiler, and hop, by channel id, for the flow
+// map.
+type phaseSums struct {
+	track []trackTime
+	hop   [][2]hopTime
+}
+
+// trackTime is one track's virtual time in each transfer phase kind, with
+// the fault-protocol repost time split off its mailbox requests in
+// backoff.
+type trackTime struct {
+	phase   [trace.PhaseChunkRelay + 1]sim.Time
+	backoff sim.Time
+}
+
+// hopTime is the time one Co-Pilot track spent copying and relaying a
+// channel's payloads. A channel has at most two such tracks, its writer's
+// Co-Pilot and its reader's; a zero lbl marks a slot no Co-Pilot has used
+// (label 0 is PI_MAIN's).
+type hopTime struct {
+	lbl  trace.Label
+	busy sim.Time
 }
 
 // newXfer allocates the next transfer id (ids are 1-based; 0 means
@@ -105,10 +152,11 @@ func (a *App) newXfer() int64 {
 	return a.lastXfer
 }
 
-// spanPhase dispatches one transfer phase to every attached sink: the
-// always-on flight recorder, the optional span recorder, and the optional
-// virtual-time profiler. lbl is the executing track's label (see
-// numberTracks).
+// spanPhase records one transfer phase in the always-on flight ring and
+// the optional span recorder, and adds its duration to core's totals: the
+// track's time in that phase kind while a profiler is attached, and a
+// Co-Pilot's copy and relay time on the channel while a flow map is. lbl
+// is the executing track's label (see numberTracks).
 func (a *App) spanPhase(xfer int64, phase trace.PhaseKind, lbl trace.Label, ch *Channel, bytes int, start, end sim.Time) {
 	if xfer == 0 {
 		return
@@ -118,17 +166,35 @@ func (a *App) spanPhase(xfer int64, phase trace.PhaseKind, lbl trace.Label, ch *
 		Channel: ch.id, ChanType: int(ch.typ), Bytes: bytes,
 		Start: start, End: end,
 	})
-	if a.obs.prof != nil {
-		a.profAttribute(lbl, phase, end-start)
+	sums := a.sums
+	if sums == nil {
+		return
 	}
-	// Flow observatory: a copy/relay span executed by a Co-Pilot is that
-	// hop's measured occupancy on behalf of the channel's flow.
-	if f := a.obs.flow; f != nil {
+	d := end - start
+	if sums.track != nil {
+		t := &sums.track[lbl]
+		if phase == trace.PhaseMailboxReq {
+			// A stub's repost time since its last mailbox request is split
+			// off this one (see SPECtx.postDesc).
+			p := a.procs[lbl]
+			back := min(p.backoff, d)
+			p.backoff = 0
+			t.backoff += back
+			d -= back
+		}
+		t.phase[phase] += d
+	}
+	if sums.hop != nil && int(lbl) >= len(a.procs) {
+		// Labels past the processes' are the Co-Pilots'.
 		switch phase {
 		case trace.PhaseCopy, trace.PhaseRelay, trace.PhaseChunkRelay:
-			if proc := a.tracks[lbl]; strings.HasPrefix(proc, copilotLabelPrefix) {
-				f.HopBusy(proc, a.flowInfo(ch).key, end-start)
+			h := &sums.hop[ch.id]
+			i := 0
+			if h[0].lbl != 0 && h[0].lbl != lbl {
+				i = 1
 			}
+			h[i].lbl = lbl
+			h[i].busy += d
 		}
 	}
 }
@@ -153,9 +219,9 @@ func (a *App) spanChunk(xfer int64, phase trace.PhaseKind, lbl trace.Label, ch *
 
 // span stores one phase in the flight ring and the span recorder.
 func (a *App) span(lbl trace.Label, pe trace.PhaseEvent) {
-	a.obs.flight.Add(lbl, pe)
-	if a.obs.trace != nil {
-		a.obs.trace.AddPhase(a.traceLbl[lbl], pe)
+	a.flight.Add(lbl, pe)
+	if a.obs.Trace != nil {
+		a.obs.Trace.AddPhase(a.traceLbl[lbl], pe)
 	}
 }
 
@@ -168,65 +234,13 @@ func (a *App) span(lbl trace.Label, pe trace.PhaseEvent) {
 // recorder already holds, so Apps sharing it never share a transfer id.
 func (a *App) numberTracks() {
 	a.flight.SetNames(a.tracks)
-	if rec := a.obs.trace; rec != nil {
+	if rec := a.obs.Trace; rec != nil {
 		a.lastXfer = rec.MaxXfer()
 		a.traceLbl = make([]trace.Label, len(a.tracks))
 		for i, name := range a.tracks {
 			a.traceLbl[i] = rec.Intern(name)
 		}
 	}
-}
-
-// profAttribute folds one phase of duration d into the profiler's
-// exclusive buckets. PhaseCoPilotWait is deliberately excluded: it spans
-// the requester's posting and waiting interval (already attributed on the
-// SPE side), not Co-Pilot execution. A PhaseMailboxReq that contains
-// fault-protocol reposts is split: the repost portion (noted by the stub
-// via noteBackoff) lands in fault-backoff, the remainder in mbox-req.
-func (a *App) profAttribute(lbl trace.Label, phase trace.PhaseKind, d sim.Time) {
-	prof := a.obs.prof
-	proc := a.tracks[lbl]
-	switch phase {
-	case trace.PhasePack:
-		prof.Attribute(proc, profile.BucketPack, d)
-	case trace.PhaseMailboxReq:
-		if back := a.backoff[lbl]; back > 0 {
-			delete(a.backoff, lbl)
-			if back > d {
-				back = d
-			}
-			prof.Attribute(proc, profile.BucketFaultBackoff, back)
-			d -= back
-		}
-		prof.Attribute(proc, profile.BucketMboxReq, d)
-	case trace.PhaseMailboxWait:
-		prof.Attribute(proc, profile.BucketMboxWait, d)
-	case trace.PhaseCoPilotService:
-		prof.Attribute(proc, profile.BucketCoPilotService, d)
-	case trace.PhaseCopy:
-		prof.Attribute(proc, profile.BucketCopy, d)
-	case trace.PhaseRelay:
-		prof.Attribute(proc, profile.BucketRelay, d)
-	case trace.PhaseMPISend:
-		prof.Attribute(proc, profile.BucketMPISend, d)
-	case trace.PhaseMPIWait:
-		prof.Attribute(proc, profile.BucketMPIWait, d)
-	case trace.PhaseChunkRelay:
-		prof.Attribute(proc, profile.BucketChunkRelay, d)
-	}
-}
-
-// noteBackoff records that the process labelled lbl spent d of its
-// current mailbox request in the fault-protocol repost loop, so the
-// profiler can attribute it to fault-backoff instead of mbox-req.
-func (a *App) noteBackoff(lbl trace.Label, d sim.Time) {
-	if a.obs.prof == nil || d <= 0 {
-		return
-	}
-	if a.backoff == nil {
-		a.backoff = map[trace.Label]sim.Time{}
-	}
-	a.backoff[lbl] += d
 }
 
 // observeOp samples one completed channel operation (read or write side)
@@ -247,7 +261,7 @@ func (m *Meter) observeOp(t ChannelType, bytes int, dur sim.Time) {
 // at decode time. The Co-Pilot's meter entries are looked up at its first
 // request, so the registry holds them exactly when a request was metered.
 func (cp *copilot) meterReq(wait sim.Time, depth int) {
-	m := cp.app.obs.meter
+	m := cp.app.obs.Metrics
 	if m == nil {
 		return
 	}

@@ -16,31 +16,15 @@ import (
 	"cellpilot/internal/trace"
 )
 
-// sinks names the observability sinks runFiveTypes attaches; a nil field
-// stays detached.
-type sinks struct {
-	trace    *trace.Recorder
-	meter    *Meter
-	prof     *profile.Profiler
-	host     *hostprof.Profiler
-	timeline *timeline.Recorder
-	flows    *flowmap.Map
-}
-
 // runFiveTypes runs a 2-Cell-node + 1-Xeon cluster workload that exercises
 // every Table I channel type (1: PPE↔remote PPE, 2: PPE↔local SPE,
 // 3: PPE↔remote SPE, 4: SPE↔local SPE, 5: SPE↔remote SPE), with the given
 // sinks and options, and returns the final virtual time.
-func runFiveTypes(t *testing.T, rounds int, s sinks, opts Options) (*App, sim.Time) {
+func runFiveTypes(t *testing.T, rounds int, s Sinks, opts Options) (*App, sim.Time) {
 	t.Helper()
 	c := newTestCluster(t)
 	a := NewApp(c, opts)
-	a.Trace = s.trace
-	a.Metrics = s.meter
-	a.Profile = s.prof
-	a.HostProf = s.host
-	a.Timeline = s.timeline
-	a.Flows = s.flows
+	a.Sinks = s
 
 	var t1d, t1u, t2d, t2u, t3d, t3u, t4ab, t4ba, t5ab, t5ba *Channel
 	mkEcho := func(down, up **Channel) *SPEProgram {
@@ -122,7 +106,7 @@ func TestObservabilityZeroCost(t *testing.T) {
 	// strictly outside the virtual timeline. Stride 1 samples every slice,
 	// the worst case for any accidental coupling.
 	host := hostprof.New(1)
-	all := sinks{trace.NewRecorder(0), NewMeter(), profile.New(), hostprof.New(1), timeline.New(0), flowmap.New(0)}
+	all := Sinks{trace.NewRecorder(0), NewMeter(), profile.New(), hostprof.New(1), timeline.New(0), flowmap.New(0)}
 	// Every operation runs the same bounded path in every arm. An armed
 	// but empty fault plan switches on what a fault plan selects (the
 	// Co-Pilot's bounded descriptor reads and completion writes, the link
@@ -131,19 +115,19 @@ func TestObservabilityZeroCost(t *testing.T) {
 	inj := fault.NewInjector(fault.Plan{})
 	arms := []struct {
 		name string
-		s    sinks
+		s    Sinks
 		opts Options
 	}{
-		{"bare", sinks{}, Options{}},
-		{"trace", sinks{trace: rec}, Options{}},
-		{"meter", sinks{meter: NewMeter()}, Options{}},
-		{"profile", sinks{prof: prof}, Options{}},
-		{"host", sinks{host: host}, Options{}},
-		{"timeline", sinks{timeline: tl}, Options{}},
-		{"flows", sinks{flows: fl}, Options{}},
+		{"bare", Sinks{}, Options{}},
+		{"trace", Sinks{Trace: rec}, Options{}},
+		{"meter", Sinks{Metrics: NewMeter()}, Options{}},
+		{"profile", Sinks{Profile: prof}, Options{}},
+		{"host", Sinks{HostProf: host}, Options{}},
+		{"timeline", Sinks{Timeline: tl}, Options{}},
+		{"flows", Sinks{Flows: fl}, Options{}},
 		{"all", all, Options{}},
-		{"empty fault plan", sinks{}, Options{Faults: inj}},
-		{"armed deadline", sinks{}, Options{OpTimeout: sim.Second}},
+		{"empty fault plan", Sinks{}, Options{Faults: inj}},
+		{"armed deadline", Sinks{}, Options{OpTimeout: sim.Second}},
 	}
 	apps := map[string]*App{}
 	var bare sim.Time
@@ -212,7 +196,7 @@ func TestObservabilityZeroCost(t *testing.T) {
 	if err := prof.FoldedStacks(&fa); err != nil {
 		t.Fatal(err)
 	}
-	if err := all.prof.FoldedStacks(&fb); err != nil {
+	if err := all.Profile.FoldedStacks(&fb); err != nil {
 		t.Fatal(err)
 	}
 	if fa.String() != fb.String() {
@@ -253,7 +237,7 @@ func TestObservabilityZeroCost(t *testing.T) {
 		t.Fatalf("critical-path report not deterministic:\n%s\nvs\n%s", cp.Table(), again.Table())
 	}
 	// Per-channel event times must also be identical across sink sets.
-	evA, evB := rec.Events(), all.trace.Events()
+	evA, evB := rec.Events(), all.Trace.Events()
 	if len(evA) != len(evB) {
 		t.Fatalf("event counts diverged: %d vs %d", len(evA), len(evB))
 	}
@@ -268,7 +252,7 @@ func TestObservabilityZeroCost(t *testing.T) {
 // span decomposed into mailbox, Co-Pilot, and copy-or-relay phases.
 func TestSpansCoverAllSPETypes(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	_, _ = runFiveTypes(t, 2, sinks{trace: rec}, Options{})
+	_, _ = runFiveTypes(t, 2, Sinks{Trace: rec}, Options{})
 	spans := rec.Spans()
 	byType := map[int]int{}
 	for _, sp := range spans {
@@ -304,7 +288,7 @@ func TestSpansCoverAllSPETypes(t *testing.T) {
 // track per process and per Co-Pilot.
 func TestChromeExportTracks(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	_, _ = runFiveTypes(t, 2, sinks{trace: rec}, Options{})
+	_, _ = runFiveTypes(t, 2, Sinks{Trace: rec}, Options{})
 	var buf bytes.Buffer
 	if err := rec.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -365,7 +349,7 @@ func TestChromeExportTracks(t *testing.T) {
 // blocked-time attribution when a Meter is attached.
 func TestStatsMetrics(t *testing.T) {
 	meter := NewMeter()
-	a, final := runFiveTypes(t, 2, sinks{meter: meter}, Options{})
+	a, final := runFiveTypes(t, 2, Sinks{Metrics: meter}, Options{})
 	st := a.Stats()
 	if st.Registry == nil {
 		t.Fatal("Stats.Registry nil with a meter attached")
@@ -429,9 +413,9 @@ func TestStatsMetrics(t *testing.T) {
 // times, while the Meter's per-type counters accumulate across both.
 func TestSharedMeterProcTimes(t *testing.T) {
 	meter := NewMeter()
-	a1, _ := runFiveTypes(t, 2, sinks{meter: meter}, Options{})
+	a1, _ := runFiveTypes(t, 2, Sinks{Metrics: meter}, Options{})
 	first := a1.Stats()
-	a2, _ := runFiveTypes(t, 2, sinks{meter: meter}, Options{})
+	a2, _ := runFiveTypes(t, 2, Sinks{Metrics: meter}, Options{})
 	second := a2.Stats()
 	if len(first.ProcTimes) == 0 || !reflect.DeepEqual(first.ProcTimes, second.ProcTimes) {
 		t.Fatalf("ProcTimes differ between identical Apps sharing a Meter:\nfirst:  %+v\nsecond: %+v", first.ProcTimes, second.ProcTimes)
@@ -452,14 +436,14 @@ func TestSharedMeterProcTimes(t *testing.T) {
 // report stays in its seed shape.
 func TestStatsStringMetricsSections(t *testing.T) {
 	meter := NewMeter()
-	a, _ := runFiveTypes(t, 2, sinks{meter: meter}, Options{})
+	a, _ := runFiveTypes(t, 2, Sinks{Metrics: meter}, Options{})
 	s := a.Stats().String()
 	for _, want := range []string{"type1:", "type5:", "latency p50=", "bandwidth p50=", "compute", "mailbox"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Stats.String missing %q:\n%s", want, s)
 		}
 	}
-	b, _ := runFiveTypes(t, 2, sinks{}, Options{})
+	b, _ := runFiveTypes(t, 2, Sinks{}, Options{})
 	if s := b.Stats().String(); strings.Contains(s, "latency p50=") || strings.Contains(s, "compute") {
 		t.Fatalf("Stats.String shows metric sections without a meter:\n%s", s)
 	}
@@ -607,7 +591,7 @@ func TestAttachAfterRunRejected(t *testing.T) {
 // metric registry.
 func TestCongestionTelemetry(t *testing.T) {
 	meter := NewMeter()
-	a, vt := runFiveTypes(t, 3, sinks{meter: meter}, Options{})
+	a, vt := runFiveTypes(t, 3, Sinks{Metrics: meter}, Options{})
 	st := a.Stats()
 	if vt <= 0 {
 		t.Fatal("no virtual time elapsed")

@@ -78,6 +78,9 @@ type Process struct {
 	// count of the request whose completion the stub waits for, 0 once
 	// it gave up, so the Co-Pilot never hands it a stale status word.
 	posts, awaiting uint32
+	// backoff is an SPE stub's fault-protocol repost time not yet split
+	// off a mailbox-request phase (see spanPhase).
+	backoff sim.Time
 
 	// str is String's text, fixed when Run leaves the configuration phase
 	// (placement can change until then: CreateProcessOn sets nodeID after

@@ -191,25 +191,6 @@ func TestProcessStringFixedAtRun(t *testing.T) {
 
 var stringSink string
 
-func TestPlacementCallback(t *testing.T) {
-	c := newTestCluster(t)
-	calls := 0
-	a := NewApp(c, Options{Placement: func(procID, nodes int) int {
-		calls++
-		if nodes != 3 {
-			t.Fatalf("nodes = %d", nodes)
-		}
-		return 2 // everything on the xeon
-	}})
-	p := a.CreateProcess("w", func(*Ctx, int, any) {}, 0, nil)
-	if p.NodeID() != 2 || a.Main().NodeID() != 2 {
-		t.Fatal("placement callback not honored")
-	}
-	if calls != 2 {
-		t.Fatalf("placement consulted %d times", calls)
-	}
-}
-
 func TestLogfHook(t *testing.T) {
 	c := newTestCluster(t)
 	a := NewApp(c, Options{})

@@ -77,7 +77,7 @@ func (c *SPECtx) postDesc(loc, api string, op speOpcode, ch *Channel, lsAddr uin
 	repostFrom := sim.Time(-1)
 	defer func() {
 		if repostFrom >= 0 {
-			c.app.noteBackoff(c.Self.lbl, c.P.Now()-repostFrom)
+			c.Self.backoff += c.P.Now() - repostFrom
 		}
 	}()
 	for attempt := 0; ; attempt++ {
@@ -241,16 +241,16 @@ func (c *SPECtx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft 
 	if ch.From != c.Self {
 		c.fail(loc, api, "%s is not the writer of %s", c.Self, ch)
 	}
-	c.app.obs.host.Enter(hostprof.SubsysFmtmsg)
+	c.app.obs.HostProf.Enter(hostprof.SubsysFmtmsg)
 	spec, err := fmtmsg.Parse(format)
 	if err != nil {
-		c.app.obs.host.Exit()
+		c.app.obs.HostProf.Exit()
 		c.fail(loc, api, "%v", err)
 	}
 	bp := fmtmsg.GetWireBuf(0)
 	defer fmtmsg.PutWireBuf(bp)
 	wire, err := spec.PackInto(*bp, args...)
-	c.app.obs.host.Exit()
+	c.app.obs.HostProf.Exit()
 	if err != nil {
 		c.fail(loc, api, "%v", err)
 	}
@@ -386,9 +386,9 @@ func (c *SPECtx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft b
 		payload = c.gather
 	}
 	c.P.Advance(c.app.par.SPEStubOverhead + c.app.par.PackTime(expected))
-	c.app.obs.host.Enter(hostprof.SubsysFmtmsg)
+	c.app.obs.HostProf.Enter(hostprof.SubsysFmtmsg)
 	err = spec.Unpack(payload, args...)
-	c.app.obs.host.Exit()
+	c.app.obs.HostProf.Exit()
 	if err != nil {
 		c.fail(loc, api, "%v", err)
 	}

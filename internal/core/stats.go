@@ -164,10 +164,10 @@ type Stats struct {
 func (a *App) Stats() Stats {
 	st := Stats{VirtualTime: a.K.Now()}
 	st.NetworkMessages, st.NetworkBytes = a.Clu.Net.Stats()
-	if a.obs.tline != nil {
-		st.Timeline = a.obs.tline.Report()
+	if a.obs.Timeline != nil {
+		st.Timeline = a.obs.Timeline.Report()
 	}
-	if f := a.obs.flow; f != nil {
+	if f := a.obs.Flows; f != nil {
 		st.Flows = f.Report(0)
 	}
 	elapsed := float64(st.VirtualTime)
@@ -218,14 +218,14 @@ func (a *App) Stats() Stats {
 		}
 		st.Links = append(st.Links, lu)
 	}
-	if rec := a.obs.trace; rec != nil {
+	if rec := a.obs.Trace; rec != nil {
 		st.CritPath = critpath.Analyze(rec.Spans(), critpath.Options{ProcNodes: a.ProcNodes()})
 	}
-	if hp := a.obs.host; hp != nil {
+	if hp := a.obs.HostProf; hp != nil {
 		snap := hp.Snapshot()
 		st.Host = &snap
 	}
-	m := a.obs.meter
+	m := a.obs.Metrics
 	if m == nil {
 		m = a.Metrics // Stats before Run: nothing recorded, but keep the registry visible
 	}

@@ -24,7 +24,7 @@ type tlNames struct {
 // so an attached timeline cannot move a single virtual timestamp. Run
 // calls it once the Co-Pilots exist.
 func (a *App) installTimeline() {
-	tl := a.obs.tline
+	tl := a.obs.Timeline
 	if tl == nil {
 		return
 	}
@@ -59,7 +59,7 @@ func (a *App) timelineSample(s *timeline.Sample, n *tlNames) {
 	msgs, bytes := a.Clu.Net.Stats()
 	s.Add("net/bytes", timeline.Counter, float64(bytes))
 	s.Add("net/messages", timeline.Counter, float64(msgs))
-	if f := a.obs.flow; f != nil {
+	if f := a.obs.Flows; f != nil {
 		// Per-route delivered-byte counters. RouteNames is sorted, so
 		// series creation order — and with it the timeline fingerprint —
 		// is deterministic.

@@ -14,7 +14,7 @@ import (
 // and surfaces through Stats().Timeline.
 func TestTimelineRecordsRun(t *testing.T) {
 	tl := timeline.New(20 * sim.Microsecond)
-	app, vt := runFiveTypes(t, 2, sinks{meter: NewMeter(), timeline: tl}, Options{})
+	app, vt := runFiveTypes(t, 2, Sinks{Metrics: NewMeter(), Timeline: tl}, Options{})
 	rep := app.Stats().Timeline
 	if rep == nil {
 		t.Fatal("Stats().Timeline nil with a recorder attached")
@@ -60,7 +60,7 @@ func TestTimelineRecordsRun(t *testing.T) {
 func TestTimelineDeterministicAcrossRuns(t *testing.T) {
 	run := func() string {
 		tl := timeline.New(20 * sim.Microsecond)
-		runFiveTypes(t, 2, sinks{meter: NewMeter(), timeline: tl}, Options{})
+		runFiveTypes(t, 2, Sinks{Metrics: NewMeter(), Timeline: tl}, Options{})
 		return tl.Fingerprint()
 	}
 	a, b := run(), run()
@@ -83,12 +83,12 @@ func TestTimelineBacklogWithoutMeter(t *testing.T) {
 	}
 	fiveTypes := func(meter *Meter) map[string][]float64 {
 		tl := timeline.New(20 * sim.Microsecond)
-		runFiveTypes(t, 2, sinks{meter: meter, timeline: tl}, Options{})
+		runFiveTypes(t, 2, Sinks{Metrics: meter, Timeline: tl}, Options{})
 		return series(tl)
 	}
 	chunked := func(meter *Meter) map[string][]float64 {
 		tl := timeline.New(20 * sim.Microsecond)
-		runType1Bounce(t, 64<<10, Options{Transfer: TransferOptions{ChunkSize: 8 << 10}}, sinks{meter: meter, timeline: tl}, 0)
+		runType1Bounce(t, 64<<10, Options{Transfer: TransferOptions{ChunkSize: 8 << 10}}, Sinks{Metrics: meter, Timeline: tl}, 0)
 		return series(tl)
 	}
 	for _, arm := range []struct {

@@ -22,18 +22,15 @@ import (
 type TransferOptions struct {
 	// ChunkSize, when positive, enables the pipelined chunk protocol for
 	// internode transfers (channel types 1, 3 and 5) whose on-wire size
-	// exceeds the eager bound; payloads move as ceil(size/ChunkSize)
-	// chunks. Zero disables chunking entirely.
+	// (header + payload) exceeds Params.EagerThreshold, so exactly the
+	// messages that would rendezvous are the ones that stream; payloads
+	// move as ceil(size/ChunkSize) chunks. Zero disables chunking
+	// entirely.
 	ChunkSize int
 	// PipelineDepth bounds how many chunks may be in flight (injected but
 	// not yet arrived) at once; chunk k is injected only after chunk
 	// k-PipelineDepth has arrived. Zero means the default of 4.
 	PipelineDepth int
-	// EagerMax is the on-wire size (header + payload) at or below which a
-	// chunk-eligible transfer still takes the plain eager path. Zero means
-	// Params.EagerThreshold, so exactly the messages that would rendezvous
-	// are the ones that stream.
-	EagerMax int
 	// ZeroCopyType4 routes type-4 (SPE ↔ local SPE) copies through an
 	// LS-window→LS-window DMA over the EIB instead of the Co-Pilot's mapped
 	// local-store memcpy — the B3 fast path.
@@ -46,15 +43,6 @@ const defaultPipelineDepth = 4
 
 // chunkingOn reports whether the chunk protocol is enabled at all.
 func (a *App) chunkingOn() bool { return a.opts.Transfer.ChunkSize > 0 }
-
-// transferEagerMax is the on-wire size at or below which chunk-eligible
-// transfers stay on the plain path.
-func (a *App) transferEagerMax() int {
-	if e := a.opts.Transfer.EagerMax; e > 0 {
-		return e
-	}
-	return a.par.EagerThreshold
-}
 
 // pipeDepth is the effective in-flight chunk window.
 func (a *App) pipeDepth() int {
@@ -84,7 +72,7 @@ func (a *App) streamEligible(ch *Channel) bool {
 // size exceeds the eager bound. Writer and reader agree because Pilot
 // already requires their sizes to agree (a mismatch is a format error).
 func (a *App) chunked(ch *Channel, wireLen int) bool {
-	return a.streamEligible(ch) && hdrSize+wireLen > a.transferEagerMax()
+	return a.streamEligible(ch) && hdrSize+wireLen > a.par.EagerThreshold
 }
 
 // dmaRes returns the per-SPE MFC DMA engine resource the chunk pipeline

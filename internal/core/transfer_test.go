@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"cellpilot/internal/cellbe"
+	"cellpilot/internal/cluster"
 	"cellpilot/internal/fault"
 	"cellpilot/internal/sim"
 	"cellpilot/internal/trace"
@@ -21,11 +23,16 @@ type bounceResult struct {
 	got      []byte
 }
 
-func runType1Bounce(t *testing.T, bytes int, opts Options, s sinks, timeout sim.Time) bounceResult {
+func runType1Bounce(t *testing.T, bytes int, opts Options, s Sinks, timeout sim.Time) bounceResult {
 	t.Helper()
-	c := newTestCluster(t)
+	return runType1BounceOn(t, newTestCluster(t), bytes, opts, s, timeout)
+}
+
+// runType1BounceOn is runType1Bounce on the caller's cluster.
+func runType1BounceOn(t *testing.T, c *cluster.Cluster, bytes int, opts Options, s Sinks, timeout sim.Time) bounceResult {
+	t.Helper()
 	a := NewApp(c, opts)
-	a.Trace, a.Metrics, a.Timeline = s.trace, s.meter, s.timeline
+	a.Sinks = s
 	format := fmt.Sprintf("%%%db", bytes)
 	msg := make([]byte, bytes)
 	for i := range msg {
@@ -91,36 +98,41 @@ func countChunkRelay(rec *trace.Recorder) int {
 
 // E-TR1: with the engine disabled (zero ChunkSize), the other knobs are
 // inert — the virtual timeline is bit-for-bit the pre-engine one no matter
-// what PipelineDepth/EagerMax/ZeroCopyType4 the options carry alongside a
-// zero ChunkSize... except ZeroCopyType4, which is its own independent
-// switch and must be off too for strict equality.
+// what PipelineDepth the options carry alongside a zero ChunkSize.
+// ZeroCopyType4 is its own independent switch and must be off too for
+// strict equality.
 func TestTransferDisabledZeroCost(t *testing.T) {
-	_, bare := runFiveTypes(t, 2, sinks{}, Options{})
-	_, knobs := runFiveTypes(t, 2, sinks{}, Options{
-		Transfer: TransferOptions{ChunkSize: 0, PipelineDepth: 9, EagerMax: 123},
+	_, bare := runFiveTypes(t, 2, Sinks{}, Options{})
+	_, knobs := runFiveTypes(t, 2, Sinks{}, Options{
+		Transfer: TransferOptions{ChunkSize: 0, PipelineDepth: 9},
 	})
 	if bare != knobs {
 		t.Fatalf("zero ChunkSize is not inert: bare=%v with-knobs=%v", bare, knobs)
 	}
 }
 
-// E-TR2: the eager/stream boundary sits exactly at EagerMax on-wire bytes:
-// hdrSize+wire == EagerMax stays on the plain path, one byte more streams.
-// Both deliver the payload intact.
+// E-TR2: the eager/stream boundary sits exactly at Params.EagerThreshold
+// on-wire bytes: hdrSize+wire == EagerThreshold stays on the plain path,
+// one byte more streams. Both deliver the payload intact.
 func TestTransferEagerBoundary(t *testing.T) {
-	opts := Options{Transfer: TransferOptions{ChunkSize: 4096}}
-	eagerMax := 4096 // default: Params.EagerThreshold
-
-	recAt := trace.NewRecorder(0)
-	runType1Bounce(t, eagerMax-hdrSize, opts, sinks{trace: recAt}, 0)
-	if n := countChunkRelay(recAt); n != 0 {
-		t.Fatalf("wire size == EagerMax took the chunked path (%d chunk-relay phases)", n)
+	opts := Options{Transfer: TransferOptions{ChunkSize: 1024}}
+	const threshold = 3000 // off the default, so the test reads the Params
+	bounce := func(bytes int) *trace.Recorder {
+		par := cellbe.DefaultParams()
+		par.EagerThreshold = threshold
+		c, err := cluster.New(cluster.Spec{CellNodes: 2, XeonNodes: 1, Params: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder(0)
+		runType1BounceOn(t, c, bytes, opts, Sinks{Trace: rec}, 0)
+		return rec
 	}
-
-	recOver := trace.NewRecorder(0)
-	runType1Bounce(t, eagerMax-hdrSize+1, opts, sinks{trace: recOver}, 0)
-	if n := countChunkRelay(recOver); n == 0 {
-		t.Fatal("wire size == EagerMax+1 did not take the chunked path")
+	if n := countChunkRelay(bounce(threshold - hdrSize)); n != 0 {
+		t.Fatalf("wire size == EagerThreshold took the chunked path (%d chunk-relay phases)", n)
+	}
+	if n := countChunkRelay(bounce(threshold - hdrSize + 1)); n == 0 {
+		t.Fatal("wire size == EagerThreshold+1 did not take the chunked path")
 	}
 }
 
@@ -128,9 +140,9 @@ func TestTransferEagerBoundary(t *testing.T) {
 // store-and-forward rendezvous it replaces at large sizes.
 func TestTransferChunkedFasterAndDeterministic(t *testing.T) {
 	const bytes = 65536
-	base := runType1Bounce(t, bytes, Options{}, sinks{}, 0)
-	c1 := runType1Bounce(t, bytes, Options{Transfer: TransferOptions{ChunkSize: 8192}}, sinks{}, 0)
-	c2 := runType1Bounce(t, bytes, Options{Transfer: TransferOptions{ChunkSize: 8192}}, sinks{}, 0)
+	base := runType1Bounce(t, bytes, Options{}, Sinks{}, 0)
+	c1 := runType1Bounce(t, bytes, Options{Transfer: TransferOptions{ChunkSize: 8192}}, Sinks{}, 0)
+	c2 := runType1Bounce(t, bytes, Options{Transfer: TransferOptions{ChunkSize: 8192}}, Sinks{}, 0)
 	if c1.vt != c2.vt {
 		t.Fatalf("chunked run not deterministic: %v vs %v", c1.vt, c2.vt)
 	}
@@ -150,7 +162,7 @@ func TestTransferLinkFaultMidStream(t *testing.T) {
 		return runType1Bounce(t, 65536, Options{
 			Faults:   fault.NewInjector(plan),
 			Transfer: TransferOptions{ChunkSize: 8192},
-		}, sinks{}, 20*sim.Millisecond)
+		}, Sinks{}, 20*sim.Millisecond)
 	}
 	r1 := once()
 	r2 := once()

@@ -2,10 +2,11 @@
 // timeline into exclusive buckets — compute, pack, mailbox traffic and
 // waits, Co-Pilot service, data moves, MPI legs, fault backoff — so a
 // whole run answers "where did the virtual time go?" at a glance. The
-// attribution is fed by the same phase events that drive the span
-// recorder, costs no virtual time, and exports both folded-stack text
-// (for flamegraph tools) and pprof-compatible profiles (for `go tool
-// pprof` and speedscope).
+// runtime hands over each process's lifetime and its time in each
+// transfer phase kind when a run ends, so profiling costs no virtual
+// time. The attribution exports as folded-stack text (for flamegraph
+// tools) and as a pprof-compatible profile (for `go tool pprof` and
+// speedscope).
 package profile
 
 import (
@@ -17,21 +18,16 @@ import (
 	"cellpilot/internal/sim"
 )
 
-// Bucket names. Every nanosecond of a process's lifetime lands in exactly
-// one bucket; BucketCompute is the remainder after the instrumented
-// phases are subtracted.
+// Every nanosecond of a process's lifetime lands in exactly one bucket. A
+// bucket is named after the transfer phase kind it sums (trace.PhaseKind's
+// String: "pack", "mbox-req", "copy", ...), except these two.
 const (
-	BucketCompute        = "compute"
-	BucketPack           = "pack"
-	BucketMboxReq        = "mbox-req"
-	BucketMboxWait       = "mbox-wait"
-	BucketCoPilotService = "copilot-service"
-	BucketCopy           = "copy"
-	BucketRelay          = "relay"
-	BucketMPISend        = "mpi-send"
-	BucketMPIWait        = "mpi-wait"
-	BucketFaultBackoff   = "fault-backoff"
-	BucketChunkRelay     = "chunk-relay"
+	// BucketCompute is the remainder after the phase buckets are
+	// subtracted from the lifetime.
+	BucketCompute = "compute"
+	// BucketFaultBackoff is the fault-protocol repost time split off a
+	// stub's mailbox requests.
+	BucketFaultBackoff = "fault-backoff"
 )
 
 // procProfile is one process's attribution state.

@@ -12,22 +12,22 @@ import (
 
 func TestAttributionAndComputeRemainder(t *testing.T) {
 	p := New()
-	p.Attribute("worker", BucketPack, 30)
-	p.Attribute("worker", BucketMPISend, 50)
-	p.Attribute("worker", BucketPack, 10) // accumulates
-	p.Attribute("worker", BucketCopy, 0)  // ignored
-	p.Attribute("worker", BucketCopy, -5) // ignored
+	p.Attribute("worker", "pack", 30)
+	p.Attribute("worker", "mpi-send", 50)
+	p.Attribute("worker", "pack", 10) // accumulates
+	p.Attribute("worker", "copy", 0)  // ignored
+	p.Attribute("worker", "copy", -5) // ignored
 	p.SetLifetime("worker", 100, 300)
 
 	b := p.Buckets("worker")
-	if b[BucketPack] != 40 || b[BucketMPISend] != 50 {
+	if b["pack"] != 40 || b["mpi-send"] != 50 {
 		t.Fatalf("buckets = %v", b)
 	}
 	// compute = 200 lifetime - 90 attributed
 	if b[BucketCompute] != 110 {
 		t.Fatalf("compute = %v, want 110", b[BucketCompute])
 	}
-	if _, ok := b[BucketCopy]; ok {
+	if _, ok := b["copy"]; ok {
 		t.Fatal("zero-duration bucket materialized")
 	}
 	start, end, ok := p.Lifetime("worker")
@@ -38,7 +38,7 @@ func TestAttributionAndComputeRemainder(t *testing.T) {
 
 func TestOverAttributedClampsCompute(t *testing.T) {
 	p := New()
-	p.Attribute("w", BucketRelay, 500)
+	p.Attribute("w", "relay", 500)
 	p.SetLifetime("w", 0, 100) // attributed exceeds lifetime (overlapping phases)
 	b := p.Buckets("w")
 	if _, ok := b[BucketCompute]; ok {
@@ -48,9 +48,9 @@ func TestOverAttributedClampsCompute(t *testing.T) {
 
 func TestFoldedStacksFormat(t *testing.T) {
 	p := New()
-	p.Attribute("b-proc", BucketMboxWait, 70)
+	p.Attribute("b-proc", "mbox-wait", 70)
 	p.SetLifetime("b-proc", 0, 100)
-	p.Attribute("a-proc", BucketPack, 25)
+	p.Attribute("a-proc", "pack", 25)
 	p.SetLifetime("a-proc", 0, 25) // fully attributed: no compute line
 	var buf bytes.Buffer
 	if err := p.FoldedStacks(&buf); err != nil {
@@ -64,8 +64,8 @@ func TestFoldedStacksFormat(t *testing.T) {
 
 func TestReportSortsByDuration(t *testing.T) {
 	p := New()
-	p.Attribute("w", BucketPack, 10)
-	p.Attribute("w", BucketMPIWait, 80)
+	p.Attribute("w", "pack", 10)
+	p.Attribute("w", "mpi-wait", 80)
 	p.SetLifetime("w", 0, 100)
 	rep := p.Report()
 	if !strings.Contains(rep, "w (lifetime 100ns)") {
@@ -81,7 +81,7 @@ func TestReportSortsByDuration(t *testing.T) {
 
 func TestNilProfilerSafe(t *testing.T) {
 	var p *Profiler
-	p.Attribute("x", BucketPack, 1)
+	p.Attribute("x", "pack", 1)
 	if p.Procs() != nil || p.Buckets("x") != nil {
 		t.Fatal("nil profiler is not inert")
 	}
@@ -95,8 +95,8 @@ func TestNilProfilerSafe(t *testing.T) {
 // manually), here we check the container and the embedded strings.
 func TestWritePprof(t *testing.T) {
 	p := New()
-	p.Attribute("worker#0", BucketMboxWait, 700*sim.Microsecond)
-	p.Attribute("worker#0", BucketPack, 100*sim.Microsecond)
+	p.Attribute("worker#0", "mbox-wait", 700*sim.Microsecond)
+	p.Attribute("worker#0", "pack", 100*sim.Microsecond)
 	p.SetLifetime("worker#0", 0, sim.Millisecond)
 	var buf bytes.Buffer
 	if err := p.WritePprof(&buf); err != nil {

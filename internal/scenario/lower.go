@@ -149,7 +149,7 @@ func (s *Scenario) validateWorkload(i int, w Workload) error {
 	default:
 		return fmt.Errorf("%s: unknown workload kind", what)
 	}
-	if w.Transfer.ChunkSize < 0 || w.Transfer.PipelineDepth < 0 || w.Transfer.EagerMax < 0 {
+	if w.Transfer.ChunkSize < 0 || w.Transfer.PipelineDepth < 0 {
 		return fmt.Errorf("%s: transfer options must be non-negative", what)
 	}
 	return nil

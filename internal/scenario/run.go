@@ -166,8 +166,8 @@ func runOnce(s *Scenario, opt Options) (*Outcome, error) {
 				res, err := workload.Chaos(workload.ChaosConfig{
 					Seed: seed, Reps: w.Reps, Bytes: w.Bytes,
 					SoftTimeout: w.SoftTimeout, Transfer: w.Transfer,
-					Spec: spec(), Plan: plan, Trace: rec, Stats: &st,
-					Timeline: tl, Flows: fl,
+					Spec: spec(), Plan: plan, Stats: &st,
+					Sinks: core.Sinks{Trace: rec, Timeline: tl, Flows: fl},
 				})
 				if err != nil {
 					return nil, fmt.Errorf("workloads[%d] chaos seed %d: %w", i, seed, err)

@@ -439,7 +439,6 @@ func decodeTransfer(m *mapReader, what string, t *core.TransferOptions) error {
 	if err := firstErr(
 		tm.intField("chunk_size", &t.ChunkSize),
 		tm.intField("pipeline_depth", &t.PipelineDepth),
-		tm.intField("eager_max", &t.EagerMax),
 		tm.boolField("zero_copy_type4", &t.ZeroCopyType4),
 	); err != nil {
 		return err

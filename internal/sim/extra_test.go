@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -53,18 +52,6 @@ func TestParkReasonInDeadlockReport(t *testing.T) {
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "custom reason xyz") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestTracer(t *testing.T) {
-	k := NewKernel(1)
-	var lines []string
-	k.SetTracer(func(at Time, format string, args ...any) {
-		lines = append(lines, fmt.Sprintf("%s "+format, append([]any{at}, args...)...))
-	})
-	k.tracef("hello %d", 5)
-	if len(lines) != 1 || !strings.Contains(lines[0], "hello 5") {
-		t.Fatalf("lines = %v", lines)
 	}
 }
 

@@ -18,7 +18,6 @@ type Kernel struct {
 	free  []*event      // recycled event objects, never shared across kernels
 	ctl   chan struct{} // running proc -> scheduler: "I parked or exited"
 	rng   *rand.Rand
-	trac  Tracer
 	host  HostProbe // wall-clock instrumentation; nil disables
 	clock ClockHook // observes virtual-clock advances; nil disables
 
@@ -29,10 +28,6 @@ type Kernel struct {
 	abortErr error
 	nextID   int
 }
-
-// Tracer receives a line for every significant kernel action. Nil disables
-// tracing.
-type Tracer func(at Time, format string, args ...any)
 
 // HostProbe observes the kernel's host-side (wall-clock) cost: event and
 // heap-operation counts plus the execution slices the scheduler hands out.
@@ -88,9 +83,6 @@ func (k *Kernel) Now() Time { return k.now }
 // used from scheduler or running-proc context.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// SetTracer installs a trace callback.
-func (k *Kernel) SetTracer(t Tracer) { k.trac = t }
-
 // SetHostProbe attaches a host-cost probe (nil detaches). Attach before
 // Run; the probe observes wall-clock cost only and cannot perturb the
 // virtual timeline, so instrumented runs stay bit-for-bit deterministic.
@@ -108,12 +100,6 @@ type ClockHook func(now Time)
 // before Run. The only event-loop cost when detached is a nil check per
 // dispatched event, mirroring SetHostProbe.
 func (k *Kernel) SetClockHook(h ClockHook) { k.clock = h }
-
-func (k *Kernel) tracef(format string, args ...any) {
-	if k.trac != nil {
-		k.trac(k.now, format, args...)
-	}
-}
 
 // Spawn creates a proc named name running fn and schedules its first
 // activation after delay. It may be called before Run or from a running

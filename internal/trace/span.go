@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"cellpilot/internal/sim"
 )
@@ -206,6 +205,7 @@ func (s Span) PhaseTotal(k PhaseKind) sim.Time {
 // transfer and are skipped. The log is decoded once, and a stable sort by
 // id groups the phases, in recording order within an id, in one backing
 // array that the spans' phase slices share, each capped at its own length.
+// The spans take one more allocation, whatever their number.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
@@ -217,7 +217,13 @@ func (r *Recorder) Spans() []Span {
 		}
 	}
 	slices.SortStableFunc(backing, func(a, b PhaseEvent) int { return cmp.Compare(a.Xfer, b.Xfer) })
-	out := []Span{}
+	n := 0
+	for i := range backing {
+		if i == 0 || backing[i].Xfer != backing[i-1].Xfer {
+			n++
+		}
+	}
+	out := make([]Span, 0, n)
 	for lo := 0; lo < len(backing); {
 		hi := lo + 1
 		for hi < len(backing) && backing[hi].Xfer == backing[lo].Xfer {
@@ -234,21 +240,14 @@ func (r *Recorder) Spans() []Span {
 			sp.End = max(sp.End, pe.End)
 			sp.Bytes = max(sp.Bytes, pe.Bytes)
 		}
-		sort.Slice(phases, func(i, j int) bool {
-			a, b := phases[i], phases[j]
-			if a.Start != b.Start {
-				return a.Start < b.Start
-			}
-			return a.Phase < b.Phase
+		slices.SortFunc(phases, func(a, b PhaseEvent) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Phase, b.Phase))
 		})
 		out = append(out, sp)
 		lo = hi
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
+	slices.SortFunc(out, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 	})
 	return out
 }

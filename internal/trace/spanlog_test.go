@@ -316,6 +316,23 @@ func allocBytes(fn func()) uint64 {
 
 var sinkRecorder *Recorder
 var sinkFlight *Flight
+var sinkSpans []Span
+
+// Spans allocates its decoded phases and its spans, each once, so its
+// allocation count does not grow with the number of transfers; a sort by
+// reflection made three allocations per transfer.
+func TestSpansAllocationsFlat(t *testing.T) {
+	allocs := func(xfers int) float64 {
+		r := NewRecorder(0)
+		genLog(t, 1, logShape{apps: 1, xfers: xfers, idScale: 1}, r, &oracleLog{})
+		return testing.AllocsPerRun(5, func() { sinkSpans = r.Spans() })
+	}
+	few, many := allocs(1_000), allocs(10_000)
+	t.Logf("Spans() allocations: %v over 1,000 transfers, %v over 10,000", few, many)
+	if many > few {
+		t.Errorf("Spans() makes %v allocations over 10,000 transfers and %v over 1,000; want no growth", many, few)
+	}
+}
 
 func TestSpanLogAllocation(t *testing.T) {
 	// NewRecorder allocates the Recorder and nothing else: no chunk and

@@ -23,8 +23,6 @@ const (
 	KindWrite Kind = iota
 	// KindRead is a completed channel read (payload delivered).
 	KindRead
-	// KindCoPilot is a Co-Pilot servicing action (request, relay, copy).
-	KindCoPilot
 )
 
 // String implements fmt.Stringer.
@@ -34,8 +32,6 @@ func (k Kind) String() string {
 		return "write"
 	case KindRead:
 		return "read"
-	case KindCoPilot:
-		return "copilot"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -159,9 +155,6 @@ func (r *Recorder) ByChannel() []ChannelStats {
 	}
 	for d.more() {
 		ev := d.event(&r.labels)
-		if ev.Kind == KindCoPilot {
-			continue
-		}
 		st, ok := agg[ev.Channel]
 		if !ok {
 			st = &ChannelStats{Channel: ev.Channel, First: ev.At}

@@ -13,7 +13,6 @@ func TestRecorderAggregation(t *testing.T) {
 	r.Record(Event{At: 2 * sim.Microsecond, Kind: KindRead, Proc: "b", Channel: 0, Bytes: 100})
 	r.Record(Event{At: 3 * sim.Microsecond, Kind: KindWrite, Proc: "a", Channel: 0, Bytes: 50})
 	r.Record(Event{At: 9 * sim.Microsecond, Kind: KindWrite, Proc: "c", Channel: 2, Bytes: 8})
-	r.Record(Event{At: 5 * sim.Microsecond, Kind: KindCoPilot, Proc: "cp", Channel: 0, Bytes: 0})
 	stats := r.ByChannel()
 	if len(stats) != 2 {
 		t.Fatalf("channels = %d", len(stats))
@@ -51,7 +50,7 @@ func TestEventsReturnsCopy(t *testing.T) {
 	r.Record(Event{At: 2, Kind: KindRead, Proc: "b", Channel: 0, Bytes: 4})
 	evs := r.Events()
 	evs[0].Channel = 99
-	evs[0].Kind = KindCoPilot
+	evs[0].Kind = KindRead
 	_ = append(evs[:1], Event{Channel: 42}) // clobbers the copy, not the recorder
 	fresh := r.Events()
 	if fresh[0].Channel != 0 || fresh[0].Kind != KindWrite || fresh[1].Channel != 0 {
@@ -98,13 +97,6 @@ func TestByChannelEdgeCases(t *testing.T) {
 	// Empty recorder.
 	if got := NewRecorder(0).ByChannel(); len(got) != 0 {
 		t.Fatalf("empty ByChannel = %+v", got)
-	}
-	// Only Co-Pilot events: filtered out entirely.
-	r := NewRecorder(0)
-	r.Record(Event{At: 1, Kind: KindCoPilot, Proc: "cp", Channel: 5, Bytes: 10})
-	r.Record(Event{At: 2, Kind: KindCoPilot, Proc: "cp", Channel: 5, Bytes: 10})
-	if got := r.ByChannel(); len(got) != 0 {
-		t.Fatalf("copilot-only ByChannel = %+v", got)
 	}
 	// Dropped events beyond the limit are accounted, not aggregated.
 	lim := NewRecorder(1)

@@ -9,11 +9,7 @@ import (
 	"cellpilot/internal/cluster"
 	"cellpilot/internal/core"
 	"cellpilot/internal/fault"
-	"cellpilot/internal/flowmap"
-	"cellpilot/internal/hostprof"
 	"cellpilot/internal/sim"
-	"cellpilot/internal/timeline"
-	"cellpilot/internal/trace"
 )
 
 // ChaosConfig describes one seeded chaos run: concurrent pingpong traffic
@@ -49,11 +45,6 @@ type ChaosConfig struct {
 	// With chunking on and Bytes past the eager bound, the internode flows
 	// (types 1, 3 and 5) exercise the chunk pipeline under injection.
 	Transfer core.TransferOptions
-	// Host, when non-nil, measures the run's host-side (wall-clock) cost.
-	// The Fingerprint deliberately contains no host-dependent data, so an
-	// instrumented chaos run fingerprints identically to a bare one — the
-	// determinism test relies on exactly that.
-	Host *hostprof.Profiler
 	// Spec overrides the cluster topology (nil = the default two-Cell +
 	// one-Xeon corner). The chaos traffic pins processes to nodes 0, 1 and
 	// 2, so the first two nodes must be Cell blades and a third node of any
@@ -63,23 +54,16 @@ type ChaosConfig struct {
 	// (the scenario DSL's lowered product). Seed still names the injector
 	// RNG seed; the plan's own Seed field is ignored.
 	Plan *fault.Plan
-	// Trace, when non-nil, records the run's events and transfer spans
-	// (observation is free in virtual time, so traced chaos runs keep
-	// bit-identical fingerprints).
-	Trace *trace.Recorder
 	// Stats, when non-nil, receives the application's post-run report.
 	// With Trace also attached it includes the critical-path blame
 	// decomposition (Stats.CritPath) and contention pairs.
 	Stats *core.Stats
-	// Timeline, when non-nil, records windowed time-series of the run's
-	// gauges and counters (backlog, utilization, fault counters). Like the
-	// other sinks it only reads, so a chaos run with a timeline attached
-	// keeps a bit-identical fingerprint.
-	Timeline *timeline.Recorder
-	// Flows, when non-nil, accumulates the run's flow observatory (traffic
-	// matrix, per-route aggregates, heavy hitters). Same zero-virtual-cost
-	// contract as the other sinks.
-	Flows *flowmap.Map
+	// Sinks are the observation sinks the run records into. They only
+	// read, so an observed chaos run keeps a bit-identical fingerprint;
+	// the Fingerprint holds no host-dependent data, so one with HostProf
+	// attached does too. A nil Metrics gets a fresh Meter, whose fault
+	// counters the result reports.
+	core.Sinks
 }
 
 // ChaosSPEs lists the SPE stub process names a chaos run creates — the
@@ -183,7 +167,24 @@ func (c ChaosConfig) plan() fault.Plan {
 	return p
 }
 
-// Chaos runs one seeded chaos experiment on a fresh cluster.
+// ChaosSweep runs the same scenario across several seeds.
+func ChaosSweep(base ChaosConfig, seeds []int64) ([]ChaosResult, error) {
+	out := make([]ChaosResult, 0, len(seeds))
+	for _, s := range seeds {
+		cfg := base
+		cfg.Seed = s
+		r, err := Chaos(cfg)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// Chaos runs one seeded chaos experiment on a fresh cluster. A fault
+// diagnostic names its Try* call site below by file and line, and the
+// scenario goldens (scenarios/*.golden) pin those lines.
 func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 	cfg = cfg.withDefaults()
 	spec := cluster.Spec{CellNodes: 2, XeonNodes: 1, Params: cfg.Params, Seed: 7}
@@ -212,11 +213,10 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 	inj := fault.NewInjector(plan)
 	a := core.NewApp(clu, core.Options{Faults: inj, Transfer: cfg.Transfer})
-	a.Metrics = core.NewMeter()
-	a.HostProf = cfg.Host
-	a.Trace = cfg.Trace
-	a.Timeline = cfg.Timeline
-	a.Flows = cfg.Flows
+	a.Sinks = cfg.Sinks
+	if a.Metrics == nil {
+		a.Metrics = core.NewMeter()
+	}
 
 	res := ChaosResult{Config: ChaosResult_Config{
 		Seed: cfg.Seed, LossProb: cfg.LossProb, KillSPE: cfg.KillSPE, MailboxDrops: cfg.MailboxDrops,
@@ -374,19 +374,4 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 		*cfg.Stats = a.Stats()
 	}
 	return res, nil
-}
-
-// ChaosSweep runs the same scenario across several seeds.
-func ChaosSweep(base ChaosConfig, seeds []int64) ([]ChaosResult, error) {
-	out := make([]ChaosResult, 0, len(seeds))
-	for _, s := range seeds {
-		cfg := base
-		cfg.Seed = s
-		r, err := Chaos(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -4,7 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"cellpilot/internal/core"
+	"cellpilot/internal/flowmap"
 	"cellpilot/internal/hostprof"
+	"cellpilot/internal/profile"
+	"cellpilot/internal/sim"
+	"cellpilot/internal/timeline"
+	"cellpilot/internal/trace"
 )
 
 // TestChaosDeterminism: the full chaos scenario — lossy links, an SPE
@@ -139,7 +145,7 @@ func TestChaosHostProfDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := hostprof.New(1)
-	cfg.Host = h
+	cfg.HostProf = h
 	probed, err := Chaos(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -150,5 +156,73 @@ func TestChaosHostProfDeterminism(t *testing.T) {
 	}
 	if snap := h.Snapshot(); snap.Events == 0 {
 		t.Fatal("host profiler attached but saw no events")
+	}
+}
+
+// TestSinksConserveSpanPhases: with every sink attached to a chaos run
+// whose mailbox drops force reposts and whose lossy link forces
+// retransmits, the profiler and the flow map agree with the span log they
+// are derived from. For each profiled track, the buckets other than
+// compute sum to the track's recorded phases (Co-Pilot wait and chunk
+// annotations are not the track's own time), and mbox-req plus
+// fault-backoff is its mailbox-request phases. Each Co-Pilot's occupancy
+// in the flow report is its copy, relay and chunk-relay phases.
+func TestSinksConserveSpanPhases(t *testing.T) {
+	sinks := core.Sinks{
+		Trace: trace.NewRecorder(0), Metrics: core.NewMeter(), Profile: profile.New(),
+		HostProf: hostprof.New(1), Timeline: timeline.New(0), Flows: flowmap.New(0),
+	}
+	res, err := Chaos(ChaosConfig{Seed: 3, Reps: 40, LossProb: 0.1, MailboxDrops: 6, Sinks: sinks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counts.MailboxReposts == 0 || res.Counts.Retransmits == 0 {
+		t.Fatalf("the run must repost and retransmit to test the split: %+v", res.Counts)
+	}
+	var own, mboxReq, copilot = map[string]sim.Time{}, map[string]sim.Time{}, map[string]sim.Time{}
+	for _, pe := range sinks.Trace.Phases() {
+		if pe.Phase.IsAnnotation() || pe.Phase == trace.PhaseCoPilotWait {
+			continue
+		}
+		own[pe.Proc] += pe.Dur()
+		switch pe.Phase {
+		case trace.PhaseMailboxReq:
+			mboxReq[pe.Proc] += pe.Dur()
+		case trace.PhaseCopy, trace.PhaseRelay, trace.PhaseChunkRelay:
+			copilot[pe.Proc] += pe.Dur()
+		}
+	}
+	prof, backoff := sinks.Profile, sim.Time(0)
+	for _, name := range prof.Procs() {
+		b := prof.Buckets(name)
+		var sum sim.Time
+		for bucket, d := range b {
+			if bucket != profile.BucketCompute {
+				sum += d
+			}
+		}
+		if sum != own[name] {
+			t.Errorf("%s: buckets other than compute sum to %v, its phases to %v", name, sum, own[name])
+		}
+		if got := b["mbox-req"] + b[profile.BucketFaultBackoff]; got != mboxReq[name] {
+			t.Errorf("%s: mbox-req + fault-backoff = %v, its mailbox-request phases %v", name, got, mboxReq[name])
+		}
+		backoff += b[profile.BucketFaultBackoff]
+	}
+	if backoff == 0 {
+		t.Error("no fault-backoff attributed although stubs reposted")
+	}
+	seen := 0
+	for _, r := range sinks.Flows.Report(0).Resources {
+		if !strings.HasPrefix(r.Name, "copilot@") {
+			continue
+		}
+		seen++
+		if r.Busy != copilot[r.Name] {
+			t.Errorf("%s: flow-map busy %v, its copy/relay/chunk-relay phases %v", r.Name, r.Busy, copilot[r.Name])
+		}
+	}
+	if seen == 0 {
+		t.Error("the flow report names no Co-Pilot")
 	}
 }

@@ -302,7 +302,9 @@ func AblationDirectLocal(reps int) (mpiPath, direct [2]sim.Time, err error) {
 func AblationPoll(intervals []sim.Time, reps int) (map[sim.Time]sim.Time, error) {
 	out := map[sim.Time]sim.Time{}
 	for _, iv := range intervals {
-		r, err := PingPong(PingPongConfig{Type: 4, Bytes: 1, Method: MethodCellPilot, Reps: reps, PollInterval: iv})
+		par := cellbe.DefaultParams()
+		par.CoPilotPoll = iv
+		r, err := PingPong(PingPongConfig{Type: 4, Bytes: 1, Method: MethodCellPilot, Reps: reps, Params: par})
 		if err != nil {
 			return nil, err
 		}
@@ -317,7 +319,9 @@ func AblationEager(sizes []int, thresholds []int, reps int) (map[[2]int]sim.Time
 	out := map[[2]int]sim.Time{}
 	for _, th := range thresholds {
 		for _, sz := range sizes {
-			r, err := PingPong(PingPongConfig{Type: 1, Bytes: sz, Method: MethodCellPilot, Reps: reps, EagerThreshold: th})
+			par := cellbe.DefaultParams()
+			par.EagerThreshold = th
+			r, err := PingPong(PingPongConfig{Type: 1, Bytes: sz, Method: MethodCellPilot, Reps: reps, Params: par})
 			if err != nil {
 				return nil, err
 			}

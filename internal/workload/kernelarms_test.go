@@ -30,7 +30,7 @@ func chaosArmRun() (chaosArmResult, error) {
 	fl := flowmap.New(0)
 	r, err := Chaos(ChaosConfig{
 		Seed: 11, LossProb: 0.1, KillSPE: true, MailboxDrops: 3,
-		Stats: &st, Timeline: tl, Flows: fl,
+		Stats: &st, Sinks: core.Sinks{Timeline: tl, Flows: fl},
 	})
 	if err != nil {
 		return chaosArmResult{}, err

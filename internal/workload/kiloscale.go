@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"cellpilot/internal/cluster"
+	"cellpilot/internal/core"
 	"cellpilot/internal/hostprof"
 	"cellpilot/internal/sim"
 )
@@ -126,8 +127,8 @@ func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
 				Reps:         cfg.Reps,
 				LossProb:     0.05,
 				MailboxDrops: 2,
-				Host:         h,
 				Spec:         spec,
+				Sinks:        core.Sinks{HostProf: h},
 			})
 			if err != nil {
 				return fmt.Errorf("replica %d: %w", i, err)
@@ -143,8 +144,8 @@ func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
 				Bytes:  256,
 				Method: MethodCellPilot,
 				Reps:   cfg.Reps,
-				Host:   h,
 				Spec:   spec,
+				Sinks:  core.Sinks{HostProf: h},
 			})
 			if err != nil {
 				return fmt.Errorf("replica %d: %w", i, err)

@@ -9,15 +9,10 @@ import (
 	"cellpilot/internal/cellbe"
 	"cellpilot/internal/cluster"
 	"cellpilot/internal/core"
-	"cellpilot/internal/flowmap"
 	"cellpilot/internal/fmtmsg"
-	"cellpilot/internal/hostprof"
 	"cellpilot/internal/mpi"
-	"cellpilot/internal/profile"
 	"cellpilot/internal/sdk"
 	"cellpilot/internal/sim"
-	"cellpilot/internal/timeline"
-	"cellpilot/internal/trace"
 )
 
 // Method selects the transfer implementation, matching the paper's three
@@ -64,10 +59,6 @@ type PingPongConfig struct {
 	Params *cellbe.Params
 	// DirectLocal enables the A1 ablation (type 2 fast path).
 	DirectLocal bool
-	// PollInterval overrides the Co-Pilot poll interval when > 0 (A2).
-	PollInterval sim.Time
-	// EagerThreshold overrides MPI's eager/rendezvous split when > 0 (A3).
-	EagerThreshold int
 	// Transfer tunes the chunked transfer engine (zero value = disabled,
 	// the paper-faithful protocol). MethodCellPilot only.
 	Transfer core.TransferOptions
@@ -75,24 +66,9 @@ type PingPongConfig struct {
 	// time in order (MethodCellPilot only) — the raw samples behind the
 	// size-sweep's latency quantiles.
 	RoundTrips *[]sim.Time
-	// Trace, when non-nil, records the CellPilot run's events and transfer
-	// spans (MethodCellPilot only; observation is free in virtual time).
-	Trace *trace.Recorder
-	// Metrics, when non-nil, aggregates the CellPilot run's histograms.
-	Metrics *core.Meter
-	// Profile, when non-nil, attributes every process's virtual time into
-	// exclusive buckets (MethodCellPilot only).
-	Profile *profile.Profiler
-	// Host, when non-nil, measures the run's host-side (wall-clock) cost
-	// (MethodCellPilot only). It never perturbs the virtual timeline.
-	Host *hostprof.Profiler
-	// Timeline, when non-nil, records windowed time-series of the run's
-	// gauges and counters (MethodCellPilot only; observation is free in
-	// virtual time).
-	Timeline *timeline.Recorder
-	// Flows, when non-nil, accumulates the run's flow observatory
-	// (MethodCellPilot only; same zero-virtual-cost contract).
-	Flows *flowmap.Map
+	// Sinks are the observation sinks the CellPilot run records into
+	// (MethodCellPilot only; observation is free in virtual time).
+	core.Sinks
 	// Stats, when non-nil, receives the application's post-run report
 	// (MethodCellPilot only). With Trace also attached it includes the
 	// critical-path blame decomposition (Stats.CritPath).
@@ -118,12 +94,6 @@ func (c PingPongConfig) withDefaults() PingPongConfig {
 	}
 	if c.Params == nil {
 		c.Params = cellbe.DefaultParams()
-	}
-	if c.PollInterval > 0 {
-		c.Params.CoPilotPoll = c.PollInterval
-	}
-	if c.EagerThreshold > 0 {
-		c.Params.EagerThreshold = c.EagerThreshold
 	}
 	return c
 }
@@ -243,12 +213,7 @@ func pingPongCellPilot(cfg PingPongConfig) (sim.Time, error) {
 		return 0, err
 	}
 	a := core.NewApp(c, core.Options{CoPilotDirectLocal: cfg.DirectLocal, Transfer: cfg.Transfer})
-	a.Trace = cfg.Trace
-	a.Metrics = cfg.Metrics
-	a.Profile = cfg.Profile
-	a.HostProf = cfg.Host
-	a.Timeline = cfg.Timeline
-	a.Flows = cfg.Flows
+	a.Sinks = cfg.Sinks
 	format, mk, rd := payloadFormat(cfg.Bytes)
 
 	var ab, ba *core.Channel
